@@ -1,7 +1,11 @@
 #pragma once
 
+#include <sys/mman.h>
+
 #include <cstring>
 #include <map>
+#include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -17,27 +21,34 @@ using sim::Addr;
 /// Functional backing store: a flat byte array modelling the MCU's on-chip
 /// SRAM (Table 1: 1 MB). Timing lives in MemorySystem; this class only
 /// holds state and does bounds-checked byte access.
+///
+/// The bytes live in one anonymous private mapping, so the kernel supplies
+/// a zero page on first touch: construction costs one syscall whatever the
+/// size, and a run pays only for the pages it writes. The mapping is
+/// page-rounded, but every access is checked against size(), so the slack
+/// past it is unreachable.
 class Sram {
  public:
-  explicit Sram(std::size_t bytes) : bytes_(bytes, 0) {}
+  explicit Sram(std::size_t bytes)
+      : size_(bytes), bytes_(mapZeroPages(bytes)) {}
 
-  std::size_t size() const { return bytes_.size(); }
+  std::size_t size() const { return size_; }
 
   bool inBounds(Addr addr, std::size_t len) const {
-    return static_cast<std::size_t>(addr) + len <= bytes_.size() &&
+    return static_cast<std::size_t>(addr) + len <= size_ &&
            static_cast<std::size_t>(addr) + len >= len;  // overflow guard
   }
 
   std::uint32_t read(Addr addr, std::uint32_t size) const {
     check(addr, size);
     std::uint32_t v = 0;
-    std::memcpy(&v, bytes_.data() + addr, size);
+    std::memcpy(&v, bytes_.get() + addr, size);
     return v;
   }
 
   void write(Addr addr, std::uint32_t size, std::uint32_t value) {
     check(addr, size);
-    std::memcpy(bytes_.data() + addr, &value, size);
+    std::memcpy(bytes_.get() + addr, &value, size);
     if (!latent_.empty()) clearLatentRange(addr, size);
   }
 
@@ -86,13 +97,13 @@ class Sram {
   void pokeBytes(Addr addr, std::span<const std::byte> data) {
     check(addr, data.size());
     if (data.empty()) return;  // empty span has a null data(); memcpy forbids it
-    std::memcpy(bytes_.data() + addr, data.data(), data.size());
+    std::memcpy(bytes_.get() + addr, data.data(), data.size());
     if (!latent_.empty()) clearLatentRange(addr, data.size());
   }
   void peekBytes(Addr addr, std::span<std::byte> out) const {
     check(addr, out.size());
     if (out.empty()) return;
-    std::memcpy(out.data(), bytes_.data() + addr, out.size());
+    std::memcpy(out.data(), bytes_.get() + addr, out.size());
   }
 
   template <typename T>
@@ -123,7 +134,7 @@ class Sram {
 
   void serialize(sim::StateWriter& w) const {
     w.tag("SRAM");
-    w.bytes(bytes_.data(), bytes_.size());
+    w.bytes(bytes_.get(), size_);
     w.u64(latent_.size());  // snapshot v5: latent-flip registry
     for (const auto& [word, mask] : latent_) {
       w.u64(word);
@@ -136,12 +147,12 @@ class Sram {
   void deserialize(sim::StateReader& r) {
     r.expectTag("SRAM");
     std::vector<std::uint8_t> blob = r.bytes();
-    if (blob.size() != bytes_.size()) {
+    if (blob.size() != size_) {
       throw sim::SimError(sim::ErrorKind::Checkpoint, "sram",
                           "snapshot SRAM size " + std::to_string(blob.size()) +
-                              " != configured " + std::to_string(bytes_.size()));
+                              " != configured " + std::to_string(size_));
     }
-    bytes_ = std::move(blob);
+    if (size_ != 0) std::memcpy(bytes_.get(), blob.data(), size_);
     latent_.clear();
     const std::uint64_t n = r.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -156,7 +167,7 @@ class Sram {
       throw std::out_of_range("Sram access out of bounds: addr=" +
                               std::to_string(addr) + " len=" +
                               std::to_string(len) + " size=" +
-                              std::to_string(bytes_.size()));
+                              std::to_string(size_));
     }
   }
 
@@ -166,7 +177,24 @@ class Sram {
     latent_.erase(latent_.lower_bound(first), latent_.upper_bound(last));
   }
 
-  std::vector<std::uint8_t> bytes_;
+  struct Unmap {
+    std::size_t len;
+    void operator()(std::uint8_t* p) const noexcept { ::munmap(p, len); }
+  };
+  using Mapping = std::unique_ptr<std::uint8_t[], Unmap>;
+
+  /// A zero-size SRAM maps nothing (mmap rejects length 0); check() then
+  /// rejects every non-empty access before the null pointer is used.
+  static Mapping mapZeroPages(std::size_t bytes) {
+    if (bytes == 0) return Mapping(nullptr, Unmap{0});
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return Mapping(static_cast<std::uint8_t*>(p), Unmap{bytes});
+  }
+
+  std::size_t size_;
+  Mapping bytes_;
   std::map<Addr, std::uint32_t> latent_;
 };
 

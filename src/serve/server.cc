@@ -84,22 +84,7 @@ std::optional<Rejected> Server::submit(const Request& r) {
                   " is in the server's past (now " + std::to_string(now_) +
                   ")");
   }
-  const auto taken = [&](std::uint64_t id) {
-    for (const Completion& c : completions_) {
-      if (c.id == id) return true;
-    }
-    for (const Pending& p : arrivals_) {
-      if (p.r.id == id) return true;
-    }
-    for (const Pending& p : queue_) {
-      if (p.r.id == id) return true;
-    }
-    for (const Pending& p : retries_) {
-      if (p.r.id == id) return true;
-    }
-    return false;
-  };
-  if (taken(r.id)) {
+  if (!ids_.insert(r.id).second) {
     return reject("duplicate request id " + std::to_string(r.id));
   }
   Pending p;
@@ -112,7 +97,10 @@ std::optional<Rejected> Server::submit(const Request& r) {
   return std::nullopt;
 }
 
-void Server::complete(Completion c) { completions_.push_back(std::move(c)); }
+void Server::complete(Completion c) {
+  ids_.insert(c.id);
+  completions_.push_back(std::move(c));
+}
 
 void Server::shed(const Request& r, const std::string& reason) {
   rejections_.push_back(
@@ -123,7 +111,7 @@ void Server::shed(const Request& r, const std::string& reason) {
 void Server::admitArrivals() {
   while (!arrivals_.empty() && arrivals_.front().r.arrival_cycle <= now_) {
     Pending p = std::move(arrivals_.front());
-    arrivals_.erase(arrivals_.begin());
+    arrivals_.pop_front();
     if (queue_.size() >= cfg_.queue_capacity) {
       shed(p.r, "queue full (" + std::to_string(cfg_.queue_capacity) +
                     " requests) at admission");
@@ -570,6 +558,11 @@ void Server::restore(const std::vector<std::uint8_t>& snapshot) {
     throw sim::SimError(sim::ErrorKind::Checkpoint, "serve",
                         "trailing bytes after server snapshot payload");
   }
+  ids_.clear();
+  for (const Completion& c : completions_) ids_.insert(c.id);
+  for (const Pending& p : arrivals_) ids_.insert(p.r.id);
+  for (const Pending& p : queue_) ids_.insert(p.r.id);
+  for (const Pending& p : retries_) ids_.insert(p.r.id);
 }
 
 }  // namespace hht::serve

@@ -4,6 +4,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "harness/system.h"
@@ -183,11 +184,14 @@ class Server {
   std::uint64_t retry_count_ = 0;
   std::uint64_t probe_count_ = 0;
   /// Submitted but not yet arrived, sorted by (arrival_cycle, submit order).
-  std::vector<Pending> arrivals_;
+  std::deque<Pending> arrivals_;
   std::deque<Pending> queue_;     ///< admitted, ready, FIFO
   std::vector<Pending> retries_;  ///< backing off, sorted by (ready, id)
   std::vector<Completion> completions_;
   std::vector<Rejected> rejections_;
+  /// Every id in completions_, arrivals_, queue_ and retries_: submit()'s
+  /// duplicate check. Ids only move between those containers, never leave.
+  std::unordered_set<std::uint64_t> ids_;
   TileHealth health_;
   sim::Histogram latency_hist_;
 };

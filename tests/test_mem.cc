@@ -5,6 +5,8 @@
 
 #include <map>
 
+#include "harness/experiment.h"
+#include "harness/system.h"
 #include "mem/layout.h"
 #include "mem/memory_system.h"
 #include "obs/trace.h"
@@ -38,6 +40,74 @@ TEST(Sram, TypedPeekPoke) {
   const std::vector<std::uint32_t> xs{1, 2, 3};
   sram.pokeArray<std::uint32_t>(16, xs);
   EXPECT_EQ(sram.peekArray<std::uint32_t>(16, 3), xs);
+}
+
+// The SRAM is backed by lazily zeroed pages (DESIGN.md §2). These pin
+// what a zero-filled buffer guarantees: zeros on first read, bounds at
+// size() rather than the page-rounded mapping, no sharing between
+// machines, and all-zero snapshot bytes.
+TEST(Sram, FreshEightMegabytesReadZeroAtBothEnds) {
+  const std::size_t bytes = 8u << 20;
+  Sram sram(bytes);
+  EXPECT_EQ(sram.size(), bytes);
+  EXPECT_EQ(sram.read(0, 4), 0u);
+  EXPECT_EQ(sram.read(static_cast<Addr>(bytes - 4), 4), 0u);
+}
+
+TEST(Sram, BoundIsSizeNotThePageRoundedMapping) {
+  for (const std::size_t bytes : {std::size_t{256}, std::size_t{4097}}) {
+    Sram sram(bytes);
+    const Addr end = static_cast<Addr>(bytes);
+    EXPECT_NO_THROW(sram.read(end - 1, 1)) << bytes;
+    EXPECT_NO_THROW(sram.write(end - 1, 1, 0xAB)) << bytes;
+    EXPECT_THROW(sram.read(end, 1), std::out_of_range) << bytes;
+    EXPECT_THROW(sram.write(end, 1, 0), std::out_of_range) << bytes;
+    EXPECT_THROW(sram.read(end - 2, 4), std::out_of_range) << bytes;
+    const std::byte one[1] = {std::byte{1}};
+    EXPECT_THROW(sram.pokeBytes(end, one), std::out_of_range) << bytes;
+    EXPECT_FALSE(sram.inBounds(end, 1)) << bytes;
+  }
+}
+
+TEST(Sram, TwoLiveSystemsNeverAlias) {
+  harness::System a(harness::defaultConfig());
+  harness::System b(harness::defaultConfig());
+  Sram& sa = a.memory().sram();
+  Sram& sb = b.memory().sram();
+  const Addr last = static_cast<Addr>(sa.size() - 4);
+  sa.write(0, 4, 0x11111111);
+  sa.write(last, 4, 0x22222222);
+  EXPECT_EQ(sb.read(0, 4), 0u);
+  EXPECT_EQ(sb.read(last, 4), 0u);
+  sb.write(0, 4, 0x33333333);
+  EXPECT_EQ(sa.read(0, 4), 0x11111111u);
+  EXPECT_EQ(sa.read(last, 4), 0x22222222u);
+}
+
+TEST(Sram, UntouchedSnapshotIsAllZeroAndRestoresBitIdentically) {
+  const harness::SystemConfig cfg = harness::defaultConfig();
+  harness::System fresh(cfg);
+  sim::StateWriter got;
+  fresh.memory().sram().serialize(got);
+  sim::StateWriter want;
+  want.tag("SRAM");
+  const std::vector<std::uint8_t> zeros(cfg.memory.sram_bytes, 0);
+  want.bytes(zeros.data(), zeros.size());
+  want.u64(0);  // no latent flips
+  EXPECT_EQ(got.data(), want.data());
+
+  const isa::Program idle("idle", {});
+  const std::vector<std::uint8_t> snap = fresh.checkpoint(idle, 0);
+  harness::System target(cfg);
+  target.restore(snap, idle);
+  EXPECT_EQ(target.checkpoint(idle, 0), snap);
+
+  // Restoring copies every byte, so it also wipes a machine's writes.
+  harness::System dirty(cfg);
+  dirty.memory().sram().write(0x1000, 4, 0xDEADBEEF);
+  dirty.restore(snap, idle);
+  EXPECT_EQ(dirty.memory().sram().read(0x1000, 4), 0u);
+  EXPECT_EQ(dirty.checkpoint(idle, 0), snap);
 }
 
 TEST(Arena, AlignedBumpAllocation) {

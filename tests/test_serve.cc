@@ -451,6 +451,101 @@ TEST(Server, SnapshotIsDeterministicAndGuarded) {
   }
 }
 
+TEST(Server, DuplicateIdsAreRejectedAcrossCheckpointRestore) {
+  const ServerConfig cfg = serverConfig();
+  const std::vector<Request> reqs = smallStream(6);
+  Server a(cfg);
+  submitAll(a, reqs);
+  a.drain(1);
+  // One id that has completed and one still pending (arriving or queued).
+  ASSERT_FALSE(a.completions().empty());
+  const std::uint64_t done_id = a.completions().front().id;
+  const std::uint64_t waiting_id = reqs.back().id;
+  for (const Completion& c : a.completions()) ASSERT_NE(c.id, waiting_id);
+  for (const std::uint64_t id : {done_id, waiting_id}) {
+    Request dup = reqs.front();
+    dup.id = id;
+    dup.arrival_cycle = a.now() + 1'000'000;
+    const auto rej = a.submit(dup);
+    ASSERT_TRUE(rej.has_value()) << id;
+    EXPECT_EQ(rej->reason, "duplicate request id " + std::to_string(id));
+  }
+
+  Server b(cfg);
+  b.restore(a.checkpoint());
+  for (const std::uint64_t id : {done_id, waiting_id}) {
+    Request dup = reqs.front();
+    dup.id = id;
+    dup.arrival_cycle = b.now() + 1'000'000;
+    const auto rej = b.submit(dup);
+    ASSERT_TRUE(rej.has_value()) << id;
+    EXPECT_EQ(rej->reason, "duplicate request id " + std::to_string(id));
+  }
+  Request fresh = reqs.front();
+  fresh.id = 1'000'000;
+  fresh.arrival_cycle = b.now() + 1'000'000;
+  EXPECT_FALSE(b.submit(fresh).has_value());
+  b.drain();
+  EXPECT_EQ(b.completions().back().id, fresh.id);
+  EXPECT_EQ(b.completions().back().outcome, Outcome::kOk);
+}
+
+TEST(Server, EqualArrivalsKeepSubmissionOrder) {
+  Server s(serverConfig(1));
+  // Ids run against submission order, so neither an id sort nor a
+  // last-in-first-out pop reproduces the expected sequence.
+  const std::pair<std::uint64_t, Cycle> subs[] = {
+      {50, 100}, {90, 0}, {30, 100}, {70, 0}, {10, 100}};
+  for (const auto& [id, at] : subs) {
+    Request r;
+    r.id = id;
+    r.seed = id;
+    r.size = 16;
+    r.arrival_cycle = at;
+    ASSERT_FALSE(s.submit(r).has_value());
+  }
+  s.drain();
+  std::vector<std::uint64_t> order;
+  for (const Completion& c : s.completions()) order.push_back(c.id);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{90, 70, 50, 30, 10}));
+}
+
+// FNV-1a over the per-request (id, outcome, attempts, tile, y_hash,
+// latency) log of a 500-request stream with faults, retries, deadlines
+// and shedding, pinned together with its outcome counts: a change to
+// admission, dispatch or retry order moves them.
+TEST(Server, CompletionLogOfALongStreamIsPinned) {
+  ServerConfig cfg = faultyServerConfig(3, 3e-4);
+  cfg.queue_capacity = 8;
+  Server s(cfg);
+  const std::vector<Request> reqs =
+      smallStream(500, /*deadline_slack=*/8'000, /*mean_gap=*/1'600);
+  submitAll(s, reqs);
+  s.drain();
+  ASSERT_EQ(s.completions().size(), reqs.size());
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ull;
+    }
+  };
+  for (const auto& [id, outcome, attempts, tile, y_hash, latency] : keys(s)) {
+    fold(id);
+    fold(outcome);
+    fold(attempts);
+    fold(static_cast<std::uint64_t>(static_cast<std::int64_t>(tile)));
+    fold(y_hash);
+    fold(latency);
+  }
+  const ServerStats st = s.stats();
+  EXPECT_EQ(st.ok, 298u);
+  EXPECT_EQ(st.rejected, 175u);  // shed at admission
+  EXPECT_EQ(st.deadline_expired, 27u);
+  EXPECT_EQ(st.retries, 3u);
+  EXPECT_EQ(h, 0x9E23ABAF2744B207ull);
+}
+
 TEST(Server, ConfigValidationRejectsBrokenKnobs) {
   ServerConfig cfg = serverConfig();
   cfg.num_tiles = 0;
