@@ -8,15 +8,16 @@
 //   --seed=S           override the workload seed
 //   --jobs=N           host threads for the sweep (default: all hardware
 //                      threads; 1 = serial)
-//   --no-fastforward   disable host-side quiescence skipping (A/B check:
-//                      results must be bit-identical either way)
+//   --no-fastforward   run the every-cycle reference schedule instead of
+//                      the event-scheduled run loop (A/B check: results
+//                      must be bit-identical either way)
 //   --timeout-ms=N     host wall-clock budget; the process prints a
 //                      diagnostic and exits 124 if exceeded (HostTimeout)
-// Benches that compare host run-loop strategies (parse with with_mode)
+// Benches that compare the run loop's two modes (parse with with_mode)
 // also accept:
-//   --mode=naive|fast|event
-//                      restrict the run to one strategy (default: run all
-//                      three and gate each faster mode >= 1.0x the previous)
+//   --mode=naive|event
+//                      restrict the run to one mode (default: run both and
+//                      gate event >= 1.0x naive)
 //   --repeat=N         sample each pass N times and report the minimum
 //                      wall time (min-of-N; default 1)
 // Benches that wire a representative traced run (parse(..., true)) also
@@ -53,14 +54,13 @@
 
 namespace hht::benchutil {
 
-/// Host run-loop selection for benches that expose --mode (sim_throughput).
-/// Each mode must be at least as fast as the previous one on the bench's
-/// aggregate workload — the bench itself gates on the chain.
+/// Run-loop mode selection for benches that expose --mode (sim_throughput).
+/// The event-scheduled mode must be at least as fast as the every-cycle
+/// mode on the bench's aggregate workload — the bench itself gates on it.
 enum class RunMode {
-  kAll,    ///< flag absent: run every mode and verify the chain
-  kNaive,  ///< per-cycle reference loop (host_fastforward off)
-  kFast,   ///< quiescence fast-forward (SchedMode::Quiescence)
-  kEvent,  ///< event-scheduled calendar loop (SchedMode::Event)
+  kAll,    ///< flag absent: run both modes and verify event >= naive
+  kNaive,  ///< every-cycle reference schedule (host_fastforward off)
+  kEvent,  ///< event-scheduled run loop (host_fastforward on)
 };
 
 struct Options {
@@ -88,7 +88,7 @@ struct Options {
                "usage: %s [--csv] [--size=N] [--seed=S] [--jobs=N]"
                " [--no-fastforward] [--timeout-ms=N]%s%s\n",
                prog,
-               with_mode ? " [--mode=naive|fast|event] [--repeat=N]" : "",
+               with_mode ? " [--mode=naive|event] [--repeat=N]" : "",
                with_trace ? " [--trace=FILE] [--trace-categories=LIST]" : "");
   std::exit(error == nullptr ? 0 : 2);
 }
@@ -189,13 +189,11 @@ inline ParseStatus tryParse(int argc, char** argv, bool with_trace,
       const char* v = arg + 7;
       if (std::strcmp(v, "naive") == 0) {
         opt.mode = RunMode::kNaive;
-      } else if (std::strcmp(v, "fast") == 0) {
-        opt.mode = RunMode::kFast;
       } else if (std::strcmp(v, "event") == 0) {
         opt.mode = RunMode::kEvent;
       } else {
         error = std::string("bad value '") + v +
-                "' for --mode (want naive, fast or event)";
+                "' for --mode (want naive or event)";
         return ParseStatus::kError;
       }
     } else if (with_mode && std::strncmp(arg, "--repeat=", 9) == 0) {

@@ -1,27 +1,25 @@
 // Simulator-throughput benchmark: how fast does the *host* simulate?
 //
-// Three run-loop strategies over the same workload set:
-//   naive: per-cycle reference loop (host_fastforward off)
-//   fast:  quiescence fast-forward (SchedMode::Quiescence)
-//   event: event-scheduled calendar loop (SchedMode::Event)
-// All passes must produce bit-identical simulation results (final cycles,
+// The run loop's two modes over the same workload set:
+//   naive: every-cycle reference schedule (host_fastforward off)
+//   event: event-scheduled calendar schedule (host_fastforward on)
+// Both passes must produce bit-identical simulation results (final cycles,
 // wait counters, every stat, the output vector); the binary exits non-zero
 // on any mismatch, so the throughput numbers can never come from a
-// simulator that cheated. By default every mode runs and the chain is
-// gated: fast >= naive and event >= fast on aggregate Mcycles/s
-// (--mode=X restricts to one pass for profiling; --repeat=N takes the
-// minimum wall time of N samples per pass).
+// simulator that cheated. By default both modes run and the chain is
+// gated: event >= naive on aggregate Mcycles/s (--mode=X restricts to one
+// pass for profiling; --repeat=N takes the minimum wall time of N samples
+// per pass).
 //
 // The workload set spans three host-cost regimes, so the aggregate rewards
 // a loop that is fast where skipping is impossible AND where it is easy:
 //   busy:        Fig. 4 SpMV set on a 1-cycle SRAM — some component has
 //                work almost every cycle; skip-hostile.
 //   short-stall: scalar baseline on a 6-cycle SRAM — every load opens a
-//                4-6 cycle hole, below the quiescence loop's minimum
-//                profitable skip; only per-component event scheduling
-//                recovers these.
-//   deep-stall:  scalar baseline and HHT SpMV on a 512-cycle SRAM — long
-//                stalls both accelerated loops must fast-forward.
+//                4-6 cycle hole that only per-component event scheduling
+//                recovers.
+//   deep-stall:  scalar baseline and HHT SpMV on a 2048-cycle SRAM — long
+//                stalls the event schedule must jump.
 //
 // Output: a human table (or --csv) plus BENCH_sim_throughput.json in the
 // current directory, including a per-matrix wall-time breakdown for every
@@ -46,26 +44,8 @@ namespace {
 
 using namespace hht;
 
-enum ModeIdx { kNaive = 0, kFast = 1, kEvent = 2, kNumModes = 3 };
-constexpr const char* kModeNames[kNumModes] = {"naive", "fast", "event"};
-
-harness::SystemConfig applyMode(harness::SystemConfig cfg, ModeIdx mode) {
-  switch (mode) {
-    case kNaive:
-      cfg.host_fastforward = false;
-      cfg.sched_mode = harness::SchedMode::Naive;
-      break;
-    case kFast:
-      cfg.host_fastforward = true;
-      cfg.sched_mode = harness::SchedMode::Quiescence;
-      break;
-    default:
-      cfg.host_fastforward = true;
-      cfg.sched_mode = harness::SchedMode::Event;
-      break;
-  }
-  return cfg;
-}
+enum ModeIdx { kNaive = 0, kEvent = 1, kNumModes = 2 };
+constexpr const char* kModeNames[kNumModes] = {"naive", "event"};
 
 /// One matrix x kernel point. `kind` selects the runner; `cfg` carries the
 /// regime's memory latency (mode knobs are overwritten per pass).
@@ -79,7 +59,8 @@ struct Work {
 };
 
 harness::RunResult runWork(const Work& w, ModeIdx mode) {
-  const harness::SystemConfig cfg = applyMode(w.cfg, mode);
+  harness::SystemConfig cfg = w.cfg;
+  cfg.host_fastforward = mode == kEvent;
   if (std::strcmp(w.kind, "baseline_scalar") == 0) {
     return harness::runSpmvBaseline(cfg, w.m, w.v, /*vectorized=*/false);
   }
@@ -165,13 +146,12 @@ int main(int argc, char** argv) {
     add("busy", "hht_1buf", s, n, 1, 1);
     add("busy", "hht_2buf", s, n, 1, 2);
   }
-  // short-stall: every scalar load opens a 4-6 cycle hole — too small for
-  // the quiescence loop's minimum profitable skip.
+  // short-stall: every scalar load opens a 4-6 cycle hole.
   for (int s = 10; s <= 90; s += 10) {
     add("short_stall", "baseline_scalar", s, n, 6, 2);
   }
-  // deep-stall: 2048-cycle loads; both accelerated loops must fast-forward
-  // the holes or drown.
+  // deep-stall: 2048-cycle loads; the event schedule must jump the holes
+  // or drown.
   add("deep_stall", "baseline_scalar", 30, n_stall, 2048, 2);
   add("deep_stall", "baseline_scalar", 70, n_stall, 2048, 2);
   add("deep_stall", "hht_2buf", 50, n_stall, 2048, 2);
@@ -205,16 +185,8 @@ int main(int argc, char** argv) {
 
   std::array<Pass, kNumModes> passes;
   const auto wantMode = [&](ModeIdx m) {
-    switch (opt.mode) {
-      case benchutil::RunMode::kAll:
-        return true;
-      case benchutil::RunMode::kNaive:
-        return m == kNaive;
-      case benchutil::RunMode::kFast:
-        return m == kFast;
-      default:
-        return m == kEvent;
-    }
+    return opt.mode == benchutil::RunMode::kAll ||
+           (opt.mode == benchutil::RunMode::kNaive) == (m == kNaive);
   };
   for (int m = 0; m < kNumModes; ++m) {
     if (wantMode(static_cast<ModeIdx>(m))) {
@@ -222,18 +194,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Bit-identity: every accelerated pass must match the reference pass on
-  // every run surface (only checkable when both ran).
+  // Bit-identity: the event pass must match the reference pass on every
+  // run surface (only checkable when both ran).
+  const bool identity_checked = passes[kNaive].ran && passes[kEvent].ran;
   bool identical = true;
-  if (passes[kNaive].ran) {
-    for (int m = kFast; m < kNumModes; ++m) {
-      if (!passes[m].ran) continue;
-      for (std::size_t i = 0; i < works.size(); ++i) {
-        identical &= sameResult(passes[m].results[i],
-                                passes[kNaive].results[i], works[i],
-                                kModeNames[m]);
-      }
-    }
+  for (std::size_t i = 0; identity_checked && i < works.size(); ++i) {
+    identical &= sameResult(passes[kEvent].results[i],
+                            passes[kNaive].results[i], works[i], "event");
   }
   if (!identical) {
     std::cerr << "sim_throughput: accelerated pass diverged from the naive "
@@ -242,9 +209,7 @@ int main(int argc, char** argv) {
   }
 
   std::uint64_t total_cycles = 0;
-  const Pass& any =
-      passes[kNaive].ran ? passes[kNaive]
-                         : (passes[kFast].ran ? passes[kFast] : passes[kEvent]);
+  const Pass& any = passes[kNaive].ran ? passes[kNaive] : passes[kEvent];
   std::vector<std::uint64_t> item_cycles(works.size(), 0);
   for (std::size_t i = 0; i < works.size(); ++i) {
     item_cycles[i] = any.results[i].cycles;
@@ -265,7 +230,6 @@ int main(int argc, char** argv) {
     if (prev_mcps > 0.0 && ratio < 1.0) chain_ok = false;
     std::string name = kModeNames[m];
     if (m == kNaive) name += " (per-cycle reference)";
-    if (m == kFast) name += " (quiescence skip)";
     if (m == kEvent) name += " (event calendar)";
     table.addRow({name, harness::fmt(passes[m].wall_s, 3),
                   harness::fmt(cur, 2),
@@ -286,8 +250,7 @@ int main(int argc, char** argv) {
 
   // Per-regime summary: where each loop earns (or pays for) its keep.
   if (opt.mode == benchutil::RunMode::kAll) {
-    harness::Table regimes(
-        {"regime", "cycles", "naive_s", "fast_s", "event_s"});
+    harness::Table regimes({"regime", "cycles", "naive_s", "event_s"});
     const char* kRegimes[3] = {"busy", "short_stall", "deep_stall"};
     for (const char* reg : kRegimes) {
       std::uint64_t c = 0;
@@ -298,7 +261,7 @@ int main(int argc, char** argv) {
         for (int m = 0; m < kNumModes; ++m) w[m] += passes[m].item_s[i];
       }
       regimes.addRow({reg, std::to_string(c), harness::fmt(w[kNaive], 3),
-                      harness::fmt(w[kFast], 3), harness::fmt(w[kEvent], 3)});
+                      harness::fmt(w[kEvent], 3)});
     }
     if (opt.csv) {
       regimes.printCsv(std::cout);
@@ -312,14 +275,11 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write BENCH_sim_throughput.json\n";
     return 1;
   }
-  const char* mode_str = opt.mode == benchutil::RunMode::kAll
-                             ? "all"
-                             : kModeNames[opt.mode == benchutil::RunMode::kNaive
-                                              ? kNaive
-                                              : opt.mode ==
-                                                        benchutil::RunMode::kFast
-                                                    ? kFast
-                                                    : kEvent];
+  const char* mode_str =
+      opt.mode == benchutil::RunMode::kAll
+          ? "all"
+          : kModeNames[opt.mode == benchutil::RunMode::kNaive ? kNaive
+                                                              : kEvent];
   std::fprintf(f,
                "{\n"
                "  \"workload\": \"spmv_busy_shortstall_deepstall\",\n"
@@ -337,14 +297,9 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"%s\": {\"wall_s\": %.6f, \"mcycles_per_s\": %.3f},\n",
                  kModeNames[m], passes[m].wall_s, mcps(passes[m]));
   }
-  const double headline =
-      passes[kEvent].ran ? mcps(passes[kEvent])
-                         : mcps(passes[kFast].ran ? passes[kFast]
-                                                  : passes[kNaive]);
+  const double headline = mcps(passes[kEvent].ran ? passes[kEvent] : any);
   const double in_binary_speedup =
-      passes[kEvent].ran && passes[kNaive].ran
-          ? mcps(passes[kEvent]) / mcps(passes[kNaive])
-          : 0.0;
+      identity_checked ? mcps(passes[kEvent]) / mcps(passes[kNaive]) : 0.0;
   std::fprintf(f, "  \"matrices\": [\n");
   for (std::size_t i = 0; i < works.size(); ++i) {
     std::fprintf(f,
@@ -362,8 +317,6 @@ int main(int argc, char** argv) {
   // bit_identical reports whether the cross-pass comparison actually ran
   // (it exits above on mismatch): false here only means a --mode run had
   // nothing to compare against.
-  const bool identity_checked =
-      passes[kNaive].ran && (passes[kFast].ran || passes[kEvent].ran);
   std::fprintf(f,
                "  ],\n"
                "  \"headline_mcycles_per_s\": %.3f,\n"
@@ -377,8 +330,8 @@ int main(int argc, char** argv) {
   std::cout << "wrote BENCH_sim_throughput.json\n";
 
   if (opt.mode == benchutil::RunMode::kAll && !chain_ok) {
-    std::cerr << "sim_throughput: mode chain regressed (each faster mode "
-                 "must be >= 1.0x the previous on aggregate Mcycles/s)\n";
+    std::cerr << "sim_throughput: the event mode must be >= 1.0x the naive "
+                 "mode on aggregate Mcycles/s\n";
     return 1;
   }
   return 0;

@@ -1,116 +1,15 @@
 #include "harness/multi_tile.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <functional>
-#include <mutex>
+#include <optional>
 #include <sstream>
-#include <thread>
 
-#include "sim/watchdog.h"
+#include "harness/run_loop.h"
 
 namespace hht::harness {
 
 namespace {
 constexpr Addr kArenaBase = 0x1000;  // matches System: address 0 stays unmapped
-
-/// Persistent worker pool for the threaded tile phase (DESIGN.md §16).
-///
-/// Epoch protocol: the main thread publishes a cycle number; every worker
-/// ticks its statically-assigned tiles (all devices first, then all cores,
-/// in increasing tile order — the same phase order as the serial loop) with
-/// memory submissions parked in per-requester staging lanes; the main
-/// thread waits for all workers, drains the staged submissions in the
-/// canonical serial arrival order and runs the serial phase (shared memory
-/// tick, fault polls, halt detection, watchdog, fast-forward). Tiles never
-/// share mutable state during the parallel phase — every cross-tile
-/// interaction flows through the staged memory system — so the schedule is
-/// bit-identical to serial by construction (proven in tests/test_multi_tile
-/// and race-checked under the tsan preset).
-class TilePool {
- public:
-  TilePool(std::uint32_t workers,
-           std::function<void(std::uint32_t, Cycle)> work)
-      : work_(std::move(work)), errors_(workers) {
-    threads_.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-      threads_.emplace_back([this, w] { runWorker(w); });
-    }
-  }
-
-  TilePool(const TilePool&) = delete;
-  TilePool& operator=(const TilePool&) = delete;
-
-  ~TilePool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    start_cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  /// Run one parallel phase at cycle `now`; blocks until every worker is
-  /// done. A worker exception aborts the run: rethrown here, lowest worker
-  /// index first (workers own contiguous tile ranges, so this is the
-  /// lowest faulting tile — matching the serial loop's throw order).
-  void runEpoch(Cycle now) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      now_ = now;
-      pending_ = static_cast<std::uint32_t>(threads_.size());
-      ++epoch_;
-    }
-    start_cv_.notify_all();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [this] { return pending_ == 0; });
-    }
-    for (std::exception_ptr& e : errors_) {
-      if (e != nullptr) {
-        std::exception_ptr thrown = e;
-        e = nullptr;
-        std::rethrow_exception(thrown);
-      }
-    }
-  }
-
- private:
-  void runWorker(std::uint32_t w) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      Cycle now;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        start_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-        if (stop_) return;
-        seen = epoch_;
-        now = now_;
-      }
-      try {
-        work_(w, now);
-      } catch (...) {
-        errors_[w] = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--pending_ == 0) done_cv_.notify_one();
-      }
-    }
-  }
-
-  std::function<void(std::uint32_t, Cycle)> work_;
-  std::vector<std::exception_ptr> errors_;  ///< one slot per worker
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  Cycle now_ = 0;
-  std::uint64_t epoch_ = 0;
-  std::uint32_t pending_ = 0;
-  bool stop_ = false;
-};
 
 /// Pre-construction validation: same hook as System, plus the multi-tile
 /// restriction (ASIC HHTs only — the programmable HHT models a single-tile
@@ -192,7 +91,7 @@ RunResult MultiTileSystem::run(const std::vector<isa::Program>& programs,
   for (std::uint32_t t = 0; t < num_tiles_; ++t) {
     cpus_[t]->loadProgram(programs[t]);
   }
-  return runLoop(y_addr, y_len, 0, max_cycles, observer);
+  return runFrom(y_addr, y_len, 0, max_cycles, observer);
 }
 
 RunResult MultiTileSystem::resume(const std::vector<isa::Program>& programs,
@@ -203,10 +102,10 @@ RunResult MultiTileSystem::resume(const std::vector<isa::Program>& programs,
   for (std::uint32_t t = 0; t < num_tiles_; ++t) {
     cpus_[t]->installProgram(programs[t]);
   }
-  return runLoop(y_addr, y_len, start_cycle, max_cycles, observer);
+  return runFrom(y_addr, y_len, start_cycle, max_cycles, observer);
 }
 
-RunResult MultiTileSystem::runLoop(Addr y_addr, std::uint32_t y_len,
+RunResult MultiTileSystem::runFrom(Addr y_addr, std::uint32_t y_len,
                                    Cycle start_cycle, Cycle max_cycles,
                                    MultiTileObserver* observer) {
   // One watchdog per tile over that tile's own progress sum (its core's
@@ -214,150 +113,73 @@ RunResult MultiTileSystem::runLoop(Addr y_addr, std::uint32_t y_len,
   // a single wedged tile fires SimError(Watchdog) attributed to that tile
   // even while the others keep the global sum moving. Halted tiles are
   // excluded — a tile that finished early makes no progress by design.
-  std::vector<sim::Watchdog> watchdogs;
-  watchdogs.reserve(num_tiles_);
-  std::vector<const std::uint64_t*> retired;
-  std::vector<const std::uint64_t*> grants_cpu;
-  std::vector<const std::uint64_t*> grants_hht;
-  retired.reserve(num_tiles_);
-  for (std::uint32_t t = 0; t < num_tiles_; ++t) {
-    watchdogs.emplace_back(config_.watchdog_cycles, static_cast<int>(t));
-    retired.push_back(&cpus_[t]->stats().counter("cpu.retired"));
-    grants_cpu.push_back(&mem_->stats().counter(
-        "mem." + mem::requesterLabel(2 * t) + ".grants"));
-    grants_hht.push_back(&mem_->stats().counter(
-        "mem." + mem::requesterLabel(2 * t + 1) + ".grants"));
-  }
-  const auto tileProgress = [&](std::uint32_t t) {
-    return *retired[t] + hhts_[t]->progressSignal() + *grants_cpu[t] +
-           *grants_hht[t];
-  };
-
-  // Fast-forward gating mirrors System: any observer or any attached sink
-  // (shared or per-tile) must see every executed cycle.
-  bool any_sink = config_.trace_sink != nullptr;
-  for (obs::TraceSink* s : tile_sinks_) any_sink = any_sink || s != nullptr;
-  const bool allow_ff =
-      config_.host_fastforward && observer == nullptr && !any_sink;
-  host_skipped_cycles_ = 0;
-  Cycle ff_next_attempt = 0;
-  Cycle ff_backoff = 0;
-
-  // Threaded tile phase: with tile_workers > 1 the per-tile components tick
-  // on a persistent worker pool while every memory submission parks in its
-  // requester's staging lane; the serial phase drains the lanes in canonical
-  // order, so results are bit-identical to the serial loop (tile_workers is
-  // host-only and excluded from the config fingerprint). The guard restores
-  // immediate-submission mode on every exit path, including thrown faults.
-  const std::uint32_t workers =
-      std::min(std::max(config_.tile_workers, 1u), num_tiles_);
-  struct StagingGuard {
-    mem::MemorySystem* mem;
-    ~StagingGuard() {
-      if (mem != nullptr) mem->endStagedSubmission();
+  struct View {
+    MultiTileSystem& sys;
+    MultiTileObserver* observer;
+    std::vector<const std::uint64_t*> counters;  ///< 3 per tile
+    core::Hht& device(std::uint32_t t) { return *sys.hhts_[t]; }
+    cpu::Core& core(std::uint32_t t) { return *sys.cpus_[t]; }
+    std::uint64_t progress(std::uint32_t t) const {
+      return *counters[3 * t] + sys.hhts_[t]->progressSignal() +
+             *counters[3 * t + 1] + *counters[3 * t + 2];
     }
-  } staging_guard{workers > 1 ? mem_.get() : nullptr};
-  std::unique_ptr<TilePool> pool;
-  if (workers > 1) {
-    mem_->beginStagedSubmission();
-    pool = std::make_unique<TilePool>(
-        workers, [this, workers](std::uint32_t w, Cycle cycle) {
-          const std::uint32_t per = num_tiles_ / workers;
-          const std::uint32_t rem = num_tiles_ % workers;
-          const std::uint32_t begin = w * per + std::min(w, rem);
-          const std::uint32_t end = begin + per + (w < rem ? 1 : 0);
-          for (std::uint32_t t = begin; t < end; ++t) hhts_[t]->tick(cycle);
-          for (std::uint32_t t = begin; t < end; ++t) cpus_[t]->tick(cycle);
-        });
-  }
-
-  RunResult result;
-  Cycle now = start_cycle;
-  for (; now < max_cycles; ++now) {
-    // Fixed tile order keeps arbitration deterministic: all HHTs publish,
-    // then all cores, then the single shared memory system arbitrates the
-    // whole cycle's requests. The threaded phase reconstructs exactly that
-    // arrival order from the staging lanes before the memory tick.
-    if (pool) {
-      pool->runEpoch(now);
-      mem_->drainStagedSubmissions();
-    } else {
-      for (auto& h : hhts_) h->tick(now);
-      for (auto& c : cpus_) c->tick(now);
+    bool watched(std::uint32_t t) const { return !sys.cpus_[t]->halted(); }
+    void onCycle(Cycle now) {
+      if (observer != nullptr) observer->onCycle(sys, now);
     }
+    std::string dump(Cycle now) const { return sys.dumpDiagnostics(now); }
     // Reset the chunk queue's per-cycle claim budget before the memory
     // tick processes this cycle's MMIO (claims beyond the budget retry
     // next cycle as mem.wq.conflict_cycles).
-    if (wq_) wq_->beginCycle(now);
-    mem_->tick(now);
-    for (std::uint32_t t = 0; t < num_tiles_; ++t) {
-      if (hhts_[t]->faultRaised()) {
-        result.fault_cause = hhts_[t]->faultCause();
-        result.fault_detail = hhts_[t]->faultDetail();
-        throw sim::SimError(
-            sim::ErrorKind::DeviceFault, "multi_tile",
-            "tile " + std::to_string(t) + " HHT raised fault [" +
-                sim::faultCauseName(result.fault_cause) +
-                "]: " + result.fault_detail,
-            dumpDiagnostics(now), static_cast<int>(t));
-      }
+    void beforeMemTick(Cycle now) {
+      if (sys.wq_) sys.wq_->beginCycle(now);
     }
-    if (observer != nullptr) observer->onCycle(*this, now);
-    bool all_halted = true;
-    for (auto& c : cpus_) all_halted = all_halted && c->halted();
-    if (all_halted && mem_->idle()) break;
-    if (!watchdogs.empty() && watchdogs[0].due(now)) {
-      for (std::uint32_t t = 0; t < num_tiles_; ++t) {
-        if (cpus_[t]->halted()) continue;
-        watchdogs[t].observe(now, tileProgress(t),
-                             [&] { return dumpDiagnostics(now); });
-      }
-    }
-    if (allow_ff && now >= ff_next_attempt) {
-      // Skip only when EVERY tile is quiescent: the earliest next event
-      // across all cores, all HHTs and the memory system bounds the skip.
-      // Cores first (cheapest, and usually the binding components).
-      Cycle ev = max_cycles;
-      for (auto& c : cpus_) {
-        ev = std::min(ev, c->nextEventCycle(now));
-        if (ev <= now + 1) break;
-      }
-      if (ev > now + 1) {
-        for (auto& h : hhts_) {
-          ev = std::min(ev, h->nextEventCycle(now));
-          if (ev <= now + 1) break;
-        }
-      }
-      if (ev > now + 1) ev = std::min(ev, mem_->nextEventCycle(now));
-      // Short skips cost more in probing than they save (the historic
-      // <1.0x in_binary_speedup regression); treat them as failed attempts.
-      constexpr Cycle kMinProfitableSkip = 8;
-      if (ev <= now + kMinProfitableSkip) {
-        ff_backoff = std::min<Cycle>(ff_backoff == 0 ? 1 : ff_backoff * 2, 64);
-        ff_next_attempt = now + ff_backoff;
-      } else {
-        Cycle target = std::min(ev, max_cycles);
-        for (std::uint32_t t = 0; t < num_tiles_; ++t) {
-          if (cpus_[t]->halted()) continue;
-          target =
-              std::min(target, watchdogs[t].observeSkip(now, tileProgress(t)));
-        }
-        if (target > now + 1) {
-          const Cycle skipped = target - (now + 1);
-          for (auto& c : cpus_) c->skipCycles(skipped);
-          for (auto& h : hhts_) h->skipCycles(skipped);
-          host_skipped_cycles_ += skipped;
-          now += skipped;
-          ff_backoff = 0;
-        }
-      }
+  } view{*this, observer, {}};
+  for (std::uint32_t t = 0; t < num_tiles_; ++t) {
+    view.counters.push_back(&cpus_[t]->stats().counter("cpu.retired"));
+    for (const std::uint32_t port : {2 * t, 2 * t + 1}) {
+      view.counters.push_back(&mem_->stats().counter(
+          "mem." + mem::requesterLabel(port) + ".grants"));
     }
   }
-  if (now >= max_cycles) {
+  // Any observer or any attached sink (shared or per-tile) must see every
+  // executed cycle.
+  bool every_cycle = !config_.host_fastforward || observer != nullptr ||
+                     config_.trace_sink != nullptr;
+  for (obs::TraceSink* s : tile_sinks_) every_cycle = every_cycle || s;
+  const LoopOptions options{.every_cycle = every_cycle,
+                            .watchdog_cycles = config_.watchdog_cycles,
+                            .tile_watchdogs = true};
+  RunLoop<core::Hht, View> loop(view, *mem_, num_tiles_, options);
+  // tile_workers is host-only and fingerprint-excluded: the threaded tile
+  // phase is bit-identical to the serial one.
+  const std::uint32_t workers = std::min(config_.tile_workers, num_tiles_);
+  std::optional<TilePool> pool;
+  if (workers > 1) {
+    pool.emplace(*mem_, num_tiles_, workers,
+                 [&loop](std::uint32_t begin, std::uint32_t end, Cycle now) {
+                   loop.tickTiles(begin, end, now);
+                 });
+  }
+  host_skipped_cycles_ = 0;
+  const LoopOutcome out = loop.run(start_cycle, max_cycles,
+                                   host_skipped_cycles_,
+                                   pool ? &*pool : nullptr);
+  const Cycle now = out.now;
+  if (out.stop == RunStop::Timeout) {
     throw sim::SimError(sim::ErrorKind::Watchdog, "multi_tile",
                         "simulation exceeded max_cycles (" +
                             std::to_string(num_tiles_) + " tiles)",
                         dumpDiagnostics(now));
+  }
+  if (out.stop == RunStop::Fault) {
+    const std::uint32_t t = out.fault_tile;
+    throw sim::SimError(
+        sim::ErrorKind::DeviceFault, "multi_tile",
+        "tile " + std::to_string(t) + " HHT raised fault [" +
+            sim::faultCauseName(hhts_[t]->faultCause()) +
+            "]: " + hhts_[t]->faultDetail(),
+        dumpDiagnostics(now), static_cast<int>(t));
   }
   // Horizon marker to every attached sink: per-tile profiles must all use
   // the run's shared denominator (the buckets of each tile partition the
@@ -375,6 +197,7 @@ RunResult MultiTileSystem::runLoop(Addr y_addr, std::uint32_t y_len,
 
   // Wall-clock = slowest tile; wait counters sum across tiles (total CPU
   // cycles burnt stalling on FIFOs, the Fig. 6/7 quantity).
+  RunResult result;
   for (std::uint32_t t = 0; t < num_tiles_; ++t) {
     result.cycles = std::max(result.cycles, cpus_[t]->stats().value("cpu.cycles"));
     result.retired += cpus_[t]->stats().value("cpu.retired");

@@ -14,7 +14,7 @@ class MultiTileSystem;
 
 /// Per-cycle observer of a running MultiTileSystem (the multi-tile
 /// differential oracle's hook; mirrors harness::RunObserver). Attaching one
-/// disables quiescence fast-forward — observers see every executed cycle.
+/// selects the every-cycle schedule — observers see every executed cycle.
 class MultiTileObserver {
  public:
   virtual ~MultiTileObserver() = default;
@@ -78,7 +78,7 @@ class MultiTileSystem {
   /// config.trace_sink). One sink per tile keeps per-tile stall profiles
   /// separable: each tile's stream folds into an obs::ProfileReport whose
   /// buckets partition the SAME horizon, because every sink receives the
-  /// run's kRunEnd. Any attached sink disables fast-forward.
+  /// run's kRunEnd. Any attached sink selects the every-cycle schedule.
   void setTileTraceSink(std::uint32_t tile, obs::TraceSink* sink);
 
   /// Run one program per tile (programs.size() == numTiles()) until every
@@ -115,11 +115,14 @@ class MultiTileSystem {
   /// Multi-line per-tile diagnostic dump (watchdog reports).
   std::string dumpDiagnostics(Cycle now) const;
 
-  /// Host cycles elapsed via fast-forward during the most recent run.
+  /// Cycles the run loop jumped with no component ticked during the most
+  /// recent run() / resume() (host diagnostic, never a simulated stat).
   std::uint64_t hostSkippedCycles() const { return host_skipped_cycles_; }
 
  private:
-  RunResult runLoop(Addr y_addr, std::uint32_t y_len, Cycle start_cycle,
+  /// Drive the shared run loop (harness/run_loop.h) over every tile from
+  /// `start_cycle`; throws with the tile on a fault or a wedged tile.
+  RunResult runFrom(Addr y_addr, std::uint32_t y_len, Cycle start_cycle,
                     Cycle max_cycles, MultiTileObserver* observer);
   void checkProgramCount(const std::vector<isa::Program>& programs) const;
 

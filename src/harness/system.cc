@@ -3,10 +3,10 @@
 #include <bit>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
-#include "sim/calendar.h"
+#include "harness/run_loop.h"
 #include "sim/state_io.h"
-#include "sim/watchdog.h"
 
 namespace hht::harness {
 
@@ -262,7 +262,9 @@ RunResult System::run(const isa::Program& program, Addr y_addr,
                       std::uint32_t y_len, Cycle max_cycles,
                       const isa::Program* fallback, RunObserver* observer) {
   cpu_->loadProgram(program);
-  return runLoop(program, y_addr, y_len, 0, max_cycles, fallback, observer);
+  host_skipped_cycles_ = 0;
+  return runPrimary(program, y_addr, y_len, 0, max_cycles, fallback,
+                    observer);
 }
 
 RunResult System::resume(const isa::Program& program, Addr y_addr,
@@ -270,410 +272,113 @@ RunResult System::resume(const isa::Program& program, Addr y_addr,
                          Cycle max_cycles, const isa::Program* fallback,
                          RunObserver* observer) {
   cpu_->installProgram(program);
-  if (degraded_active_) {
-    // The snapshot was taken mid-degraded-fallback: `program` is the
-    // fallback the machine was re-running. Finish that loop — injection
-    // stays detached, exactly as in the uninterrupted degraded rerun.
-    degradedLoop(program, start_cycle, max_cycles, observer);
-    if (injector_) {
-      mem_->setFaultInjector(injector_.get());
-      hht_->setFaultInjector(injector_.get());
-    }
-    degraded_active_ = false;
-    RunResult result;
-    result.degraded = true;
-    result.fault_cause = degraded_cause_;
-    result.fault_detail = degraded_detail_;
-    finishResult(result, y_addr, y_len);
-    return result;
+  host_skipped_cycles_ = 0;
+  if (!degraded_active_) {
+    return runPrimary(program, y_addr, y_len, start_cycle, max_cycles,
+                      fallback, observer);
   }
-  return runLoop(program, y_addr, y_len, start_cycle, max_cycles, fallback,
-                 observer);
+  // The snapshot was taken mid-degraded-fallback: `program` is the
+  // fallback the machine was re-running. Finish that rerun — injection
+  // stays detached, exactly as in the uninterrupted degraded rerun.
+  runDegraded(program, start_cycle, max_cycles, observer);
+  RunResult result;
+  result.degraded = true;
+  result.fault_cause = degraded_cause_;
+  result.fault_detail = degraded_detail_;
+  finishResult(result, y_addr, y_len);
+  return result;
 }
 
-RunResult System::runLoop(const isa::Program& program, Addr y_addr,
-                          std::uint32_t y_len, Cycle start_cycle,
-                          Cycle max_cycles, const isa::Program* fallback,
-                          RunObserver* observer) {
-  sim::Watchdog watchdog(config_.watchdog_cycles);
-  // Progress = retired instructions + SRAM grants + HHT FIFO pops/firmware
-  // retirement. Counter references are stable, so the hot loop reads two
-  // cached pointers plus one virtual call — and only on sampling cycles.
-  const std::uint64_t* cpu_retired = &cpu_->stats().counter("cpu.retired");
-  const std::uint64_t* mem_grants = &mem_->stats().counter("mem.grants");
+LoopOutcome System::runCycles(Cycle start_cycle, Cycle max_cycles,
+                              RunObserver* observer, bool degraded) {
+  // An observer (per-run or registered) is entitled to see every executed
+  // cycle — the differential oracle samples FIFO occupancy, checkpoint
+  // triggers fire at exact cycles — and a trace must record every executed
+  // cycle's phase.
+  const LoopOptions options{
+      .every_cycle = !config_.host_fastforward || observer != nullptr ||
+                     !observers_.empty() || config_.trace_sink != nullptr,
+      .watchdog_cycles = degraded ? 0 : config_.watchdog_cycles,
+      .poll_faults = !degraded};
+  // Typed on the concrete device (both are final), so the per-cycle
+  // dispatch inlines.
+  const auto loop = [&](auto& device) {
+    using Device = std::remove_reference_t<decltype(device)>;
+    struct View {
+      System& sys;
+      Device& dev;
+      RunObserver* observer;
+      // Progress = retired instructions + SRAM grants + HHT FIFO pops /
+      // firmware retirement.
+      const std::uint64_t* retired;
+      const std::uint64_t* grants;
+      Device& device(std::uint32_t) { return dev; }
+      cpu::Core& core(std::uint32_t) { return *sys.cpu_; }
+      std::uint64_t progress(std::uint32_t) const {
+        return *retired + *grants + dev.progressSignal();
+      }
+      bool watched(std::uint32_t) const { return true; }
+      void onCycle(Cycle now) {
+        if (observer != nullptr) observer->onCycle(sys, now);
+        for (RunObserver* o : sys.observers_) o->onCycle(sys, now);
+      }
+      std::string dump(Cycle now) const { return sys.dumpDiagnostics(now); }
+      void beforeMemTick(Cycle) {}
+    } view{*this, device, observer, &cpu_->stats().counter("cpu.retired"),
+           &mem_->stats().counter("mem.grants")};
+    return RunLoop<Device, View>(view, *mem_, 1, options)
+        .run(start_cycle, max_cycles, host_skipped_cycles_);
+  };
+  return asic_hht_ != nullptr ? loop(*asic_hht_) : loop(*micro_hht_);
+}
 
-  // Host fast-forward (DESIGN.md §11): only when no observer (per-run or
-  // registered) and no trace sink is attached — an observer is entitled to
-  // see every executed cycle (the differential oracle samples FIFO
-  // occupancy; checkpoint triggers fire at exact cycles) and a trace must
-  // record every executed cycle's phase. One combined check: attaching
-  // both an oracle tap and a trace sink disables fast-forward exactly
-  // once. The fault injector needs no quiescence hook: faults only arise
-  // from component activity, and skipped stretches have none.
-  const bool allow_ff = config_.host_fastforward && observer == nullptr &&
-                        observers_.empty() && config_.trace_sink == nullptr;
-  if (allow_ff && config_.sched_mode == SchedMode::Event) {
-    return runEventLoop(program, y_addr, y_len, start_cycle, max_cycles,
-                        fallback, observer);
-  }
-  const bool quiescence_ff =
-      allow_ff && config_.sched_mode != SchedMode::Naive;
-  host_skipped_cycles_ = 0;
-  // Failed-attempt throttle: on skip-hostile stretches (some component has
-  // an event every cycle) the hook itself would otherwise tax every cycle.
-  // Attempts are side-effect-free, so thinning them never changes results —
-  // a skippable stretch is still found within ff_backoff cycles, and the
-  // stretches that matter (idle tails, long stalls) are far longer than the
-  // backoff cap.
-  Cycle ff_next_attempt = 0;
-  Cycle ff_backoff = 0;
-
-  // Devirtualized tick target: both concrete device types are final, so
-  // calling through the typed alias lets the per-cycle dispatch inline.
-  core::Hht* const asic = asic_hht_;
-  core::MicroHht* const micro = micro_hht_;
-
+RunResult System::runPrimary(const isa::Program& program, Addr y_addr,
+                             std::uint32_t y_len, Cycle start_cycle,
+                             Cycle max_cycles, const isa::Program* fallback,
+                             RunObserver* observer) {
   RunResult result;
-  Cycle now = start_cycle;
-  for (; now < max_cycles; ++now) {
-    if (asic != nullptr) {
-      asic->tick(now);
-    } else {
-      micro->tick(now);
-    }
-    cpu_->tick(now);
-    mem_->tick(now);
-    if (hht_->faultRaised()) {
-      // Host-side poll of the FAULT MMR (zero simulated cost): the run can
-      // never complete with silently wrong data past this point.
-      result.fault_cause = hht_->faultCause();
-      result.fault_detail = hht_->faultDetail();
-      if (fallback == nullptr) {
-        throw sim::SimError(
-            sim::ErrorKind::DeviceFault, "hht",
-            std::string("HHT raised fault [") +
-                sim::faultCauseName(result.fault_cause) +
-                "] with no degradation fallback installed: " +
-                result.fault_detail,
-            dumpDiagnostics(now));
-      }
-      degraded_cause_ = result.fault_cause;
-      degraded_detail_ = result.fault_detail;
-      degradedRerun(*fallback, max_cycles, observer);
-      result.degraded = true;
-      break;
-    }
-    if (observer != nullptr) observer->onCycle(*this, now);
-    for (RunObserver* o : observers_) o->onCycle(*this, now);
-    if (cpu_->halted() && mem_->idle()) break;
-    if (watchdog.due(now)) {
-      watchdog.observe(
-          now, *cpu_retired + *mem_grants + hht_->progressSignal(),
-          [&] { return dumpDiagnostics(now); });
-    }
-    if (quiescence_ff && now >= ff_next_attempt) {
-      // Cheapest hook first: the CPU is almost always the binding
-      // component, so the HHT/memory hooks only run when the CPU already
-      // reported a skippable stretch.
-      Cycle ev = cpu_->nextEventCycle(now);
-      if (ev > now + 1) {
-        ev = std::min(ev, asic != nullptr ? asic->nextEventCycle(now)
-                                          : micro->nextEventCycle(now));
-      }
-      if (ev > now + 1) ev = std::min(ev, mem_->nextEventCycle(now));
-      // Minimum profitable skip: the three hook calls plus the bulk
-      // credits cost more host time than simply ticking a handful of
-      // quiescent cycles, so tiny skips are treated as failed attempts
-      // (this was the source of the mode's historic <1.0x showing on
-      // dense workloads — frequent 2-4 cycle skips, each a net loss).
-      // Long skips — idle tails, deep stalls — are unaffected. Skips are
-      // optional by construction, so thinning them never changes results.
-      constexpr Cycle kMinProfitableSkip = 8;
-      if (ev <= now + kMinProfitableSkip) {
-        ff_backoff = std::min<Cycle>(ff_backoff == 0 ? 1 : ff_backoff * 2, 64);
-        ff_next_attempt = now + ff_backoff;
-      } else {
-        // Cap at the watchdog's next state-changing sample so a wedged run
-        // still fires at the exact cycle — and with the exact diagnostics —
-        // the naive loop would produce, and at max_cycles so the timeout
-        // path is also unchanged.
-        Cycle target = std::min(ev, max_cycles);
-        target = std::min(
-            target, watchdog.observeSkip(
-                        now, *cpu_retired + *mem_grants +
-                                 hht_->progressSignal()));
-        if (target > now + 1) {
-          const Cycle skipped = target - (now + 1);
-          cpu_->skipCycles(skipped);
-          hht_->skipCycles(skipped);
-          host_skipped_cycles_ += skipped;
-          now += skipped;  // the for-loop ++now resumes ticking at `target`
-          ff_backoff = 0;
-        }
-      }
-    }
-  }
-  if (!result.degraded && now >= max_cycles) {
+  const LoopOutcome out =
+      runCycles(start_cycle, max_cycles, observer, /*degraded=*/false);
+  if (out.stop == RunStop::Timeout) {
     throw sim::SimError(sim::ErrorKind::Watchdog, "system",
                         "simulation exceeded max_cycles running " +
                             program.name(),
-                        dumpDiagnostics(now));
+                        dumpDiagnostics(out.now));
+  }
+  if (out.stop == RunStop::Fault) {
+    // Host-side poll of the FAULT MMR (zero simulated cost): the run can
+    // never complete with silently wrong data past this point.
+    result.fault_cause = hht_->faultCause();
+    result.fault_detail = hht_->faultDetail();
+    if (fallback == nullptr) {
+      throw sim::SimError(
+          sim::ErrorKind::DeviceFault, "hht",
+          std::string("HHT raised fault [") +
+              sim::faultCauseName(result.fault_cause) +
+              "] with no degradation fallback installed: " +
+              result.fault_detail,
+          dumpDiagnostics(out.now));
+    }
+    degraded_cause_ = result.fault_cause;
+    degraded_detail_ = result.fault_detail;
+    // Quiesce: stop injecting (the recovery run must succeed), drop every
+    // in-flight access (stale responses must not leak into the rerun) and
+    // return the device to its reset state.
+    mem_->setFaultInjector(nullptr);
+    hht_->setFaultInjector(nullptr);
+    mem_->cancelAll();
+    hht_->reset();
+    cpu_->loadProgram(*fallback);
+    runDegraded(*fallback, 0, max_cycles, observer);
+    result.degraded = true;
   }
   if (config_.trace_sink != nullptr &&
       config_.trace_sink->enabled(obs::Category::kSystem)) {
     // Horizon marker: the run executed cycles [start_cycle, now], so the
     // profiler's total-cycle denominator is now + 1.
-    config_.trace_sink->emit(now, obs::Category::kSystem,
+    config_.trace_sink->emit(out.now, obs::Category::kSystem,
                              obs::Component::kSystem, obs::EventKind::kRunEnd,
-                             now + 1);
-  }
-
-  finishResult(result, y_addr, y_len);
-  return result;
-}
-
-RunResult System::runEventLoop(const isa::Program& program, Addr y_addr,
-                               std::uint32_t y_len, Cycle start_cycle,
-                               Cycle max_cycles, const isa::Program* fallback,
-                               RunObserver* observer) {
-  // Event-scheduled loop (DESIGN.md §16). Each component is ticked only on
-  // cycles it declared work for; the cycles in between — where its
-  // nextEventCycle() contract guarantees a tick would have been a pure
-  // no-op plus bookkeeping — are bulk-credited via skipCycles() just
-  // before its next real tick (or at a synchronization point: watchdog
-  // dump, fault break, loop exit). The loop itself jumps straight to the
-  // earliest posted event. Results, stats and snapshot bytes are
-  // bit-identical to the naive schedule; the A/B proof lives in
-  // tests/test_fastforward.cc.
-  sim::Watchdog watchdog(config_.watchdog_cycles);
-  const std::uint64_t* cpu_retired = &cpu_->stats().counter("cpu.retired");
-  const std::uint64_t* mem_grants = &mem_->stats().counter("mem.grants");
-  core::Hht* const asic = asic_hht_;
-  core::MicroHht* const micro = micro_hht_;
-  host_skipped_cycles_ = 0;
-  RunResult result;
-
-  enum : std::size_t { kHht = 0, kCpu = 1, kMem = 2 };
-  sim::EventCalendar<3> cal;
-  cal.post(kHht, start_cycle);
-  cal.post(kCpu, start_cycle);
-  cal.post(kMem, start_cycle);
-  // First cycle each component has NOT yet been ticked or credited for.
-  Cycle hht_from = start_cycle;
-  Cycle cpu_from = start_cycle;
-  // Hook thinning: while a component keeps answering "tick me next cycle",
-  // consulting its nextEventCycle() hook every tick buys nothing — post
-  // now+1 blindly for a stride of ticks before asking again. Extra ticks
-  // are exactly the naive schedule, so this is always safe, and any hook
-  // answer greater than now+1 ends the blind window at once, so multi-cycle
-  // skips (load stalls, drained devices) are preserved. The only cost is up
-  // to one stride of busy-ticks after a component actually goes quiet.
-  // Only the device and memory hooks are thinned: both answer now+1 for as
-  // long as any memory traffic exists, so their blind windows cost nothing.
-  // The CPU hook is consulted every tick — its answer encodes per-stall
-  // skips (LoadWait, vector-gather startup) that fire even while memory is
-  // busy, and a blind now+1 post would turn each into a forced tick that
-  // pays a response-lane scan.
-  constexpr Cycle kHookThinStride = 16;
-  Cycle hht_hook_due = start_cycle;
-  Cycle mem_hook_due = start_cycle;
-  // Busy-streak burst: when every component keeps answering now+1, the
-  // calendar machinery (due checks, hooks, posts, min-scan) is pure
-  // overhead over the naive loop. After kBurstStreak consecutive
-  // iterations with no jump, fall back to naive ticking for a burst that
-  // doubles up to kBurstCap (the quiescence probe cap), re-consulting the
-  // calendar between bursts. A burst ticks every component every cycle —
-  // exactly the naive schedule — so it can never change results; the cost
-  // is a bounded delay (one burst) before a newly-skippable stretch is
-  // noticed, the same bargain the quiescence backoff strikes.
-  constexpr Cycle kBurstStreak = 8;
-  constexpr Cycle kMinBurst = 16;
-  constexpr Cycle kBurstCap = 256;
-  Cycle burst_until = start_cycle;  // exclusive end of the current burst
-  Cycle burst_len = kMinBurst;
-  Cycle busy_streak = 0;
-
-  const auto progressSum = [&] {
-    return *cpu_retired + *mem_grants + hht_->progressSignal();
-  };
-  // Credit both lazily-skipped components through cycle `upto - 1`.
-  const auto creditTo = [&](Cycle upto) {
-    if (upto > hht_from) {
-      hht_->skipCycles(upto - hht_from);
-      hht_from = upto;
-    }
-    if (upto > cpu_from) {
-      cpu_->skipCycles(upto - cpu_from);
-      cpu_from = upto;
-    }
-  };
-
-  bool finished = false;  // exited via halt or degraded fallback
-  Cycle now = start_cycle;
-  while (now < max_cycles) {
-    if (now < burst_until) {
-      // Naive-burst cycle: tick everything in the reference order with no
-      // calendar traffic. The lazy-credit cursors advance with the ticks,
-      // so the shared fault/halt/watchdog handling below needs no burst
-      // special-casing.
-      if (asic != nullptr) {
-        asic->tick(now);
-      } else {
-        micro->tick(now);
-      }
-      hht_from = now + 1;
-      cpu_->tick(now);
-      cpu_from = now + 1;
-      mem_->tick(now);
-    } else {
-    bool hht_ticked = false;
-    if (cal.due(kHht, now)) {
-      if (now > hht_from) hht_->skipCycles(now - hht_from);
-      if (asic != nullptr) {
-        asic->tick(now);
-      } else {
-        micro->tick(now);
-      }
-      hht_from = now + 1;
-      hht_ticked = true;
-    }
-    bool cpu_ticked = false;
-    if (cal.due(kCpu, now)) {
-      if (now > cpu_from) cpu_->skipCycles(now - cpu_from);
-      cpu_->tick(now);
-      cpu_from = now + 1;
-      cpu_ticked = true;
-    }
-    const bool mmio_was_pending = mem_->mmioPending();
-    if (mmio_was_pending && now + 1 > hht_from) {
-      // Settle the device's lazy credit BEFORE the memory tick delivers
-      // MMIO: a delivered write can create or start an engine, and credits
-      // applied after that would advance the new engine's phase for cycles
-      // the naive schedule ticked against the old (engine-less) state.
-      // Crediting through `now` is sound here: the device was not due this
-      // cycle, so its contract covers every cycle up to and including now.
-      hht_->skipCycles(now + 1 - hht_from);
-      hht_from = now + 1;
-    }
-    if (cal.due(kMem, now) || mem_->pendingArbitration()) {
-      // pendingArbitration covers submits made by this cycle's device/core
-      // ticks: arbitration for them runs this same cycle, which a posting
-      // taken before those ticks cannot know.
-      mem_->tick(now);
-      if (now >= mem_hook_due) {
-        const Cycle next = mem_->nextEventCycle(now);
-        cal.post(kMem, next);
-        if (next == now + 1) mem_hook_due = now + kHookThinStride;
-      } else {
-        cal.post(kMem, now + 1);
-      }
-      if (!hht_ticked && mmio_was_pending) {
-        // The memory system processed MMIO traffic this cycle; an MMIO
-        // start write is the one path that hands an otherwise-idle device
-        // new work, so refresh its posting.
-        const Cycle next = asic != nullptr ? asic->nextEventCycle(now)
-                                           : micro->nextEventCycle(now);
-        cal.post(kHht, std::min(cal.at(kHht), next));
-      }
-    }
-    // Both refreshes run after the memory tick: the device's next event
-    // consults memory drain state, and a CPU load waits on a response
-    // whose ready cycle the memory system only knows once granted. The
-    // CPU is never woken externally — every wait phase it enters carries
-    // its own wake cycle — so its posting refreshes only when it ticks.
-    if (hht_ticked) {
-      if (now >= hht_hook_due) {
-        const Cycle next = asic != nullptr ? asic->nextEventCycle(now)
-                                           : micro->nextEventCycle(now);
-        cal.post(kHht, next);
-        if (next == now + 1) hht_hook_due = now + kHookThinStride;
-      } else {
-        cal.post(kHht, now + 1);
-      }
-    }
-    if (cpu_ticked) cal.post(kCpu, cpu_->nextEventCycle(now));
-    }
-
-    if (hht_->faultRaised()) {
-      result.fault_cause = hht_->faultCause();
-      result.fault_detail = hht_->faultDetail();
-      creditTo(now + 1);
-      if (fallback == nullptr) {
-        throw sim::SimError(
-            sim::ErrorKind::DeviceFault, "hht",
-            std::string("HHT raised fault [") +
-                sim::faultCauseName(result.fault_cause) +
-                "] with no degradation fallback installed: " +
-                result.fault_detail,
-            dumpDiagnostics(now));
-      }
-      degraded_cause_ = result.fault_cause;
-      degraded_detail_ = result.fault_detail;
-      degradedRerun(*fallback, max_cycles, observer);
-      result.degraded = true;
-      finished = true;
-      break;
-    }
-    if (cpu_->halted() && mem_->idle()) {
-      creditTo(now + 1);
-      finished = true;
-      break;
-    }
-    if (watchdog.due(now)) {
-      watchdog.observe(now, progressSum(), [&] {
-        creditTo(now + 1);
-        return dumpDiagnostics(now);
-      });
-    }
-
-    if (now >= burst_until) {
-      const Cycle ev = cal.next();
-      if (ev > now + 1) {
-        busy_streak = 0;
-        burst_len = kMinBurst;
-        // Jump to the earliest cycle any component has work, capped at
-        // max_cycles (timeout path unchanged) and at the watchdog's next
-        // state-changing sample (a wedged run fires at the exact cycle,
-        // with the exact diagnostics, the naive loop would produce).
-        Cycle target = std::min(ev, max_cycles);
-        target = std::min(target, watchdog.observeSkip(now, progressSum()));
-        if (target > now + 1) {
-          host_skipped_cycles_ += target - (now + 1);
-          now = target;
-          continue;
-        }
-      } else if (++busy_streak >= kBurstStreak) {
-        // ev == now+1 only means the EARLIEST component is due next cycle;
-        // another may still carry uncredited lazily-skipped cycles. Settle
-        // both cursors now — the burst ticks every component every cycle,
-        // so it must start from fully-credited state, exactly like the
-        // fault/halt exits. Exiting a burst leaves the calendar entries
-        // stale-low, which is always safe: every component reads as due,
-        // ticks once, and reposts from a fresh hook.
-        creditTo(now + 1);
-        busy_streak = 0;
-        burst_until = now + 1 + burst_len;
-        burst_len = std::min(burst_len * 2, kBurstCap);
-        // A burst ticks without posting, so work created inside it (a
-        // grant's retirement cycle, a stall wake) would leave the pre-burst
-        // entries stale-HIGH and get missed. Force every slot due on the
-        // first post-burst cycle: each component ticks once and reposts
-        // from a fresh hook.
-        cal.post(kHht, burst_until);
-        cal.post(kCpu, burst_until);
-        cal.post(kMem, burst_until);
-      }
-    }
-    ++now;
-  }
-  if (!finished) {
-    // now == max_cycles: credit the lazily-skipped tail through the last
-    // simulated cycle, then fail exactly as the naive loop would.
-    creditTo(now);
-    throw sim::SimError(sim::ErrorKind::Watchdog, "system",
-                        "simulation exceeded max_cycles running " +
-                            program.name(),
-                        dumpDiagnostics(now));
+                             out.now + 1);
   }
   finishResult(result, y_addr, y_len);
   return result;
@@ -792,50 +497,28 @@ Cycle System::restore(const std::vector<std::uint8_t>& snapshot,
   return next_cycle;
 }
 
-void System::degradedRerun(const isa::Program& fallback, Cycle max_cycles,
-                           RunObserver* observer) {
-  // Quiesce: stop injecting (the recovery run must succeed), drop every
-  // in-flight access (stale responses must not leak into the rerun) and
-  // return the device to its reset state.
-  mem_->setFaultInjector(nullptr);
-  hht_->setFaultInjector(nullptr);
-  mem_->cancelAll();
-  hht_->reset();
-
-  cpu_->loadProgram(fallback);
-  degradedLoop(fallback, 0, max_cycles, observer);
-
+void System::runDegraded(const isa::Program& fallback, Cycle start_cycle,
+                         Cycle max_cycles, RunObserver* observer) {
+  // The fallback run restarts its cycle numbering at 0 and never injects
+  // or polls the FAULT MMR (the device was reset; the fallback is
+  // CPU-only). Observers still see every executed cycle — that is what
+  // lets a mid-degraded checkpoint fire at an exact degraded cycle —
+  // with degradedActive() distinguishing these cycles from primary ones.
+  degraded_active_ = true;
+  const LoopOutcome out =
+      runCycles(start_cycle, max_cycles, observer, /*degraded=*/true);
+  if (out.stop == RunStop::Timeout) {
+    throw sim::SimError(sim::ErrorKind::Watchdog, "system",
+                        "degraded fallback run exceeded max_cycles running " +
+                            fallback.name(),
+                        dumpDiagnostics(out.now));
+  }
   // Re-arm injection for any subsequent run on this System.
   if (injector_) {
     mem_->setFaultInjector(injector_.get());
     hht_->setFaultInjector(injector_.get());
   }
   degraded_active_ = false;
-}
-
-void System::degradedLoop(const isa::Program& fallback, Cycle start_cycle,
-                          Cycle max_cycles, RunObserver* observer) {
-  // The fallback loop restarts its cycle numbering at 0 and never injects
-  // or polls the FAULT MMR (the device was reset; the fallback is
-  // CPU-only). Observers still see every executed cycle — that is what
-  // lets a mid-degraded checkpoint fire at an exact degraded cycle —
-  // with degradedActive() distinguishing these cycles from primary ones.
-  degraded_active_ = true;
-  Cycle now = start_cycle;
-  for (; now < max_cycles; ++now) {
-    hht_->tick(now);
-    cpu_->tick(now);
-    mem_->tick(now);
-    if (observer != nullptr) observer->onCycle(*this, now);
-    for (RunObserver* o : observers_) o->onCycle(*this, now);
-    if (cpu_->halted() && mem_->idle()) break;
-  }
-  if (now >= max_cycles) {
-    throw sim::SimError(sim::ErrorKind::Watchdog, "system",
-                        "degraded fallback run exceeded max_cycles running " +
-                            fallback.name(),
-                        dumpDiagnostics(now));
-  }
 }
 
 std::string System::dumpDiagnostics(Cycle now) const {

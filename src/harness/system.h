@@ -27,25 +27,6 @@ namespace hht::harness {
 using sim::Addr;
 using sim::Cycle;
 
-/// Host scheduling strategy for the run loop (DESIGN.md §16). All three
-/// modes produce bit-identical simulated results — they differ only in how
-/// much host work each simulated cycle costs. Host-only tooling, excluded
-/// from writeSystemConfig/readSystemConfig and the snapshot fingerprint
-/// (same discipline as host_fastforward).
-enum class SchedMode : std::uint8_t {
-  /// Tick every component every cycle. The reference schedule; forced
-  /// whenever an observer or trace sink must see each executed cycle.
-  Naive,
-  /// Naive ticking plus the all-or-nothing quiescence fast-forward of
-  /// DESIGN.md §11: skip stretches where NO component can change state.
-  Quiescence,
-  /// Event-scheduled (DESIGN.md §16): a per-component next-event calendar;
-  /// each component is ticked only on cycles it has work, lazily credited
-  /// for the cycles it provably idled, and the loop jumps to the next
-  /// cycle any component has work.
-  Event,
-};
-
 /// Full simulated-machine configuration (Table 1 defaults).
 struct SystemConfig {
   cpu::TimingConfig timing;
@@ -64,20 +45,17 @@ struct SystemConfig {
   /// declared wedged (SimError(Watchdog) with a diagnostic dump). 0
   /// disables the watchdog; the max_cycles ceiling still applies.
   Cycle watchdog_cycles = 100'000;
-  /// Host-side quiescence fast-forward (DESIGN.md §11): when no RunObserver
-  /// is attached, the run loop skips stretches in which no component can
-  /// change simulated state, bulk-crediting the skipped cycles so results
-  /// are bit-identical to the naive loop. This knob is host-only tooling —
-  /// it is deliberately excluded from writeSystemConfig/readSystemConfig
-  /// and the snapshot fingerprint, because two configs differing only here
-  /// describe the same simulated machine. Disable (or pass
-  /// --no-fastforward to the benches) for A/B verification.
+  /// Host-side acceleration of the run loop (DESIGN.md §11): when no
+  /// observer or trace sink is attached, the loop is event-scheduled —
+  /// components tick only on cycles they have work, idle cycles are bulk-
+  /// credited, and stretches where nothing is due are jumped — with results
+  /// bit-identical to ticking every component every cycle. false forces
+  /// that every-cycle reference schedule (--no-fastforward in the benches)
+  /// for A/B verification. Host-only tooling: deliberately excluded from
+  /// writeSystemConfig/readSystemConfig and the snapshot fingerprint,
+  /// because two configs differing only here describe the same machine.
   bool host_fastforward = true;
-  /// Which accelerated run-loop strategy to use when host_fastforward is on
-  /// (host_fastforward=false always means SchedMode::Naive; observers and
-  /// trace sinks force Naive regardless). Host-only, fingerprint-excluded.
-  SchedMode sched_mode = SchedMode::Event;
-  /// Worker threads for MultiTileSystem's tile phase (DESIGN.md §16):
+  /// Worker threads for MultiTileSystem's tile phase (DESIGN.md §11):
   /// tiles tick in parallel between shared-memory epochs, exchanging
   /// requests at the epoch boundary in canonical tile order, so results
   /// and snapshot bytes stay bit-identical to the serial schedule. 1 =
@@ -88,7 +66,7 @@ struct SystemConfig {
   /// tooling exactly like host_fastforward: excluded from
   /// writeSystemConfig/readSystemConfig and the snapshot fingerprint — a
   /// traced machine and an untraced machine are the same simulated machine.
-  /// Attaching a sink disables quiescence fast-forward (every executed
+  /// Attaching a sink forces the every-cycle schedule (every executed
   /// cycle must be observed) but never changes results, stats or snapshot
   /// bytes. The sink must outlive the System.
   obs::TraceSink* trace_sink = nullptr;
@@ -175,6 +153,7 @@ struct RunResult {
 };
 
 class System;
+struct LoopOutcome;
 
 /// Per-cycle observer of a running System. The differential oracle uses
 /// this for its periodic FIFO-occupancy invariants; tests use it to trigger
@@ -259,18 +238,18 @@ class System {
   /// degraded-loop cycles (which restart at 0) from primary-run cycles.
   bool degradedActive() const { return degraded_active_; }
 
-  /// Host cycles elapsed via fast-forward during the most recent run() /
-  /// resume() (host diagnostic, not a simulated statistic — it never
-  /// appears in RunResult::stats).
+  /// Cycles the run loop jumped with no component ticked during the most
+  /// recent run() / resume(), degraded rerun included (host diagnostic,
+  /// not a simulated statistic — it never appears in RunResult::stats).
   std::uint64_t hostSkippedCycles() const { return host_skipped_cycles_; }
 
   /// Persistent observer registry: observers registered here are invoked
   /// every executed cycle, after the per-run observer passed to run() /
   /// resume() (registration order). This is the single attach point that
   /// lets a differential-oracle tap and a trace sink ride the same run:
-  /// fast-forward is disabled once by the combined check in runLoop — there
-  /// is no per-observer disable to double-apply. Observers are borrowed;
-  /// remove before destroying.
+  /// any observer selects the every-cycle schedule once — there is no
+  /// per-observer disable to double-apply. Observers are borrowed; remove
+  /// before destroying.
   void addObserver(RunObserver* observer) {
     if (observer == nullptr) return;
     for (RunObserver* o : observers_) {
@@ -283,23 +262,19 @@ class System {
   }
 
  private:
-  RunResult runLoop(const isa::Program& program, Addr y_addr,
-                    std::uint32_t y_len, Cycle start_cycle, Cycle max_cycles,
-                    const isa::Program* fallback, RunObserver* observer);
-  /// Event-scheduled run loop (SchedMode::Event, DESIGN.md §16): per-
-  /// component next-event tracking with lazy skip credit. Bit-identical to
-  /// the naive loop; only reachable when no observer or trace sink is
-  /// attached (runLoop dispatches).
-  RunResult runEventLoop(const isa::Program& program, Addr y_addr,
-                         std::uint32_t y_len, Cycle start_cycle,
-                         Cycle max_cycles, const isa::Program* fallback,
-                         RunObserver* observer);
-  void degradedRerun(const isa::Program& fallback, Cycle max_cycles,
-                     RunObserver* observer);
-  /// Continue the degraded fallback loop from `start_cycle` (degraded
-  /// resume path); shared by degradedRerun (start_cycle 0) and resume().
-  void degradedLoop(const isa::Program& fallback, Cycle start_cycle,
-                    Cycle max_cycles, RunObserver* observer);
+  /// The primary run from `start_cycle`: degrade-or-throw on a fault.
+  RunResult runPrimary(const isa::Program& program, Addr y_addr,
+                       std::uint32_t y_len, Cycle start_cycle,
+                       Cycle max_cycles, const isa::Program* fallback,
+                       RunObserver* observer);
+  /// Run the fallback from `start_cycle` with injection detached, then
+  /// re-arm it: the degraded rerun (from 0) and a mid-degraded resume().
+  void runDegraded(const isa::Program& fallback, Cycle start_cycle,
+                   Cycle max_cycles, RunObserver* observer);
+  /// Drive the shared run loop (harness/run_loop.h) over this one tile.
+  /// A degraded run neither polls the FAULT MMR nor runs the watchdog.
+  LoopOutcome runCycles(Cycle start_cycle, Cycle max_cycles,
+                        RunObserver* observer, bool degraded);
   /// Read back y + merge stats into `result` (common run/resume tail).
   void finishResult(RunResult& result, Addr y_addr, std::uint32_t y_len);
 

@@ -123,11 +123,11 @@ class MemorySystem {
   /// numRequesters + requesterIndex + 1), so the id a requester receives
   /// depends only on its own submission history — never on how its
   /// submissions interleave with other tiles'. That property is what lets
-  /// the threaded multi-tile epoch loop (DESIGN.md §16) allocate ids from
+  /// the threaded multi-tile epoch loop (DESIGN.md §11) allocate ids from
   /// concurrent workers and still match the serial schedule bit for bit.
   RequestId submit(const MemAccess& access);
 
-  /// Epoch staging (threaded MultiTileSystem, DESIGN.md §16). Between
+  /// Epoch staging (threaded MultiTileSystem, DESIGN.md §11). Between
   /// beginStagedSubmission() and endStagedSubmission(), submit() validates,
   /// allocates the id and bumps the per-requester counters as usual but
   /// parks the access in a per-requester staging lane instead of the shared

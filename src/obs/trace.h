@@ -142,7 +142,7 @@ std::optional<std::uint32_t> parseCategoryList(std::string_view list);
 /// (no pointers, timestamps or iteration-order artifacts in events), so two
 /// runs of the same config+workload produce byte-identical streams, as does
 /// any `--jobs` schedule (one sink per task). Attaching a sink forces
-/// per-cycle simulation (quiescence fast-forward disables itself) but never
+/// per-cycle simulation (the run loop's every-cycle mode) but never
 /// changes architectural state: a traced run's results, stats and snapshots
 /// are bit-identical to an untraced one.
 ///

@@ -1,20 +1,18 @@
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "sim/types.h"
 
-/// Per-component next-event calendar for the event-scheduled run loop
-/// (DESIGN.md §16).
+/// Per-component next-event calendar for the run loop (DESIGN.md §11).
 ///
-/// The simulator has a small, fixed set of tickable components (device,
-/// core, memory, watchdog, ...), so the calendar is an indexed table of
-/// next-event cycles with a cached minimum rather than a heap: post() is
-/// O(1), next() is O(1) amortised (the min is recomputed lazily, and only
-/// when the slot holding the cached min moved later in time). With N <= 8
-/// slots the recompute is a handful of loads, far cheaper than heap
-/// bookkeeping at this size.
+/// The run loop has a small set of tickable components per machine (each
+/// tile's device and core, plus the shared memory system: 2N+1 slots), so
+/// the calendar is an indexed table of next-event cycles: post() is one
+/// store and next() one scan. At these sizes (3 to 33 slots) the scan is
+/// cheaper than keeping a cached minimum up to date on every post.
 ///
 /// Invariants (unit-tested in tests/test_sim.cc):
 ///  - next() never exceeds the earliest posted event: the loop can never
@@ -26,27 +24,19 @@
 ///  - kNeverCycle in every slot means the calendar is idle.
 namespace hht::sim {
 
-template <std::size_t N>
 class EventCalendar {
  public:
-  EventCalendar() { slots_.fill(kNeverCycle); }
+  explicit EventCalendar(std::size_t slots) : slots_(slots, kNeverCycle) {}
 
   /// Declare that component `slot` next has work at `cycle` (kNeverCycle =
   /// fully quiescent). Overwrites any previous posting for the slot.
-  void post(std::size_t slot, Cycle cycle) {
-    const Cycle old = slots_[slot];
-    slots_[slot] = cycle;
-    if (cycle < min_) {
-      min_ = cycle;
-    } else if (old == min_ && cycle > min_) {
-      // The slot that defined the cached min moved later; another slot may
-      // still hold the same cycle, so rescan.
-      recompute();
-    }
-  }
+  void post(std::size_t slot, Cycle cycle) { slots_[slot] = cycle; }
 
   /// Next cycle at which any component has work (kNeverCycle if idle).
-  Cycle next() const { return min_; }
+  Cycle next() const {
+    return slots_.empty() ? kNeverCycle
+                          : *std::min_element(slots_.begin(), slots_.end());
+  }
 
   /// The posted next-event cycle for one slot.
   Cycle at(std::size_t slot) const { return slots_[slot]; }
@@ -55,21 +45,12 @@ class EventCalendar {
   bool due(std::size_t slot, Cycle now) const { return slots_[slot] <= now; }
 
   /// True if no component has any pending event.
-  bool idle() const { return min_ == kNeverCycle; }
+  bool idle() const { return next() == kNeverCycle; }
 
-  static constexpr std::size_t size() { return N; }
+  std::size_t size() const { return slots_.size(); }
 
  private:
-  void recompute() {
-    Cycle m = kNeverCycle;
-    for (const Cycle c : slots_) {
-      if (c < m) m = c;
-    }
-    min_ = m;
-  }
-
-  std::array<Cycle, N> slots_{};
-  Cycle min_ = kNeverCycle;
+  std::vector<Cycle> slots_;
 };
 
 }  // namespace hht::sim

@@ -36,15 +36,13 @@ class Watchdog {
     }
   }
 
-  bool enabled() const { return period_ != 0; }
-
   /// Cheap per-cycle gate: true when this cycle is a sampling point.
   bool due(Cycle now) const {
     return period_ != 0 && (now & interval_mask_) == 0;
   }
 
   /// Called instead of per-cycle sampling when the run loop is about to
-  /// fast-forward across a quiescent stretch (during which the progress sum
+  /// jump across a stretch in which nothing ticks (so the progress sum
   /// cannot change). Performs the one state-updating observation the naive
   /// loop would have made at the first sampling point after `now`, then
   /// returns the aligned cycle at which the watchdog would fire if the sum

@@ -297,6 +297,53 @@ TEST(Checkpoint, MidDegradedFallbackSnapshotResumesBitIdentically) {
   }
 }
 
+// hostSkippedCycles() describes the most recent run() or resume() only: a
+// degraded resume on a System that already ran (and skipped) must report
+// its own jumps, exactly what the same resume reports on a fresh System.
+TEST(Checkpoint, DegradedResumeReportsOnlyItsOwnSkippedCycles) {
+  SystemConfig cfg = defaultConfig();
+  cfg.faults.enabled = true;
+  cfg.faults.seed = 43;
+  cfg.faults.fifo_corrupt_rate = 1.0;  // deterministically forces fallback
+  cfg.memory.sram_latency = 32;        // the scalar fallback stalls: skips
+
+  sim::Rng rng(23);
+  const CsrMatrix m = workload::randomCsr(rng, 24, 24, 0.4);
+  const DenseVector v = workload::randomDenseVector(rng, 24);
+
+  // A snapshot 100 cycles into the degraded rerun.
+  System watched_sys(cfg);
+  const kernels::SpmvLayout layout = loadSpmv(watched_sys, m, v);
+  const isa::Program program =
+      kernels::spmvScalarHht(layout, cfg.memory.mmio_base);
+  const isa::Program fallback = kernels::spmvScalarBaseline(layout);
+  CheckpointInDegraded observer(fallback, 100);
+  watched_sys.run(program, layout.y, layout.num_rows, 500'000'000, &fallback,
+                  &observer);
+  ASSERT_FALSE(observer.snapshot().empty());
+
+  // The reference: the same resume on a fresh System.
+  System fresh(cfg);
+  const Cycle start = fresh.restore(observer.snapshot(), fallback);
+  const RunResult want = fresh.resume(fallback, layout.y, layout.num_rows,
+                                      start);
+
+  // A System whose previous, uninterrupted faulty run skipped more.
+  System reused(cfg);
+  loadSpmv(reused, m, v);
+  const RunResult first = reused.run(program, layout.y, layout.num_rows,
+                                     500'000'000, &fallback);
+  ASSERT_TRUE(first.degraded);
+  const std::uint64_t first_skipped = reused.hostSkippedCycles();
+  ASSERT_GT(first_skipped, fresh.hostSkippedCycles())
+      << "the earlier run must skip more, or a stale count goes unseen";
+  ASSERT_EQ(reused.restore(observer.snapshot(), fallback), start);
+  const RunResult got = reused.resume(fallback, layout.y, layout.num_rows,
+                                      start);
+  expectIdentical(want, got);
+  EXPECT_EQ(reused.hostSkippedCycles(), fresh.hostSkippedCycles());
+}
+
 // A mid-degraded snapshot names the *fallback* as the program identity:
 // restoring it against the original HHT kernel must be rejected.
 TEST(Checkpoint, MidDegradedSnapshotRejectsTheOriginalProgram) {

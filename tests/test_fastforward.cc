@@ -1,11 +1,10 @@
-// Run-loop equivalence verification (DESIGN.md §11, §16): the host-side
-// acceleration strategies — quiescence fast-forward and the event-scheduled
-// calendar loop — must be invisible in every simulated result. Same cycle
-// counts, same merged stats map, same output bits, same snapshot bytes —
-// for every engine, with and without fault injection, with the patrol
-// scrubber, under an oracle stream tap, across a checkpoint/restore, and
-// for every SweepRunner jobs value. Every A/B here is really an A/B/C:
-// per-cycle naive vs quiescence vs event calendar.
+// Run-loop equivalence verification (DESIGN.md §11): the run loop's
+// event-scheduled mode must be invisible in every simulated result. Same
+// cycle counts, same merged stats map, same output bits, same snapshot
+// bytes as its every-cycle (naive) mode — for every engine, with and
+// without fault injection, with the patrol scrubber, under an oracle
+// stream tap, across a checkpoint/restore, and for every SweepRunner jobs
+// value.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -43,25 +42,17 @@ void expectIdentical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.stats.all(), b.stats.all()) << label;
 }
 
-/// Run `driver` under all three run-loop strategies — per-cycle naive,
-/// quiescence fast-forward, event-scheduled calendar (everything else
-/// identical) — and require bit-identical outcomes.
+/// Run `driver` with the run loop in every-cycle (naive) and in
+/// event-scheduled mode (everything else identical) and require
+/// bit-identical outcomes.
 template <typename Driver>
 void abFastForward(const char* label, const SystemConfig& cfg,
                    Driver&& driver) {
   SystemConfig naive = cfg;
   naive.host_fastforward = false;
-  naive.sched_mode = SchedMode::Naive;
-  SystemConfig quiescence = cfg;
-  quiescence.host_fastforward = true;
-  quiescence.sched_mode = SchedMode::Quiescence;
   SystemConfig event = cfg;
   event.host_fastforward = true;
-  event.sched_mode = SchedMode::Event;
-  const RunResult ref = driver(naive);
-  expectIdentical(driver(quiescence), ref,
-                  (std::string(label) + "/quiescence").c_str());
-  expectIdentical(driver(event), ref,
+  expectIdentical(driver(event), driver(naive),
                   (std::string(label) + "/event").c_str());
 }
 
@@ -127,7 +118,7 @@ TEST(FastForward, SpmmEngineIsBitIdenticalWithAndWithoutSkipping) {
 }
 
 TEST(FastForward, FaultInjectedRunsAreBitIdenticalWithAndWithoutSkipping) {
-  // The fault injector needs no quiescence hook: its RNG only advances when
+  // The fault injector needs no skip hook: its RNG only advances when
   // a component does work, and skipped stretches are exactly the ones in
   // which no component does any. A fault-injected (possibly degraded) run
   // must therefore also be invariant under skipping.
@@ -148,8 +139,7 @@ TEST(FastForward, FaultInjectedRunsAreBitIdenticalWithAndWithoutSkipping) {
 TEST(FastForward, ScrubbedRunsAreBitIdenticalAcrossRunLoops) {
   // The patrol scrubber posts periodic background work (one ECC word per
   // scrub_period); the event loop must wake for every patrol read even in
-  // otherwise-quiescent stretches, and the quiescence loop must refuse to
-  // skip across one.
+  // otherwise-quiescent stretches.
   SystemConfig cfg = defaultConfig();
   cfg.memory.scrub_enabled = true;
   cfg.memory.scrub_period = 16;
@@ -170,8 +160,8 @@ TEST(FastForward, ScrubbedRunsAreBitIdenticalAcrossRunLoops) {
 TEST(FastForward, OracleTappedRunsAreIdenticalAcrossRunLoops) {
   // A stream tap forces per-cycle device ticking in the event loop (taps
   // are per-cycle observations); the oracle's verdict, the delivered
-  // element count and the finish cycle must still be identical across all
-  // three run loops, for every engine kind.
+  // element count and the finish cycle must still be identical in both
+  // run-loop modes, for every engine kind.
   const Operands ops = operands(0xFF'08);
   for (const verify::EngineKind kind :
        {verify::EngineKind::Gather, verify::EngineKind::MergeV1,
@@ -184,21 +174,15 @@ TEST(FastForward, OracleTappedRunsAreIdenticalAcrossRunLoops) {
     c.sv = ops.sv;
     c.cfg = defaultConfig();
     c.cfg.host_fastforward = false;
-    c.cfg.sched_mode = SchedMode::Naive;
     const verify::CosimReport ref = verify::runCosim(c);
     ASSERT_TRUE(ref.ok) << verify::engineKindName(kind) << ": "
                         << ref.describe();
     c.cfg.host_fastforward = true;
-    c.cfg.sched_mode = SchedMode::Quiescence;
-    const verify::CosimReport quiesced = verify::runCosim(c);
-    c.cfg.sched_mode = SchedMode::Event;
     const verify::CosimReport evented = verify::runCosim(c);
-    for (const verify::CosimReport* rep : {&quiesced, &evented}) {
-      EXPECT_TRUE(rep->ok) << verify::engineKindName(kind) << ": "
-                           << rep->describe();
-      EXPECT_EQ(rep->cycles, ref.cycles) << verify::engineKindName(kind);
-      EXPECT_EQ(rep->elements, ref.elements) << verify::engineKindName(kind);
-    }
+    EXPECT_TRUE(evented.ok) << verify::engineKindName(kind) << ": "
+                            << evented.describe();
+    EXPECT_EQ(evented.cycles, ref.cycles) << verify::engineKindName(kind);
+    EXPECT_EQ(evented.elements, ref.elements) << verify::engineKindName(kind);
   }
 }
 
@@ -349,13 +333,12 @@ TEST(FastForward, ResumeSkipsAcrossTheRestoredRegionAndMatchesNaive) {
 }
 
 TEST(FastForward, RestoreIsRunLoopAgnostic) {
-  // A mid-run snapshot restored under each run-loop strategy must finish
-  // with the same result as the uninterrupted per-cycle run: the loops may
+  // A mid-run snapshot restored under either run-loop mode must finish
+  // with the same result as the uninterrupted per-cycle run: the modes may
   // only differ in host time, never in what the machine does after any
   // architectural state.
   SystemConfig naive_cfg = stallHeavyConfig();
   naive_cfg.host_fastforward = false;
-  naive_cfg.sched_mode = SchedMode::Naive;
 
   System base_sys(naive_cfg);
   const Workload w = prepareBaseline(base_sys, 0xFF'09);
@@ -370,24 +353,16 @@ TEST(FastForward, RestoreIsRunLoopAgnostic) {
                nullptr, &observer);
   ASSERT_FALSE(observer.snapshot().empty());
 
-  struct ModeCase {
-    const char* name;
-    bool ff;
-    SchedMode mode;
-  };
-  for (const ModeCase mc : {ModeCase{"restore-naive", false, SchedMode::Naive},
-                            ModeCase{"restore-quiescence", true,
-                                     SchedMode::Quiescence},
-                            ModeCase{"restore-event", true, SchedMode::Event}}) {
+  for (const bool ff : {false, true}) {
+    const char* name = ff ? "restore-event" : "restore-naive";
     SystemConfig rc = stallHeavyConfig();
-    rc.host_fastforward = mc.ff;
-    rc.sched_mode = mc.mode;
+    rc.host_fastforward = ff;
     System resumed_sys(rc);
     const Cycle start = resumed_sys.restore(observer.snapshot(), w2.program);
-    EXPECT_EQ(start, observer.resumeAt()) << mc.name;
+    EXPECT_EQ(start, observer.resumeAt()) << name;
     const RunResult resumed = resumed_sys.resume(w2.program, w2.layout.y,
                                                  w2.layout.num_rows, start);
-    expectIdentical(base, resumed, mc.name);
+    expectIdentical(base, resumed, name);
   }
 }
 

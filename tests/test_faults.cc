@@ -369,6 +369,49 @@ TEST(Watchdog, DeadlockedFifoReadIsCaughtEarlyWithDump) {
   EXPECT_NE(e.diagnostic().find("cpu:"), std::string::npos);
   EXPECT_NE(e.diagnostic().find("hht:"), std::string::npos);
   EXPECT_NE(e.diagnostic().find("mem:"), std::string::npos);
+
+  // Same error, cycle and dump whichever run-loop mode ran.
+  SystemConfig naive_cfg = cfg;
+  naive_cfg.host_fastforward = false;
+  System naive(naive_cfg);
+  const SimError n =
+      capture([&] { naive.run(p, 0x1000, 0, /*max_cycles=*/10000); });
+  EXPECT_EQ(n.component(), e.component());
+  EXPECT_EQ(n.message(), e.message());
+  EXPECT_EQ(n.diagnostic(), e.diagnostic());
+  EXPECT_EQ(n.tile(), e.tile());
+}
+
+TEST(Watchdog, JumpedStallFiresAtTheNaiveCycleWithTheNaiveDump) {
+  // One load on a 100k-cycle SRAM: nothing retires, nothing is granted and
+  // no component has work until the response, so the event-scheduled loop
+  // jumps — but only as far as the watchdog's firing sample, where it must
+  // throw exactly what the every-cycle loop throws.
+  const auto stall = [](bool fastforward, std::uint64_t& skipped) {
+    SystemConfig cfg = defaultConfig();
+    cfg.watchdog_cycles = 2000;
+    cfg.memory.sram_latency = 100'000;
+    cfg.host_fastforward = fastforward;
+    System sys(cfg);
+    isa::ProgramBuilder b("slow_load");
+    b.li(a0, 0x2000);
+    b.lw(t0, a0, 0);
+    b.ecall();
+    const isa::Program p = b.build();
+    const SimError e = capture([&] { sys.run(p, 0x1000, 0); });
+    skipped = sys.hostSkippedCycles();
+    return e;
+  };
+  std::uint64_t naive_skipped = 0;
+  std::uint64_t event_skipped = 0;
+  const SimError n = stall(false, naive_skipped);
+  const SimError e = stall(true, event_skipped);
+  EXPECT_EQ(naive_skipped, 0u);
+  EXPECT_GT(event_skipped, 1000u) << "the stall was not jumped";
+  EXPECT_EQ(n.component(), "watchdog");
+  EXPECT_EQ(e.component(), n.component());
+  EXPECT_EQ(e.message(), n.message());
+  EXPECT_EQ(e.diagnostic(), n.diagnostic());
 }
 
 // ---------------------------------------------------------------------------

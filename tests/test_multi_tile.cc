@@ -1,14 +1,16 @@
 // Multi-tile scale-out tests (DESIGN.md §13): N-tile sharded kernels are
 // bit-identical to the single-tile System for SpMV and both SpMSpV
 // variants under both partitioners; the single-tile robustness features
-// (checkpoint/restore, differential oracle, per-tile stall profiles,
-// quiescence fast-forward) all carry over to a 4-tile system.
+// (checkpoint/restore, differential oracle, per-tile stall profiles, the
+// event-scheduled run loop, watchdog and fault attribution) all carry over
+// to a multi-tile system.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "core/mmr.h"
 #include "harness/experiment.h"
 #include "obs/profile.h"
 #include "sparse/reference.h"
@@ -377,6 +379,267 @@ TEST(MultiTile, FastForwardIsBitIdenticalOn4Tiles) {
   EXPECT_EQ(fast.hht_wait_cycles, naive.hht_wait_cycles);
   EXPECT_EQ(fast.stats.all(), naive.stats.all());
   expectSameY(fast.y, naive.y);
+}
+
+/// One drawn point of the multi-tile configuration space.
+struct DiffCase {
+  std::uint32_t tiles = 1;
+  int topology = 0;  ///< 0 flat, 1 per-tile L1s, 2 L1s + 4 channels
+  bool chunk_queue = false;
+  sim::Cycle sram_latency = 1;
+  std::uint32_t workers = 1;
+  bool faults = false;
+  /// SpMV: 0 scalar HHT, 1 vector HHT, 2 CPU-only scalar baseline (static
+  /// shards only: with no engine streaming, every tile can idle at once
+  /// and the loop jumps). SpMSpV: 3 merge v1, 4 merge v2.
+  int kernel = 0;
+
+  std::string label() const {
+    static constexpr const char* kTopo[] = {"flat", "l1", "l1ch"};
+    static constexpr const char* kKernel[] = {"hht", "hht-vec", "baseline",
+                                              "spmspv-v1", "spmspv-v2"};
+    return "tiles=" + std::to_string(tiles) + " " + kTopo[topology] +
+           (chunk_queue ? " queue" : " shards") +
+           " lat=" + std::to_string(sram_latency) +
+           " workers=" + std::to_string(workers) +
+           (faults ? " faults " : " ") + kKernel[kernel];
+  }
+};
+
+/// Everything one run of a DiffCase leaves behind.
+struct DiffOutcome {
+  RunResult result;
+  bool threw = false;
+  SimError error{ErrorKind::Config, "", ""};
+  std::vector<std::uint8_t> snapshot;  ///< end-of-run checkpoint() bytes
+  std::uint64_t skipped = 0;
+};
+
+DiffOutcome runDiffCase(const DiffCase& c, bool fastforward) {
+  SystemConfig cfg = c.topology == 2 ? hierConfig(c.tiles) : scaleConfig(c.tiles);
+  if (c.topology == 1) {
+    cfg.memory.topology.tile_l1_enabled = true;
+    cfg.memory.topology.tile_l1.size_bytes = 1024;
+    cfg.memory.topology.tile_l1.line_bytes = 32;
+  }
+  cfg.memory.sram_latency = c.sram_latency;
+  cfg.memory.work_queue_enabled = c.chunk_queue;
+  cfg.tile_workers = c.workers;
+  cfg.host_fastforward = fastforward;
+  if (c.faults) {
+    cfg.faults.enabled = true;
+    cfg.faults.seed = 0xD1FF;
+    cfg.faults.sram_read_flip_rate = 2e-3;
+    cfg.faults.fifo_corrupt_rate = 2e-3;
+  }
+  MultiTileSystem sys(cfg);
+  // Deep stalls get a smaller matrix: every load costs 512 cycles.
+  const sim::Index n = c.sram_latency >= 512 ? 16 : 40;
+  sim::Rng rng(0xD1FF'0000 + c.tiles);
+  const sparse::CsrMatrix m = workload::randomCsr(rng, n, n, 0.7);
+  const sparse::DenseVector v = workload::randomDenseVector(rng, n);
+  const sparse::SparseVector sv = workload::randomSparseVector(rng, n, 0.5);
+  const kernels::SpmvLayout layout =
+      loadSpmv(sys.arena(), sys.memory().sram(), m, v);
+  const kernels::SpmspvLayout sp_layout =
+      loadSpmspv(sys.arena(), sys.memory().sram(), m, sv);
+  const bool spmspv = c.kernel >= 3;
+  const Addr y = spmspv ? sp_layout.y : layout.y;
+  std::vector<isa::Program> programs;
+  if (c.chunk_queue) {
+    sys.workQueue()->seed(dealRowChunks(layout.num_rows, c.tiles, 4));
+  }
+  const auto shards = workload::partitionRowsNnzBalanced(m, c.tiles);
+  for (std::uint32_t t = 0; t < c.tiles; ++t) {
+    const Addr mmio = sys.mmioBaseOf(t);
+    const Addr claim = sys.workQueueBase() + 4 * t;
+    const bool vec = c.kernel == 1;
+    if (spmspv && c.chunk_queue) {
+      programs.push_back(
+          c.kernel == 3
+              ? kernels::spmspvHhtV1ChunkQueue(sp_layout, mmio, claim)
+              : kernels::spmspvHhtV2ChunkQueue(sp_layout, mmio, claim));
+    } else if (spmspv) {
+      programs.push_back(
+          c.kernel == 3
+              ? kernels::spmspvHhtV1Shard(sp_layout, shards[t], mmio)
+              : kernels::spmspvHhtV2Shard(sp_layout, shards[t], mmio));
+    } else if (c.kernel == 2) {
+      // Restrict the baseline to the shard by offsetting its operands.
+      kernels::SpmvLayout shard = layout;
+      shard.rows += 4 * shards[t].row_begin;
+      shard.cols += 4 * shards[t].nnz_begin;
+      shard.vals += 4 * shards[t].nnz_begin;
+      shard.y += 4 * shards[t].row_begin;
+      shard.num_rows = shards[t].rows();
+      programs.push_back(kernels::spmvScalarBaseline(shard));
+    } else if (c.chunk_queue) {
+      programs.push_back(
+          vec ? kernels::spmvVectorHhtChunkQueue(layout, mmio, claim)
+              : kernels::spmvScalarHhtChunkQueue(layout, mmio, claim));
+    } else {
+      programs.push_back(
+          vec ? kernels::spmvVectorHhtShard(layout, shards[t], mmio)
+              : kernels::spmvScalarHhtShard(layout, shards[t], mmio));
+    }
+  }
+  DiffOutcome out;
+  Cycle end = 0;
+  try {
+    out.result = sys.run(programs, y, layout.num_rows);
+    end = out.result.cycles;
+    if (!c.faults) {
+      expectSameY(spmspv ? sparse::spmspvMerge(m, sv) : sparse::spmvCsr(m, v),
+                  out.result.y);
+    }
+  } catch (const SimError& e) {
+    out.threw = true;
+    out.error = e;
+  }
+  out.snapshot = sys.checkpoint(programs, end);
+  out.skipped = sys.hostSkippedCycles();
+  return out;
+}
+
+TEST(MultiTile, RandomizedRunLoopDifferential) {
+  // Seeded draws over tiles x topology x distribution x SRAM latency x
+  // tile workers x faults x kernel: the event-scheduled loop must leave the
+  // machine byte-identical to the every-cycle loop — RunResult, merged
+  // stats, the end-of-run snapshot, or the exact same SimError.
+  sim::Rng rng(0xD1FF'2022);
+  constexpr std::uint32_t kTiles[] = {1, 2, 4, 16};
+  constexpr sim::Cycle kLatency[] = {1, 6, 512};
+  std::vector<DiffCase> cases;
+  for (int i = 0; i < 30; ++i) {
+    DiffCase c;
+    c.tiles = kTiles[rng.nextBelow(4)];
+    c.topology = static_cast<int>(rng.nextBelow(3));
+    c.chunk_queue = rng.nextBool(0.5);
+    c.sram_latency = kLatency[rng.nextBelow(3)];
+    c.workers = c.tiles > 1 && rng.nextBool(0.5) ? 2 : 1;
+    c.faults = rng.nextBool(0.3);
+    c.kernel = static_cast<int>(rng.nextBelow(5));
+    if (c.kernel == 2) c.chunk_queue = false;
+    cases.push_back(c);
+  }
+  // Pinned: a deep-stall 16-tile machine, where the loop must actually
+  // jump (every core waits on 512-cycle loads at once).
+  DiffCase deep;
+  deep.tiles = 16;
+  deep.sram_latency = 512;
+  deep.workers = 2;
+  deep.kernel = 2;
+  cases.push_back(deep);
+
+  bool skipped_on_deep_stall = false;
+  for (const DiffCase& c : cases) {
+    const std::string label = c.label();
+    const DiffOutcome naive = runDiffCase(c, false);
+    const DiffOutcome event = runDiffCase(c, true);
+    EXPECT_EQ(naive.skipped, 0u) << label;
+    ASSERT_EQ(naive.threw, event.threw) << label;
+    if (naive.threw) {
+      EXPECT_EQ(naive.error.kind(), event.error.kind()) << label;
+      EXPECT_EQ(naive.error.message(), event.error.message()) << label;
+      EXPECT_EQ(naive.error.diagnostic(), event.error.diagnostic()) << label;
+      EXPECT_EQ(naive.error.tile(), event.error.tile()) << label;
+    } else {
+      const RunResult& a = naive.result;
+      const RunResult& b = event.result;
+      EXPECT_EQ(a.cycles, b.cycles) << label;
+      EXPECT_EQ(a.retired, b.retired) << label;
+      EXPECT_EQ(a.cpu_wait_cycles, b.cpu_wait_cycles) << label;
+      EXPECT_EQ(a.hht_wait_cycles, b.hht_wait_cycles) << label;
+      EXPECT_EQ(a.hht_residual_busy, b.hht_residual_busy) << label;
+      EXPECT_EQ(a.stats.all(), b.stats.all()) << label;
+      expectSameY(a.y, b.y);
+    }
+    EXPECT_EQ(naive.snapshot, event.snapshot) << label;
+    // On flat memory a CPU-only deep stall idles every component at once.
+    if (c.sram_latency == 512 && c.kernel == 2 && c.topology == 0) {
+      EXPECT_GT(event.skipped, 0u) << label;
+      skipped_on_deep_stall = skipped_on_deep_stall || event.skipped > 0;
+    }
+  }
+  EXPECT_TRUE(skipped_on_deep_stall)
+      << "the multi-tile loop never jumped a 512-cycle stall";
+}
+
+/// Blocking pop of tile `tile`'s BUF_DATA without ever starting its HHT:
+/// the core retries the MMIO read forever with zero forward progress.
+isa::Program orphanPop(const MultiTileSystem& sys, std::uint32_t tile) {
+  isa::ProgramBuilder b("orphan_pop");
+  b.li(isa::reg::a0, static_cast<std::int32_t>(sys.mmioBaseOf(tile) +
+                                               core::mmr::kBufData));
+  b.lw(isa::reg::t0, isa::reg::a0, 0);
+  b.ecall();
+  return b.build();
+}
+
+/// Run `fn` (which must throw SimError) and return the error.
+template <typename Fn>
+SimError captureError(Fn&& fn) {
+  try {
+    fn();
+  } catch (const SimError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected a SimError";
+  return SimError(ErrorKind::Config, "test", "missing");
+}
+
+TEST(MultiTile, WedgedTileWatchdogNamesTheTileInBothLoopModes) {
+  // Tile 2 wedges on an orphan FIFO pop while tiles 0, 1 and 3 run their
+  // shards to completion: tile 2's own watchdog fires, attributed to tile
+  // 2, at the same cycle with the same dump whichever loop mode ran.
+  const auto wedge = [](bool fastforward) {
+    SystemConfig cfg = scaleConfig(4);
+    cfg.watchdog_cycles = 2000;
+    cfg.host_fastforward = fastforward;
+    MultiTileSystem sys(cfg);
+    ShardedWorkload w = prepare(sys, 0x4740);
+    w.programs[2] = orphanPop(sys, 2);
+    return captureError([&] {
+      sys.run(w.programs, w.layout.y, w.layout.num_rows, 200'000);
+    });
+  };
+  const SimError naive = wedge(false);
+  const SimError event = wedge(true);
+  EXPECT_EQ(naive.kind(), ErrorKind::Watchdog);
+  EXPECT_EQ(naive.component(), "watchdog");
+  EXPECT_EQ(naive.tile(), 2);
+  EXPECT_EQ(event.kind(), naive.kind());
+  EXPECT_EQ(event.component(), naive.component());
+  EXPECT_EQ(event.tile(), naive.tile());
+  EXPECT_EQ(event.message(), naive.message());
+  EXPECT_EQ(event.diagnostic(), naive.diagnostic());
+  EXPECT_NE(naive.diagnostic().find("tile 2 cpu:"), std::string::npos);
+}
+
+TEST(MultiTile, DeviceFaultNamesTheSameTileInBothLoopModes) {
+  // Every FIFO pop is corrupted on every tile: the first device to detect
+  // it stops the run with a DeviceFault naming its tile — the same tile,
+  // message and dump under both loop modes.
+  const auto fault = [](bool fastforward) {
+    SystemConfig cfg = scaleConfig(4);
+    cfg.faults.enabled = true;
+    cfg.faults.seed = 0xFA17;
+    cfg.faults.fifo_corrupt_rate = 1.0;
+    cfg.host_fastforward = fastforward;
+    MultiTileSystem sys(cfg);
+    const ShardedWorkload w = prepare(sys, 0x4741);
+    return captureError(
+        [&] { sys.run(w.programs, w.layout.y, w.layout.num_rows); });
+  };
+  const SimError naive = fault(false);
+  const SimError event = fault(true);
+  EXPECT_EQ(naive.kind(), ErrorKind::DeviceFault);
+  EXPECT_GE(naive.tile(), 0);
+  EXPECT_LT(naive.tile(), 4);
+  EXPECT_EQ(event.kind(), naive.kind());
+  EXPECT_EQ(event.tile(), naive.tile());
+  EXPECT_EQ(event.message(), naive.message());
+  EXPECT_EQ(event.diagnostic(), naive.diagnostic());
 }
 
 TEST(MultiTile, ThreadedTilePhaseIsByteIdenticalToSerial) {

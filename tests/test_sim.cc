@@ -1,11 +1,12 @@
 // Unit tests for the sim substrate: deterministic PRNG, stat counters,
-// logging plumbing, and the event-calendar invariants the event-scheduled
-// run loop relies on.
+// logging plumbing, and the event-calendar invariants the run loop relies
+// on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <set>
+#include <vector>
 
 #include "sim/calendar.h"
 #include "sim/log.h"
@@ -141,7 +142,7 @@ TEST(Log, MacroIsSilentWhenDisabled) {
 }
 
 TEST(EventCalendar, StartsIdle) {
-  EventCalendar<3> cal;
+  EventCalendar cal(3);
   EXPECT_TRUE(cal.idle());
   EXPECT_EQ(cal.next(), kNeverCycle);
   for (std::size_t s = 0; s < cal.size(); ++s) {
@@ -154,7 +155,7 @@ TEST(EventCalendar, StartsIdle) {
 // posted event, no matter the posting order — a skip to next() can never
 // jump past a cycle where some component declared work.
 TEST(EventCalendar, NeverSkipsPastPostedEvent) {
-  EventCalendar<3> cal;
+  EventCalendar cal(3);
   cal.post(0, 500);
   cal.post(1, 120);
   cal.post(2, 900);
@@ -184,7 +185,7 @@ TEST(EventCalendar, NeverSkipsPastPostedEvent) {
 // the previous entry rather than accumulating (dedupe), in both
 // directions, including back to kNeverCycle.
 TEST(EventCalendar, RepostOverwritesAndDedupes) {
-  EventCalendar<3> cal;
+  EventCalendar cal(3);
   cal.post(0, 100);
   cal.post(0, 100);  // identical re-post is a no-op
   EXPECT_EQ(cal.at(0), 100u);
@@ -206,7 +207,7 @@ TEST(EventCalendar, RepostOverwritesAndDedupes) {
 // individually due at C until that slot itself is re-posted past it —
 // servicing one component must not lose the others.
 TEST(EventCalendar, SameCycleMultiComponentWakeups) {
-  EventCalendar<3> cal;
+  EventCalendar cal(3);
   cal.post(0, 77);
   cal.post(1, 77);
   cal.post(2, 77);
@@ -233,11 +234,60 @@ TEST(EventCalendar, SameCycleMultiComponentWakeups) {
 // due() is "at or before": an event posted in the past stays due until
 // re-posted, so a loop that fell behind still services it.
 TEST(EventCalendar, PastEventsStayDue) {
-  EventCalendar<3> cal;
+  EventCalendar cal(3);
   cal.post(1, 10);
   EXPECT_TRUE(cal.due(1, 10));
   EXPECT_TRUE(cal.due(1, 10'000));
   EXPECT_EQ(cal.next(), 10u);
+}
+
+// A 16-tile machine's calendar: 33 slots (device + core per tile, plus the
+// shared memory system). The busy-cycle pattern — every slot due at C, then
+// serviced one by one and re-posted later — must keep the minimum at C
+// until the LAST slot holding it moves, then land exactly on the earliest
+// of the re-posts. A randomized phase cross-checks against a straight min.
+TEST(EventCalendar, ThirtyThreeSlotMinTracksRepostOfTheMinimumHolder) {
+  constexpr std::size_t kSlots = 33;
+  EventCalendar cal(kSlots);
+  EXPECT_EQ(cal.size(), kSlots);
+  for (std::size_t s = 0; s < kSlots; ++s) cal.post(s, 100);
+  EXPECT_EQ(cal.next(), 100u);
+  for (std::size_t s = 0; s + 1 < kSlots; ++s) {
+    cal.post(s, 200 + s);
+    ASSERT_EQ(cal.next(), 100u) << "slot " << kSlots - 1 << " still due";
+  }
+  cal.post(kSlots - 1, 150);  // the last minimum holder moves later
+  EXPECT_EQ(cal.next(), 150u);
+  cal.post(kSlots - 1, 400);  // ... and later again: min is now slot 0
+  EXPECT_EQ(cal.next(), 200u);
+  cal.post(0, 201);  // ties with slot 1: both hold the minimum
+  EXPECT_EQ(cal.next(), 201u);
+  cal.post(1, 500);
+  EXPECT_EQ(cal.next(), 201u) << "slot 0 still holds 201";
+  cal.post(0, 500);
+  EXPECT_EQ(cal.next(), 202u);
+
+  Rng rng(0xCA1E'0033);
+  std::vector<Cycle> shadow(kSlots);
+  for (std::size_t s = 0; s < kSlots; ++s) shadow[s] = cal.at(s);
+  for (int i = 0; i < 20'000; ++i) {
+    // Bias toward re-posting the current minimum holder later, the case
+    // that forces a rescan.
+    std::size_t slot = static_cast<std::size_t>(rng.nextBelow(kSlots));
+    if (rng.nextBool(0.5)) {
+      slot = static_cast<std::size_t>(
+          std::min_element(shadow.begin(), shadow.end()) - shadow.begin());
+    }
+    const Cycle c = rng.nextBool(0.05)
+                        ? kNeverCycle
+                        : shadow[slot] == kNeverCycle
+                              ? static_cast<Cycle>(rng.nextBelow(1 << 16))
+                              : shadow[slot] + rng.nextBelow(4);
+    cal.post(slot, c);
+    shadow[slot] = c;
+    ASSERT_EQ(cal.next(), *std::min_element(shadow.begin(), shadow.end()))
+        << "iteration " << i;
+  }
 }
 
 }  // namespace
