@@ -1,5 +1,5 @@
-// Multi-tile scale-out: sharded SpMV across N {CPU+HHT} tiles of a
-// MultiTileSystem (DESIGN.md §13) under three memory topologies
+// Multi-tile scale-out: sharded SpMV across the N {CPU+HHT} tiles of a
+// harness::System (DESIGN.md §13) under three memory topologies
 // (DESIGN.md §17):
 //   flat  — one shared SRAM behind the round-robin arbiter (the seed
 //           configuration; 1..16 tiles);

@@ -1,5 +1,5 @@
 // Uniform -> zipf skew sweep: static nnz-balanced sharding vs the dynamic
-// chunk-queue distribution on a 4-tile MultiTileSystem (DESIGN.md §18).
+// chunk-queue distribution on a 4-tile harness::System (DESIGN.md §18).
 // Each sweep point generates a power-law matrix (alpha is the skew knob;
 // the table reports the realised row-nnz Gini), then runs SpMV three ways:
 //   ref     — 1 tile, the bit-exactness reference;

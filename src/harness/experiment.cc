@@ -188,29 +188,51 @@ void recordPartitionStats(RunResult& result, const sparse::CsrMatrix& m,
   result.stats.counter("workload.shard_empty") = st.empty_shards;
   result.stats.counter("workload.shard_max_nnz") = st.max_nnz;
 }
+
+void checkVariant(int variant) {
+  if (variant != 1 && variant != 2) {
+    throw std::invalid_argument("SpMSpV variant must be 1 or 2");
+  }
+}
+
+/// The N-tile drivers' common body: an N-tile System over `cfg`, operands
+/// loaded once into the shared SRAM by `load` (every tile reads the same
+/// arrays), then tile t's program from `build(layout, mmio, claim, t)`
+/// against its own MMIO window and chunk-queue claim register. With
+/// `queue`, the chunk queue is enabled and seeded via dealRowChunks.
+template <typename Load, typename Build>
+RunResult runTiles(SystemConfig cfg, std::uint32_t num_tiles, bool queue,
+                   std::uint32_t chunk_rows, Load&& load, Build&& build) {
+  cfg.memory.num_tiles = num_tiles;
+  if (queue) cfg.memory.work_queue_enabled = true;
+  System sys(cfg);
+  const auto layout = load(sys);
+  if (queue) {
+    sys.workQueue()->seed(
+        dealRowChunks(layout.num_rows, num_tiles, chunk_rows));
+  }
+  std::vector<isa::Program> programs;
+  for (std::uint32_t t = 0; t < num_tiles; ++t) {
+    programs.push_back(
+        build(layout, sys.mmioBaseOf(t), sys.workQueueBase() + 4 * t, t));
+  }
+  return sys.run(programs, layout.y, layout.num_rows);
+}
 }  // namespace
 
 RunResult runSpmvHhtSharded(const SystemConfig& cfg, std::uint32_t num_tiles,
                             Partition part, const sparse::CsrMatrix& m,
                             const sparse::DenseVector& v, bool vectorized) {
-  SystemConfig mcfg = cfg;
-  mcfg.memory.num_tiles = num_tiles;
-  MultiTileSystem sys(mcfg);
-  // Operands live once in the shared SRAM; every tile reads the same
-  // arrays, restricted to its own row range.
-  const kernels::SpmvLayout layout =
-      loadSpmv(sys.arena(), sys.memory().sram(), m, v);
   const std::vector<kernels::RowShard> shards =
       partitionRows(m, num_tiles, part);
-  std::vector<isa::Program> programs;
-  programs.reserve(num_tiles);
-  for (std::uint32_t t = 0; t < num_tiles; ++t) {
-    const Addr mmio = sys.mmioBaseOf(t);
-    programs.push_back(
-        vectorized ? kernels::spmvVectorHhtShard(layout, shards[t], mmio)
-                   : kernels::spmvScalarHhtShard(layout, shards[t], mmio));
-  }
-  RunResult result = sys.run(programs, layout.y, layout.num_rows);
+  RunResult result = runTiles(
+      cfg, num_tiles, false, 0, [&](System& sys) { return loadSpmv(sys, m, v); },
+      [&](const kernels::SpmvLayout& layout, Addr mmio, Addr,
+          std::uint32_t t) {
+        return vectorized
+                   ? kernels::spmvVectorHhtShard(layout, shards[t], mmio)
+                   : kernels::spmvScalarHhtShard(layout, shards[t], mmio);
+      });
   recordPartitionStats(result, m, shards);
   return result;
 }
@@ -219,29 +241,22 @@ RunResult runSpmspvHhtSharded(const SystemConfig& cfg, std::uint32_t num_tiles,
                               Partition part, const sparse::CsrMatrix& m,
                               const sparse::SparseVector& v, int variant,
                               bool vectorized) {
-  if (variant != 1 && variant != 2) {
-    throw std::invalid_argument("SpMSpV variant must be 1 or 2");
-  }
+  checkVariant(variant);
   if (variant == 2 && !vectorized) {
     throw std::invalid_argument(
         "sharded SpMSpV variant 2 has a vectorized consumer only");
   }
-  SystemConfig mcfg = cfg;
-  mcfg.memory.num_tiles = num_tiles;
-  MultiTileSystem sys(mcfg);
-  const kernels::SpmspvLayout layout =
-      loadSpmspv(sys.arena(), sys.memory().sram(), m, v);
   const std::vector<kernels::RowShard> shards =
       partitionRows(m, num_tiles, part);
-  std::vector<isa::Program> programs;
-  programs.reserve(num_tiles);
-  for (std::uint32_t t = 0; t < num_tiles; ++t) {
-    const Addr mmio = sys.mmioBaseOf(t);
-    programs.push_back(variant == 1
-                           ? kernels::spmspvHhtV1Shard(layout, shards[t], mmio)
-                           : kernels::spmspvHhtV2Shard(layout, shards[t], mmio));
-  }
-  RunResult result = sys.run(programs, layout.y, layout.num_rows);
+  RunResult result = runTiles(
+      cfg, num_tiles, false, 0,
+      [&](System& sys) { return loadSpmspv(sys, m, v); },
+      [&](const kernels::SpmspvLayout& layout, Addr mmio, Addr,
+          std::uint32_t t) {
+        return variant == 1
+                   ? kernels::spmspvHhtV1Shard(layout, shards[t], mmio)
+                   : kernels::spmspvHhtV2Shard(layout, shards[t], mmio);
+      });
   recordPartitionStats(result, m, shards);
   return result;
 }
@@ -271,24 +286,15 @@ RunResult runSpmvHhtChunkQueue(const SystemConfig& cfg, std::uint32_t num_tiles,
                                const sparse::CsrMatrix& m,
                                const sparse::DenseVector& v, bool vectorized,
                                std::uint32_t chunk_rows) {
-  SystemConfig mcfg = cfg;
-  mcfg.memory.num_tiles = num_tiles;
-  mcfg.memory.work_queue_enabled = true;
-  MultiTileSystem sys(mcfg);
-  const kernels::SpmvLayout layout =
-      loadSpmv(sys.arena(), sys.memory().sram(), m, v);
-  sys.workQueue()->seed(
-      dealRowChunks(layout.num_rows, num_tiles, chunk_rows));
-  std::vector<isa::Program> programs;
-  programs.reserve(num_tiles);
-  for (std::uint32_t t = 0; t < num_tiles; ++t) {
-    const Addr mmio = sys.mmioBaseOf(t);
-    const Addr claim = sys.workQueueBase() + 4 * t;
-    programs.push_back(
-        vectorized ? kernels::spmvVectorHhtChunkQueue(layout, mmio, claim)
-                   : kernels::spmvScalarHhtChunkQueue(layout, mmio, claim));
-  }
-  return sys.run(programs, layout.y, layout.num_rows);
+  return runTiles(
+      cfg, num_tiles, true, chunk_rows,
+      [&](System& sys) { return loadSpmv(sys, m, v); },
+      [&](const kernels::SpmvLayout& layout, Addr mmio, Addr claim,
+          std::uint32_t) {
+        return vectorized
+                   ? kernels::spmvVectorHhtChunkQueue(layout, mmio, claim)
+                   : kernels::spmvScalarHhtChunkQueue(layout, mmio, claim);
+      });
 }
 
 RunResult runSpmspvHhtChunkQueue(const SystemConfig& cfg,
@@ -296,27 +302,16 @@ RunResult runSpmspvHhtChunkQueue(const SystemConfig& cfg,
                                  const sparse::CsrMatrix& m,
                                  const sparse::SparseVector& v, int variant,
                                  std::uint32_t chunk_rows) {
-  if (variant != 1 && variant != 2) {
-    throw std::invalid_argument("SpMSpV variant must be 1 or 2");
-  }
-  SystemConfig mcfg = cfg;
-  mcfg.memory.num_tiles = num_tiles;
-  mcfg.memory.work_queue_enabled = true;
-  MultiTileSystem sys(mcfg);
-  const kernels::SpmspvLayout layout =
-      loadSpmspv(sys.arena(), sys.memory().sram(), m, v);
-  sys.workQueue()->seed(
-      dealRowChunks(layout.num_rows, num_tiles, chunk_rows));
-  std::vector<isa::Program> programs;
-  programs.reserve(num_tiles);
-  for (std::uint32_t t = 0; t < num_tiles; ++t) {
-    const Addr mmio = sys.mmioBaseOf(t);
-    const Addr claim = sys.workQueueBase() + 4 * t;
-    programs.push_back(
-        variant == 1 ? kernels::spmspvHhtV1ChunkQueue(layout, mmio, claim)
-                     : kernels::spmspvHhtV2ChunkQueue(layout, mmio, claim));
-  }
-  return sys.run(programs, layout.y, layout.num_rows);
+  checkVariant(variant);
+  return runTiles(
+      cfg, num_tiles, true, chunk_rows,
+      [&](System& sys) { return loadSpmspv(sys, m, v); },
+      [&](const kernels::SpmspvLayout& layout, Addr mmio, Addr claim,
+          std::uint32_t) {
+        return variant == 1
+                   ? kernels::spmspvHhtV1ChunkQueue(layout, mmio, claim)
+                   : kernels::spmspvHhtV2ChunkQueue(layout, mmio, claim);
+      });
 }
 
 }  // namespace hht::harness

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "harness/multi_tile.h"
 #include "harness/system.h"
 
 namespace hht::harness {
@@ -75,8 +74,8 @@ RunResult runSpmspvHhtResilient(const SystemConfig& cfg,
 /// Row partitioner selection for the sharded drivers.
 enum class Partition { Block, NnzBalanced };
 
-/// SpMV sharded across `num_tiles` {CPU+HHT} tiles of a MultiTileSystem
-/// sharing one memory system: the matrix is row-partitioned, each tile runs
+/// SpMV sharded across `num_tiles` {CPU+HHT} tiles of a System sharing
+/// one memory system: the matrix is row-partitioned, each tile runs
 /// the single-tile HHT kernel restricted to its shard against its own MMIO
 /// window, and the disjoint y slices concatenate in tile order — making the
 /// result bit-identical to the single-tile kernel for any num_tiles. The
@@ -100,7 +99,7 @@ RunResult runSpmspvHhtSharded(const SystemConfig& cfg, std::uint32_t num_tiles,
 std::vector<std::vector<mem::ChunkQueueDevice::Chunk>> dealRowChunks(
     std::uint32_t num_rows, std::uint32_t num_tiles, std::uint32_t chunk_rows);
 
-/// SpMV with dynamic row distribution: a MultiTileSystem with the shared
+/// SpMV with dynamic row distribution: an N-tile System with the shared
 /// chunk-queue device enabled (memory.work_queue_enabled), seeded via
 /// dealRowChunks, each tile running the *ChunkQueue kernel against its own
 /// MMIO window and claim register. Output stays bit-identical to the

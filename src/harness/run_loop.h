@@ -1,12 +1,14 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <barrier>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -98,9 +100,8 @@ struct LoopOptions {
   /// Tick every component every cycle: the naive reference schedule, and
   /// the one observers and trace sinks need (they see every cycle).
   bool every_cycle = false;
-  Cycle watchdog_cycles = 0;    ///< 0 disables the watchdogs
-  bool tile_watchdogs = false;  ///< SimError::tile() names the wedged tile
-  bool poll_faults = true;      ///< stop at the first device FAULT
+  Cycle watchdog_cycles = 0;  ///< 0 disables the watchdogs
+  bool poll_faults = true;    ///< stop at the first device FAULT
 };
 
 /// The simulator's one run loop (DESIGN.md §11): N tiles, each a device
@@ -113,19 +114,23 @@ struct LoopOptions {
 /// results bit-identical to every-cycle mode.
 ///
 /// `View` adapts the machine: device(t) and core(t), the watchdog's
-/// progress(t) and watched(t), onCycle(now) for observers, dump(now) for
-/// diagnostics and beforeMemTick(now).
-template <typename Device, typename View>
+/// progress(t), onCycle(now) for observers, dump(now) for diagnostics and
+/// beforeMemTick(now). A nonzero `kTiles` fixes the tile count at compile
+/// time, so every per-tile loop of that machine folds to straight-line
+/// code (the 1-tile machine's busy-cycle cost).
+template <typename Device, typename View, std::size_t kTiles = 0>
 class RunLoop {
  public:
   RunLoop(View& view, mem::MemorySystem& mem, std::uint32_t num_tiles,
           const LoopOptions& options)
       : view_(view), mem_(mem), options_(options), cal_(2 * num_tiles + 1) {
+    if constexpr (kTiles == 0) tiles_.resize(num_tiles);
     for (std::uint32_t t = 0; t < num_tiles; ++t) {
-      tiles_.push_back(Tile{&view.device(t), &view.core(t)});
+      tiles_[t] = Tile{&view.device(t), &view.core(t)};
+      // On N > 1 a fired watchdog names its tile (SimError::tile()).
       watchdogs_.emplace_back(options.watchdog_cycles,
-                              options.tile_watchdogs ? static_cast<int>(t)
-                                                     : sim::SimError::kNoTile);
+                              num_tiles > 1 ? static_cast<int>(t)
+                                            : sim::SimError::kNoTile);
     }
   }
 
@@ -166,7 +171,7 @@ class RunLoop {
 
     const auto n = static_cast<std::uint32_t>(tiles_.size());
     for (Tile& tile : tiles_) tile.dev_from = tile.cpu_from = start;
-    for (std::size_t slot = 0; slot < cal_.size(); ++slot) {
+    for (std::size_t slot = 0; slot <= memSlot(); ++slot) {
       cal_.post(slot, start);
     }
     Cycle now = start;
@@ -238,7 +243,7 @@ class RunLoop {
       }
       if (!watchdogs_.empty() && watchdogs_[0].due(now)) {
         for (std::uint32_t t = 0; t < n; ++t) {
-          if (!view_.watched(t)) continue;
+          if (!watched(t)) continue;
           watchdogs_[t].observe(now, view_.progress(t), [&] {
             settle(now + 1);
             return view_.dump(now);
@@ -258,7 +263,7 @@ class RunLoop {
         // run fires at the naive cycle with the naive diagnostics.
         Cycle target = std::min(ev, max_cycles);
         for (std::uint32_t t = 0; t < n; ++t) {
-          if (!view_.watched(t)) continue;
+          if (!watched(t)) continue;
           target = std::min(target,
                             watchdogs_[t].observeSkip(now, view_.progress(t)));
         }
@@ -276,7 +281,7 @@ class RunLoop {
         busy_streak = 0;
         burst_until = now + 1 + burst_len;
         burst_len = std::min(burst_len * 2, kBurstCap);
-        for (std::size_t slot = 0; slot < cal_.size(); ++slot) {
+        for (std::size_t slot = 0; slot <= memSlot(); ++slot) {
           cal_.post(slot, burst_until);
         }
       }
@@ -326,9 +331,14 @@ class RunLoop {
     bool cpu_ticked = false;
   };
 
+  /// A tile that finished early makes no progress by design, so only the
+  /// last running tile's watchdog covers the memory drain.
+  bool watched(std::uint32_t t) const {
+    return tiles_.size() == 1 || !tiles_[t].core->halted();
+  }
   static std::size_t devSlot(std::uint32_t t) { return 2 * t; }
   static std::size_t cpuSlot(std::uint32_t t) { return 2 * t + 1; }
-  std::size_t memSlot() const { return cal_.size() - 1; }
+  std::size_t memSlot() const { return 2 * tiles_.size(); }
 
   /// Settle every lazy credit, then report. A timeout (now == max_cycles)
   /// credits the tail through the last simulated cycle only.
@@ -358,7 +368,8 @@ class RunLoop {
   mem::MemorySystem& mem_;
   LoopOptions options_;
   sim::EventCalendar cal_;
-  std::vector<Tile> tiles_;
+  std::conditional_t<kTiles == 0, std::vector<Tile>, std::array<Tile, kTiles>>
+      tiles_;
   std::vector<sim::Watchdog> watchdogs_;
   bool burst_ = false;  ///< this cycle ticks everything (read by workers)
 };

@@ -1,6 +1,8 @@
 #include "harness/system.h"
 
+#include <algorithm>
 #include <bit>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -214,73 +216,119 @@ SystemConfig readSystemConfig(sim::StateReader& r) {
 }
 
 namespace {
-/// System models exactly one {CPU+HHT} tile; MultiTileSystem owns the
-/// N-tile topology. Catch the mismatch before components are built on a
-/// memory system whose extra arbiter ports nothing would ever drive.
-const SystemConfig& singleTileOnly(const SystemConfig& config) {
-  if (config.memory.num_tiles != 1) {
-    throw sim::SimError(sim::ErrorKind::Config, "system",
-                        "System is single-tile; memory.num_tiles=" +
-                            std::to_string(config.memory.num_tiles) +
-                            " requires harness::MultiTileSystem");
-  }
-  return config;
+/// Tile t's fault configuration: tile 0 keeps the base seed (the 1-tile
+/// machine's fault stream is the paper machine's); other tiles mix the tile
+/// index in with a golden-ratio stride so per-tile fault streams are
+/// independent but reproducible.
+sim::FaultConfig tileFaultConfig(const sim::FaultConfig& base,
+                                 std::uint32_t tile) {
+  sim::FaultConfig f = base;
+  f.seed = base.seed + 0x9E3779B97F4A7C15ull * tile;
+  return f;
 }
 }  // namespace
 
 System::System(const SystemConfig& config)
-    : config_(validated(singleTileOnly(config))),
-      injector_(config.faults.enabled
-                    ? std::make_unique<sim::FaultInjector>(config.faults)
-                    : nullptr),
+    : config_(validated(config)),
       mem_(std::make_unique<mem::MemorySystem>(config.memory)),
-      cpu_(std::make_unique<cpu::Core>(config.timing, *mem_, config.vlmax)),
+      tiles_(config.memory.num_tiles),
       arena_(kArenaBase, config.memory.sram_bytes - kArenaBase) {
-  if (config.programmable_hht) {
-    auto micro = std::make_unique<core::MicroHht>(config.hht, *mem_,
+  for (std::uint32_t t = 0; t < numTiles(); ++t) {
+    Tile& tile = tiles_[t];
+    if (config.faults.enabled) {
+      tile.injector = std::make_unique<sim::FaultInjector>(
+          tileFaultConfig(config.faults, t));
+    }
+    tile.cpu = std::make_unique<cpu::Core>(config.timing, *mem_, config.vlmax,
+                                           mem::Requester::Cpu, t);
+    if (config.programmable_hht) {
+      tile.hht = std::make_unique<core::MicroHht>(config.hht, *mem_,
                                                   config.micro_timing);
-    micro_hht_ = micro.get();
-    hht_ = std::move(micro);
-  } else {
-    auto asic = std::make_unique<core::Hht>(config.hht, *mem_);
-    asic_hht_ = asic.get();
-    hht_ = std::move(asic);
+    } else {
+      tile.hht = std::make_unique<core::Hht>(config.hht, *mem_, t);
+    }
+    mem_->attachMmioDevice(tile.hht.get(), t);
+    tile.progress = {
+        &tile.cpu->stats().counter("cpu.retired"),
+        &mem_->stats().counter("mem." + mem::requesterLabel(2 * t) + ".grants"),
+        &mem_->stats().counter("mem." + mem::requesterLabel(2 * t + 1) +
+                               ".grants")};
+    if (config.trace_sink != nullptr) setTileTraceSink(t, config.trace_sink);
   }
-  mem_->attachMmioDevice(hht_.get());
-  if (injector_) {
-    mem_->setFaultInjector(injector_.get());
-    hht_->setFaultInjector(injector_.get());
+  armInjection(true);
+  if (config.memory.work_queue_enabled) {
+    wq_ = std::make_unique<mem::ChunkQueueDevice>(numTiles());
+    mem_->attachMmioDevice(wq_.get(), numTiles());
   }
   if (config.trace_sink != nullptr) {
-    cpu_->setTraceSink(config.trace_sink, obs::Component::kCpu);
     mem_->setTraceSink(config.trace_sink);
-    hht_->setTraceSink(config.trace_sink);
+    if (wq_) wq_->setTraceSink(config.trace_sink);
   }
 }
 
-RunResult System::run(const isa::Program& program, Addr y_addr,
+void System::setTileTraceSink(std::uint32_t tile, obs::TraceSink* sink) {
+  Tile& t = tiles_.at(tile);
+  t.sink = sink;
+  t.cpu->setTraceSink(sink, obs::Component::kCpu);
+  t.hht->setTraceSink(sink);
+}
+
+void System::armInjection(bool armed) {
+  for (std::uint32_t t = 0; t < numTiles(); ++t) {
+    sim::FaultInjector* injector = armed ? tiles_[t].injector.get() : nullptr;
+    mem_->setTileFaultInjector(t, injector);
+    tiles_[t].hht->setFaultInjector(injector);
+  }
+}
+
+void System::checkPrograms(std::span<const isa::Program> programs,
+                           const isa::Program* fallback) const {
+  if (programs.size() != numTiles()) {
+    throw sim::SimError(sim::ErrorKind::Config, "system",
+                        "expected " + std::to_string(numTiles()) +
+                            " programs (one per tile), got " +
+                            std::to_string(programs.size()));
+  }
+  if (fallback != nullptr && numTiles() > 1) {
+    throw sim::SimError(sim::ErrorKind::Config, "system",
+                        "a degradation fallback needs a 1-tile machine; the "
+                        "serving layer owns the multi-tile degrade policy");
+  }
+}
+
+RunResult System::run(std::span<const isa::Program> programs, Addr y_addr,
                       std::uint32_t y_len, Cycle max_cycles,
                       const isa::Program* fallback, RunObserver* observer) {
-  cpu_->loadProgram(program);
+  checkPrograms(programs, fallback);
+  // A fresh run never continues a degraded rerun a restore() left behind
+  // (the latched cause and detail are read only while degraded).
+  degraded_active_ = false;
+  armInjection(true);
+  for (std::uint32_t t = 0; t < numTiles(); ++t) {
+    tiles_[t].cpu->loadProgram(programs[t]);
+  }
   host_skipped_cycles_ = 0;
-  return runPrimary(program, y_addr, y_len, 0, max_cycles, fallback,
+  return runPrimary(programs, y_addr, y_len, 0, max_cycles, fallback,
                     observer);
 }
 
-RunResult System::resume(const isa::Program& program, Addr y_addr,
+RunResult System::resume(std::span<const isa::Program> programs, Addr y_addr,
                          std::uint32_t y_len, Cycle start_cycle,
                          Cycle max_cycles, const isa::Program* fallback,
                          RunObserver* observer) {
-  cpu_->installProgram(program);
+  checkPrograms(programs, fallback);
+  for (std::uint32_t t = 0; t < numTiles(); ++t) {
+    tiles_[t].cpu->installProgram(programs[t]);
+  }
   host_skipped_cycles_ = 0;
   if (!degraded_active_) {
-    return runPrimary(program, y_addr, y_len, start_cycle, max_cycles,
+    return runPrimary(programs, y_addr, y_len, start_cycle, max_cycles,
                       fallback, observer);
   }
-  // The snapshot was taken mid-degraded-fallback: `program` is the
+  // The snapshot was taken mid-degraded-fallback: the program is the
   // fallback the machine was re-running. Finish that rerun — injection
   // stays detached, exactly as in the uninterrupted degraded rerun.
-  runDegraded(program, start_cycle, max_cycles, observer);
+  runDegraded(programs[0], start_cycle, max_cycles, observer);
   RunResult result;
   result.degraded = true;
   result.fault_cause = degraded_cause_;
@@ -289,52 +337,90 @@ RunResult System::resume(const isa::Program& program, Addr y_addr,
   return result;
 }
 
+template <typename Device>
+struct System::LoopView {
+  Device& device(std::uint32_t t) {
+    return static_cast<Device&>(*sys.tiles_[t].hht);
+  }
+  cpu::Core& core(std::uint32_t t) { return *sys.tiles_[t].cpu; }
+  std::uint64_t progress(std::uint32_t t) const {
+    const Tile& tile = sys.tiles_[t];
+    return *tile.progress[0] + *tile.progress[1] + *tile.progress[2] +
+           static_cast<const Device&>(*tile.hht).progressSignal();
+  }
+  void onCycle(Cycle now) {
+    if (observer != nullptr) observer->onCycle(sys, now);
+    for (RunObserver* o : sys.observers_) o->onCycle(sys, now);
+  }
+  std::string dump(Cycle now) const { return sys.dumpDiagnostics(now); }
+  // Reset the chunk queue's per-cycle claim budget before the memory tick
+  // processes this cycle's MMIO (claims beyond the budget retry next cycle
+  // as mem.wq.conflict_cycles).
+  void beforeMemTick(Cycle now) {
+    if (wq != nullptr) wq->beginCycle(now);
+  }
+
+  System& sys;
+  RunObserver* observer;
+  mem::ChunkQueueDevice* wq;
+};
+
 LoopOutcome System::runCycles(Cycle start_cycle, Cycle max_cycles,
                               RunObserver* observer, bool degraded) {
   // An observer (per-run or registered) is entitled to see every executed
   // cycle — the differential oracle samples FIFO occupancy, checkpoint
   // triggers fire at exact cycles — and a trace must record every executed
   // cycle's phase.
+  bool every_cycle = !config_.host_fastforward || observer != nullptr ||
+                     !observers_.empty() || config_.trace_sink != nullptr;
+  for (const Tile& tile : tiles_) every_cycle = every_cycle || tile.sink;
   const LoopOptions options{
-      .every_cycle = !config_.host_fastforward || observer != nullptr ||
-                     !observers_.empty() || config_.trace_sink != nullptr,
+      .every_cycle = every_cycle,
       .watchdog_cycles = degraded ? 0 : config_.watchdog_cycles,
       .poll_faults = !degraded};
-  // Typed on the concrete device (both are final), so the per-cycle
-  // dispatch inlines.
-  const auto loop = [&](auto& device) {
-    using Device = std::remove_reference_t<decltype(device)>;
-    struct View {
-      System& sys;
-      Device& dev;
-      RunObserver* observer;
-      // Progress = retired instructions + SRAM grants + HHT FIFO pops /
-      // firmware retirement.
-      const std::uint64_t* retired;
-      const std::uint64_t* grants;
-      Device& device(std::uint32_t) { return dev; }
-      cpu::Core& core(std::uint32_t) { return *sys.cpu_; }
-      std::uint64_t progress(std::uint32_t) const {
-        return *retired + *grants + dev.progressSignal();
-      }
-      bool watched(std::uint32_t) const { return true; }
-      void onCycle(Cycle now) {
-        if (observer != nullptr) observer->onCycle(sys, now);
-        for (RunObserver* o : sys.observers_) o->onCycle(sys, now);
-      }
-      std::string dump(Cycle now) const { return sys.dumpDiagnostics(now); }
-      void beforeMemTick(Cycle) {}
-    } view{*this, device, observer, &cpu_->stats().counter("cpu.retired"),
-           &mem_->stats().counter("mem.grants")};
-    return RunLoop<Device, View>(view, *mem_, 1, options)
+  if (numTiles() > 1) {
+    return runTiles(start_cycle, max_cycles, observer, options);
+  }
+  // The paper's 1-tile machine: typed on the concrete device (both are
+  // final) so the per-cycle dispatch is direct, with the tile count fixed
+  // at compile time so every per-tile loop folds away. The function-local
+  // view type keeps this instantiation internal with one caller, so it
+  // inlines here and the serial loop carries no pool branch.
+  const auto oneTile = [&]<typename Device>(std::type_identity<Device>) {
+    struct View : LoopView<Device> {
+    } view{{*this, observer, wq_.get()}};
+    return RunLoop<Device, View, 1>(view, *mem_, 1, options)
         .run(start_cycle, max_cycles, host_skipped_cycles_);
   };
-  return asic_hht_ != nullptr ? loop(*asic_hht_) : loop(*micro_hht_);
+  return config_.programmable_hht ? oneTile(std::type_identity<core::MicroHht>())
+                                  : oneTile(std::type_identity<core::Hht>());
 }
 
-RunResult System::runPrimary(const isa::Program& program, Addr y_addr,
-                             std::uint32_t y_len, Cycle start_cycle,
-                             Cycle max_cycles, const isa::Program* fallback,
+LoopOutcome System::runTiles(Cycle start_cycle, Cycle max_cycles,
+                             RunObserver* observer,
+                             const LoopOptions& options) {
+  // More than one tile means ASIC HHTs (programmable_hht is 1-tile).
+  LoopView<core::Hht> view{*this, observer, wq_.get()};
+  RunLoop<core::Hht, LoopView<core::Hht>> loop(view, *mem_, numTiles(),
+                                               options);
+  // tile_workers is host-only and fingerprint-excluded: the threaded tile
+  // phase is bit-identical to the serial one.
+  const std::uint32_t workers = std::min(config_.tile_workers, numTiles());
+  std::optional<TilePool> pool;
+  if (workers > 1) {
+    pool.emplace(*mem_, numTiles(), workers,
+                 [&loop](std::uint32_t begin, std::uint32_t end, Cycle now) {
+                   loop.tickTiles(begin, end, now);
+                 });
+  }
+  return loop.run(start_cycle, max_cycles, host_skipped_cycles_,
+                  pool ? &*pool : nullptr);
+}
+
+RunResult System::runPrimary(std::span<const isa::Program> programs,
+                             Addr y_addr, std::uint32_t y_len,
+                             Cycle start_cycle, Cycle max_cycles,
+                             const isa::Program* fallback,
                              RunObserver* observer) {
   RunResult result;
   const LoopOutcome out =
@@ -342,14 +428,16 @@ RunResult System::runPrimary(const isa::Program& program, Addr y_addr,
   if (out.stop == RunStop::Timeout) {
     throw sim::SimError(sim::ErrorKind::Watchdog, "system",
                         "simulation exceeded max_cycles running " +
-                            program.name(),
+                            programs[0].name() +
+                            (numTiles() > 1 ? " and the other tiles" : ""),
                         dumpDiagnostics(out.now));
   }
   if (out.stop == RunStop::Fault) {
     // Host-side poll of the FAULT MMR (zero simulated cost): the run can
     // never complete with silently wrong data past this point.
-    result.fault_cause = hht_->faultCause();
-    result.fault_detail = hht_->faultDetail();
+    core::HhtDevice& hht = *tiles_[out.fault_tile].hht;
+    result.fault_cause = hht.faultCause();
+    result.fault_detail = hht.faultDetail();
     if (fallback == nullptr) {
       throw sim::SimError(
           sim::ErrorKind::DeviceFault, "hht",
@@ -357,28 +445,32 @@ RunResult System::runPrimary(const isa::Program& program, Addr y_addr,
               sim::faultCauseName(result.fault_cause) +
               "] with no degradation fallback installed: " +
               result.fault_detail,
-          dumpDiagnostics(out.now));
+          dumpDiagnostics(out.now), errorTile(out.fault_tile));
     }
     degraded_cause_ = result.fault_cause;
     degraded_detail_ = result.fault_detail;
     // Quiesce: stop injecting (the recovery run must succeed), drop every
     // in-flight access (stale responses must not leak into the rerun) and
     // return the device to its reset state.
-    mem_->setFaultInjector(nullptr);
-    hht_->setFaultInjector(nullptr);
+    armInjection(false);
     mem_->cancelAll();
-    hht_->reset();
-    cpu_->loadProgram(*fallback);
+    hht.reset();
+    tiles_[0].cpu->loadProgram(*fallback);
     runDegraded(*fallback, 0, max_cycles, observer);
     result.degraded = true;
   }
-  if (config_.trace_sink != nullptr &&
-      config_.trace_sink->enabled(obs::Category::kSystem)) {
-    // Horizon marker: the run executed cycles [start_cycle, now], so the
-    // profiler's total-cycle denominator is now + 1.
-    config_.trace_sink->emit(out.now, obs::Category::kSystem,
-                             obs::Component::kSystem, obs::EventKind::kRunEnd,
-                             out.now + 1);
+  // Horizon marker to every attached sink: the run executed cycles
+  // [start_cycle, now], so each profile's total-cycle denominator is now +
+  // 1, and per-tile profiles partition the same horizon.
+  const auto emitRunEnd = [&](obs::TraceSink* sink) {
+    if (sink != nullptr && sink->enabled(obs::Category::kSystem)) {
+      sink->emit(out.now, obs::Category::kSystem, obs::Component::kSystem,
+                 obs::EventKind::kRunEnd, out.now + 1);
+    }
+  };
+  emitRunEnd(config_.trace_sink);
+  for (const Tile& tile : tiles_) {
+    if (tile.sink != config_.trace_sink) emitRunEnd(tile.sink);
   }
   finishResult(result, y_addr, y_len);
   return result;
@@ -386,31 +478,47 @@ RunResult System::runPrimary(const isa::Program& program, Addr y_addr,
 
 void System::finishResult(RunResult& result, Addr y_addr,
                           std::uint32_t y_len) {
-  result.cycles = cpu_->stats().value("cpu.cycles");
-  result.retired = cpu_->stats().value("cpu.retired");
-  result.cpu_wait_cycles = hht_->cpuWaitCycles();
-  result.hht_wait_cycles = hht_->hhtWaitCycles();
-  result.hht_residual_busy = hht_->busy();
+  // Wall-clock = slowest tile; wait counters sum across tiles (total CPU
+  // cycles burnt stalling on FIFOs, the Fig. 6/7 quantity).
+  for (const Tile& tile : tiles_) {
+    result.cycles =
+        std::max(result.cycles, tile.cpu->stats().value("cpu.cycles"));
+    result.retired += tile.cpu->stats().value("cpu.retired");
+    result.cpu_wait_cycles += tile.hht->cpuWaitCycles();
+    result.hht_wait_cycles += tile.hht->hhtWaitCycles();
+    result.hht_residual_busy = result.hht_residual_busy || tile.hht->busy();
+  }
   result.y = sparse::DenseVector(
       mem_->sram().peekArray<float>(y_addr, y_len));
 
   mem_->finalizeStats();
-  result.stats.absorb(cpu_->stats(), "");
   result.stats.absorb(mem_->stats(), "");
-  result.stats.absorb(hht_->stats(), "");
-  if (injector_) result.stats.absorb(injector_->stats(), "");
+  if (wq_) result.stats.absorb(wq_->stats(), "");
+  for (std::uint32_t t = 0; t < numTiles(); ++t) {
+    // Tile 0 keeps the unprefixed names; tiles 1.. get the "t<N>." prefix
+    // the memory system already uses for its per-requester counters.
+    const std::string prefix = t == 0 ? "" : "t" + std::to_string(t) + ".";
+    const Tile& tile = tiles_[t];
+    result.stats.absorb(tile.cpu->stats(), prefix);
+    result.stats.absorb(tile.hht->stats(), prefix);
+    if (tile.injector) result.stats.absorb(tile.injector->stats(), prefix);
+  }
 }
 
-std::vector<std::uint8_t> System::checkpoint(const isa::Program& program,
-                                             Cycle next_cycle) const {
+std::vector<std::uint8_t> System::checkpoint(
+    std::span<const isa::Program> programs, Cycle next_cycle) const {
+  checkPrograms(programs, nullptr);
   sim::StateWriter w;
   w.tag("HHTS");
   w.u32(kSnapshotVersion);
   w.u64(configFingerprint(config_));
-  w.str(program.name());
-  w.u64(programHash(program));
+  w.u32(numTiles());
+  for (const isa::Program& p : programs) {
+    w.str(p.name());
+    w.u64(programHash(p));
+  }
   w.u64(next_cycle);
-  // v4: degraded-mode continuation state. When taken mid-fallback-rerun the
+  // Degraded-mode continuation state. When taken mid-fallback-rerun the
   // recorded program IS the fallback, and restore()+resume() must land in
   // the degraded loop (injection detached) rather than the primary one.
   w.b(degraded_active_);
@@ -418,16 +526,25 @@ std::vector<std::uint8_t> System::checkpoint(const isa::Program& program,
     w.u8(static_cast<std::uint8_t>(degraded_cause_));
     w.str(degraded_detail_);
   }
-  w.b(injector_ != nullptr);
-  if (injector_) injector_->serialize(w);
   mem_->serialize(w);
-  hht_->serialize(w);
-  cpu_->serialize(w);
+  // The chunk-queue section is config-implied (the fingerprint pins
+  // work_queue_enabled), like the memory system's topology sections.
+  if (wq_) wq_->serialize(w);
+  for (const Tile& tile : tiles_) {
+    // Each tile's fault injector (RNG + stats; config-implied like the
+    // chunk queue) precedes its HHT/core sections, so a restored campaign
+    // replays the same per-tile fault stream it would have seen
+    // uninterrupted.
+    if (tile.injector) tile.injector->serialize(w);
+    tile.hht->serialize(w);
+    tile.cpu->serialize(w);
+  }
   return w.data();
 }
 
 Cycle System::restore(const std::vector<std::uint8_t>& snapshot,
-                      const isa::Program& program) {
+                      std::span<const isa::Program> programs) {
+  checkPrograms(programs, nullptr);
   sim::StateReader r(snapshot);
   r.expectTag("HHTS");
   const std::uint32_t version = r.u32();
@@ -449,51 +566,69 @@ Cycle System::restore(const std::vector<std::uint8_t>& snapshot,
                             " != supported version " +
                             std::to_string(kSnapshotVersion));
   }
-  const std::uint64_t fingerprint = r.u64();
-  if (fingerprint != configFingerprint(config_)) {
+  if (r.u64() != configFingerprint(config_)) {
     throw sim::SimError(sim::ErrorKind::Checkpoint, "system",
                         "snapshot was taken under a different SystemConfig "
                         "(fingerprint mismatch)");
   }
-  const std::string prog_name = r.str();
-  const std::uint64_t prog_hash = r.u64();
-  if (prog_name != program.name() || prog_hash != programHash(program)) {
+  const std::uint32_t tiles = r.u32();
+  if (tiles != numTiles()) {
     throw sim::SimError(sim::ErrorKind::Checkpoint, "system",
-                        "snapshot records program '" + prog_name +
-                            "', got '" + program.name() +
-                            "' (or the code differs)");
+                        "snapshot records " + std::to_string(tiles) +
+                            " tiles, this system has " +
+                            std::to_string(numTiles()));
+  }
+  for (std::uint32_t t = 0; t < numTiles(); ++t) {
+    const std::string prog_name = r.str();
+    const std::uint64_t prog_hash = r.u64();
+    if (prog_name != programs[t].name() ||
+        prog_hash != programHash(programs[t])) {
+      throw sim::SimError(sim::ErrorKind::Checkpoint, "system",
+                          "snapshot records program '" + prog_name +
+                              "', got '" + programs[t].name() +
+                              "' (or the code differs)",
+                          {}, errorTile(t));
+    }
   }
   const Cycle next_cycle = r.u64();
-  degraded_active_ = r.b();
-  if (degraded_active_) {
-    degraded_cause_ = static_cast<sim::FaultCause>(r.u8());
-    degraded_detail_ = r.str();
-  } else {
-    degraded_cause_ = sim::FaultCause::None;
-    degraded_detail_.clear();
+  // Parsed into locals and committed only once the whole payload has been
+  // read: a rejected snapshot must not leave the machine half-degraded.
+  const bool degraded = r.b();
+  sim::FaultCause cause = sim::FaultCause::None;
+  std::string detail;
+  if (degraded) {
+    cause = static_cast<sim::FaultCause>(r.u8());
+    detail = r.str();
   }
-  const bool has_injector = r.b();
-  if (has_injector != (injector_ != nullptr)) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "system",
-                        "snapshot fault-injector presence does not match "
-                        "this System");
-  }
-  if (injector_) injector_->deserialize(r);
   mem_->deserialize(r);
-  hht_->deserialize(r);
-  cpu_->deserialize(r);
+  if (wq_) wq_->deserialize(r);
+  for (std::uint32_t t = 0; t < numTiles(); ++t) {
+    // Attribute section-level corruption to the tile whose section was
+    // being decoded — serving logs need to name the tile, and the reader's
+    // own errors only know the byte offset.
+    try {
+      Tile& tile = tiles_[t];
+      if (tile.injector) tile.injector->deserialize(r);
+      tile.hht->deserialize(r);
+      tile.cpu->deserialize(r);
+    } catch (const sim::SimError& e) {
+      throw e.tile() == sim::SimError::kNoTile ? e.withTile(errorTile(t)) : e;
+    }
+  }
   if (!r.atEnd()) {
     throw sim::SimError(sim::ErrorKind::Checkpoint, "system",
                         std::to_string(r.remaining()) +
                             " trailing bytes after snapshot payload");
   }
-  if (degraded_active_) {
-    // Mid-fallback snapshot: the rerun executes with injection detached;
-    // resume() re-arms it once the degraded loop completes.
-    mem_->setFaultInjector(nullptr);
-    hht_->setFaultInjector(nullptr);
+  degraded_active_ = degraded;
+  degraded_cause_ = cause;
+  degraded_detail_ = std::move(detail);
+  // A mid-fallback snapshot resumes with injection detached; resume()
+  // re-arms it once the degraded loop completes.
+  armInjection(!degraded);
+  for (std::uint32_t t = 0; t < numTiles(); ++t) {
+    tiles_[t].cpu->installProgram(programs[t]);
   }
-  cpu_->installProgram(program);
   return next_cycle;
 }
 
@@ -514,21 +649,25 @@ void System::runDegraded(const isa::Program& fallback, Cycle start_cycle,
                         dumpDiagnostics(out.now));
   }
   // Re-arm injection for any subsequent run on this System.
-  if (injector_) {
-    mem_->setFaultInjector(injector_.get());
-    hht_->setFaultInjector(injector_.get());
-  }
+  armInjection(true);
   degraded_active_ = false;
 }
 
 std::string System::dumpDiagnostics(Cycle now) const {
+  const bool multi = numTiles() > 1;
   std::ostringstream os;
-  os << "diagnostic dump at cycle " << now << "\n";
-  os << "cpu: halted=" << cpu_->halted() << " pc=" << cpu_->pc()
-     << " retired=" << cpu_->stats().value("cpu.retired")
-     << " load_stalls=" << cpu_->stats().value("cpu.load_stall_cycles")
-     << "\n";
-  os << hht_->describeState() << "\n";
+  os << "diagnostic dump at cycle " << now;
+  if (multi) os << " (" << numTiles() << " tiles)";
+  os << "\n";
+  for (std::uint32_t t = 0; t < numTiles(); ++t) {
+    const std::string tag = multi ? "tile " + std::to_string(t) + " " : "";
+    cpu::Core& core = *tiles_[t].cpu;
+    os << tag << "cpu: halted=" << core.halted() << " pc=" << core.pc()
+       << " retired=" << core.stats().value("cpu.retired")
+       << " load_stalls=" << core.stats().value("cpu.load_stall_cycles")
+       << "\n";
+    os << tag << tiles_[t].hht->describeState() << "\n";
+  }
   os << mem_->describeState();
   return os.str();
 }

@@ -80,7 +80,7 @@ isa::Program spmvVectorHht(const SpmvLayout& m,
                            Addr mmio_base = core::kDefaultMmioBase);
 
 /// Sharded HHT SpMV: the same kernels restricted to `shard`'s rows, for one
-/// tile of a MultiTileSystem (pass the tile's own MMIO window base). An
+/// tile of an N-tile System (pass the tile's own MMIO window base). An
 /// empty shard builds a trivial ecall-only program that never starts the
 /// tile's HHT. Program names encode the row range, so snapshots of
 /// different shards never collide.
@@ -92,7 +92,7 @@ isa::Program spmvVectorHhtShard(const SpmvLayout& m, const RowShard& shard,
 /// Chunk-queue HHT SpMV: instead of a fixed shard, the tile claims packed
 /// (row_begin << 12 | row_count) chunks from the shared work-queue device by
 /// loading `claim_addr` (its per-tile claim register,
-/// MultiTileSystem::workQueueBase() + 4*tile). Per chunk the CPU re-points
+/// System::workQueueBase() + 4*tile). Per chunk the CPU re-points
 /// M_Rows_Base / M_Num_Rows and re-pulses START (the SpMM re-configuration
 /// idiom), then runs the same per-row consumer loop as the static kernels —
 /// so each y[i] is still produced by exactly one tile with the single-tile

@@ -127,7 +127,7 @@ class MemorySystem {
   /// concurrent workers and still match the serial schedule bit for bit.
   RequestId submit(const MemAccess& access);
 
-  /// Epoch staging (threaded MultiTileSystem, DESIGN.md §11). Between
+  /// Epoch staging (threaded tile phase, DESIGN.md §11). Between
   /// beginStagedSubmission() and endStagedSubmission(), submit() validates,
   /// allocates the id and bumps the per-requester counters as usual but
   /// parks the access in a per-requester staging lane instead of the shared
@@ -176,19 +176,12 @@ class MemorySystem {
     trace_bucket_ = obs::kNoBucket;
   }
 
-  /// Wire the fault injector for tile 0 (nullptr = no injection, zero
-  /// cost). Injection applies to SRAM read grants: bit flips (detected by
-  /// ECC and retried up to FaultConfig::ecc_retry_limit times, else
-  /// poisoned), dropped responses (controller re-request after
-  /// drop_penalty_cycles) and delayed responses.
-  void setFaultInjector(sim::FaultInjector* injector) {
-    injectors_[0] = injector;
-  }
-
-  /// Per-tile injector wiring (multi-tile fault containment: each tile's
-  /// SRAM read traffic draws from its own seeded injector, so one tile's
-  /// fault history never perturbs another's). Tile 0 via the single-arg
-  /// overload is identical to setTileFaultInjector(0, ...).
+  /// Wire tile `tile`'s fault injector (nullptr = no injection, zero cost).
+  /// Injection applies to SRAM read grants: bit flips (detected by ECC and
+  /// retried up to FaultConfig::ecc_retry_limit times, else poisoned),
+  /// dropped responses (controller re-request after drop_penalty_cycles)
+  /// and delayed responses. Each tile's SRAM read traffic draws from its own
+  /// seeded injector, so one tile's fault history never perturbs another's.
   void setTileFaultInjector(std::uint32_t tile, sim::FaultInjector* injector) {
     if (tile >= config_.num_tiles) {
       throw sim::SimError(sim::ErrorKind::Config, "mem",

@@ -36,7 +36,7 @@ using sim::StatSet;
 /// victim's current locality).
 ///
 /// Arbitration: the device answers at most `claims_per_cycle` claims per
-/// simulated cycle (beginCycle() resets the budget; the MultiTileSystem
+/// simulated cycle (beginCycle() resets the budget; harness::System's
 /// run loop calls it just before MemorySystem::tick). A claim that misses
 /// the budget returns ready=false, which the memory system retries every
 /// cycle in per-requester FIFO order — the contention shows up as

@@ -11,7 +11,7 @@ namespace hht::serve {
 namespace {
 
 constexpr std::uint32_t kServeSnapshotVersion = 1;
-/// Same golden-ratio stride MultiTileSystem uses to give each tile its own
+/// Same golden-ratio stride harness::System uses to give each tile its own
 /// fault stream.
 constexpr std::uint64_t kTileSeedStride = 0x9E3779B97F4A7C15ull;
 constexpr std::uint64_t kAttemptSeedStride = 0xD1B54A32D192ED03ull;

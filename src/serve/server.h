@@ -81,7 +81,7 @@ struct ServerStats {
 /// SweepRunner thread pool may execute them concurrently), a faulty
 /// attempt cannot poison a later one, and crash recovery replays to
 /// bit-identical per-request outputs. Per-tile fault isolation follows the
-/// MultiTileSystem convention: tile t's injector seed mixes the tile index
+/// harness::System convention: tile t's injector seed mixes the tile index
 /// into the base seed with the same 0x9E3779B97F4A7C15 stride.
 ///
 /// Scheduling is batch-synchronous in simulated time: each batch dispatches

@@ -105,7 +105,7 @@ CosimReport runCosim(const CosimCase& c, const CosimOptions& opts) {
     }
 
     DifferentialOracle oracle(std::move(expected), opts.invariant_interval);
-    if (sys.asicHht() != nullptr) sys.asicHht()->addStreamTap(&oracle);
+    oracle.attach(sys);
 
     harness::RunResult res;
     if (opts.restore_snapshot != nullptr) {

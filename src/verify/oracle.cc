@@ -1,5 +1,6 @@
 #include "verify/oracle.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "sparse/reference.h"
@@ -135,21 +136,61 @@ std::vector<StreamEvent> expectedFlatStream(const sparse::BitVectorMatrix& m,
   return bitmapStream(nonzeros, m.numRows(), m.numCols(), v);
 }
 
-void DifferentialOracle::onDelivered(sim::Cycle now, bool is_row_end,
-                                     std::uint32_t bits) {
-  const sim::Cycle prev = last_cycle_;
-  last_cycle_ = now;
-  const std::uint64_t index = delivered_++;
-  if (divergence_) return;  // first divergence already latched; keep counting
+DifferentialOracle::DifferentialOracle(std::vector<StreamEvent> expected,
+                                       sim::Cycle check_interval)
+    : streams_(1), check_interval_(check_interval) {
+  streams_[0].expected = std::move(expected);
+}
 
-  if (index >= expected_.size()) {
+DifferentialOracle::DifferentialOracle(
+    std::vector<std::vector<StreamEvent>> expected_per_tile,
+    sim::Cycle check_interval)
+    : streams_(expected_per_tile.size()), check_interval_(check_interval) {
+  for (std::size_t t = 0; t < streams_.size(); ++t) {
+    streams_[t].expected = std::move(expected_per_tile[t]);
+  }
+}
+
+DifferentialOracle::DifferentialOracle(std::uint32_t num_tiles,
+                                       RowStreamFn row_stream,
+                                       sim::Cycle check_interval)
+    : streams_(num_tiles),
+      check_interval_(check_interval),
+      row_stream_(std::move(row_stream)) {}
+
+void DifferentialOracle::attach(harness::System& sys) {
+  if (sys.numTiles() != streams_.size()) {
+    throw sim::SimError(sim::ErrorKind::Config, "oracle",
+                        "oracle holds " + std::to_string(streams_.size()) +
+                            " expected streams, system has " +
+                            std::to_string(sys.numTiles()) + " tiles");
+  }
+  for (std::uint32_t t = 0; t < sys.numTiles(); ++t) {
+    if (core::Hht* hht = sys.asicHht(t)) hht->addStreamTap(&streams_[t]);
+  }
+}
+
+void DifferentialOracle::detach(harness::System& sys) {
+  for (std::uint32_t t = 0; t < sys.numTiles() && t < streams_.size(); ++t) {
+    if (core::Hht* hht = sys.asicHht(t)) hht->removeStreamTap(&streams_[t]);
+  }
+}
+
+void DifferentialOracle::Stream::onDelivered(sim::Cycle now, bool is_row_end,
+                                             std::uint32_t bits) {
+  const sim::Cycle prev = last_cycle;
+  last_cycle = now;
+  const std::uint64_t index = delivered++;
+  if (divergence) return;  // first divergence already latched; keep counting
+
+  if (index >= expected.size()) {
     latch({index, false, is_row_end, 0, bits, prev, now,
            "device delivered more elements than the functional model "
            "expects (" +
-               std::to_string(expected_.size()) + ")"});
+               std::to_string(expected.size()) + ")"});
     return;
   }
-  const StreamEvent& want = expected_[index];
+  const StreamEvent& want = expected[index];
   if (want.row_end != is_row_end) {
     latch({index, want.row_end, is_row_end, want.bits, bits, prev, now,
            "element kind mismatch"});
@@ -162,108 +203,6 @@ void DifferentialOracle::onDelivered(sim::Cycle now, bool is_row_end,
 }
 
 void DifferentialOracle::onCycle(harness::System& sys, sim::Cycle now) {
-  if (!occupancyCheckDue(now)) return;
-  const core::Hht* hht = sys.asicHht();
-  if (hht == nullptr) return;
-  checkOccupancy(*hht, now);
-}
-
-void DifferentialOracle::checkOccupancy(const core::Hht& hht, sim::Cycle now) {
-  if (divergence_) return;
-  const core::HhtConfig& cfg = hht.config();
-  const core::BufferPool& pool = hht.bufferPool();
-  if (pool.stagedSlots() > cfg.buffer_len) {
-    latch({delivered_, false, false, 0, 0, last_cycle_, now,
-           "FIFO invariant violated: staging holds " +
-               std::to_string(pool.stagedSlots()) + " slots > BLEN " +
-               std::to_string(cfg.buffer_len)});
-    return;
-  }
-  if (pool.publishedBuffers() > cfg.num_buffers) {
-    latch({delivered_, false, false, 0, 0, last_cycle_, now,
-           "FIFO invariant violated: " +
-               std::to_string(pool.publishedBuffers()) +
-               " published buffers > N " + std::to_string(cfg.num_buffers)});
-    return;
-  }
-  if (hht.emissionQueue().size() > cfg.emission_queue) {
-    latch({delivered_, false, false, 0, 0, last_cycle_, now,
-           "FIFO invariant violated: emission queue holds " +
-               std::to_string(hht.emissionQueue().size()) +
-               " entries > depth " + std::to_string(cfg.emission_queue)});
-  }
-}
-
-void DifferentialOracle::checkStreamComplete() {
-  if (divergence_) return;
-  if (delivered_ != expected_.size()) {
-    latch({delivered_, false, false, 0, 0, last_cycle_, last_cycle_,
-           "stream ended after " + std::to_string(delivered_) +
-               " elements; the functional model expects " +
-               std::to_string(expected_.size())});
-  }
-}
-
-void DifferentialOracle::checkFinal(const sparse::DenseVector& actual_y,
-                                    const sparse::DenseVector& expected_y) {
-  checkStreamComplete();
-  if (divergence_) return;
-  if (actual_y.size() != expected_y.size()) {
-    latch({delivered_, false, false, 0, 0, last_cycle_, last_cycle_,
-           "output vector length " + std::to_string(actual_y.size()) +
-               " != reference length " + std::to_string(expected_y.size())});
-    return;
-  }
-  for (sim::Index i = 0; i < expected_y.size(); ++i) {
-    if (bitsOf(actual_y[i]) != bitsOf(expected_y[i])) {
-      latch({delivered_, false, false, bitsOf(expected_y[i]),
-             bitsOf(actual_y[i]), last_cycle_, last_cycle_,
-             "output y[" + std::to_string(i) +
-                 "] differs from the reference kernel"});
-      return;
-    }
-  }
-}
-
-MultiTileOracle::MultiTileOracle(
-    std::vector<std::vector<StreamEvent>> expected_per_tile,
-    sim::Cycle check_interval) {
-  tiles_.reserve(expected_per_tile.size());
-  for (auto& expected : expected_per_tile) {
-    tiles_.emplace_back(std::move(expected), check_interval);
-  }
-}
-
-MultiTileOracle::MultiTileOracle(std::uint32_t num_tiles,
-                                 RowStreamFn row_stream,
-                                 sim::Cycle check_interval)
-    : row_stream_(std::move(row_stream)) {
-  tiles_.reserve(num_tiles);
-  for (std::uint32_t t = 0; t < num_tiles; ++t) {
-    tiles_.emplace_back(std::vector<StreamEvent>{}, check_interval);
-  }
-}
-
-void MultiTileOracle::attach(harness::MultiTileSystem& sys) {
-  if (sys.numTiles() != tiles_.size()) {
-    throw sim::SimError(sim::ErrorKind::Config, "oracle",
-                        "MultiTileOracle holds " +
-                            std::to_string(tiles_.size()) +
-                            " expected streams, system has " +
-                            std::to_string(sys.numTiles()) + " tiles");
-  }
-  for (std::uint32_t t = 0; t < sys.numTiles(); ++t) {
-    sys.hht(t).addStreamTap(&tiles_[t]);
-  }
-}
-
-void MultiTileOracle::detach(harness::MultiTileSystem& sys) {
-  for (std::uint32_t t = 0; t < sys.numTiles() && t < tiles_.size(); ++t) {
-    sys.hht(t).removeStreamTap(&tiles_[t]);
-  }
-}
-
-void MultiTileOracle::onCycle(harness::MultiTileSystem& sys, sim::Cycle now) {
   // Dynamic mode: fold newly granted claims into the claiming tiles'
   // expected streams. The observer runs after the memory tick that granted
   // them, and the first delivery of a claimed chunk is at least one cycle
@@ -274,39 +213,73 @@ void MultiTileOracle::onCycle(harness::MultiTileSystem& sys, sim::Cycle now) {
       const auto& log = wq->claimLog();
       for (; next_claim_ < log.size(); ++next_claim_) {
         const mem::ChunkQueueDevice::Claim& c = log[next_claim_];
-        tiles_.at(c.tile).appendExpected(row_stream_(c.row_begin, c.row_count));
+        std::vector<StreamEvent>& expected = streams_.at(c.tile).expected;
+        const std::vector<StreamEvent> more =
+            row_stream_(c.row_begin, c.row_count);
+        expected.insert(expected.end(), more.begin(), more.end());
       }
     }
   }
-  for (std::uint32_t t = 0; t < sys.numTiles() && t < tiles_.size(); ++t) {
-    if (tiles_[t].occupancyCheckDue(now)) {
-      tiles_[t].checkOccupancy(sys.hht(t), now);
+  if (check_interval_ == 0 || now % check_interval_ != 0) return;
+  for (std::uint32_t t = 0; t < sys.numTiles() && t < streams_.size(); ++t) {
+    if (const core::Hht* hht = sys.asicHht(t)) {
+      streams_[t].checkOccupancy(*hht, now);
     }
   }
 }
 
-void MultiTileOracle::checkFinal(const sparse::DenseVector& actual_y,
-                                 const sparse::DenseVector& expected_y) {
-  for (DifferentialOracle& tile : tiles_) tile.checkStreamComplete();
+void DifferentialOracle::Stream::checkOccupancy(const core::Hht& hht,
+                                                sim::Cycle now) {
+  if (divergence) return;
+  const core::HhtConfig& cfg = hht.config();
+  const core::BufferPool& pool = hht.bufferPool();
+  if (pool.stagedSlots() > cfg.buffer_len) {
+    latch({delivered, false, false, 0, 0, last_cycle, now,
+           "FIFO invariant violated: staging holds " +
+               std::to_string(pool.stagedSlots()) + " slots > BLEN " +
+               std::to_string(cfg.buffer_len)});
+    return;
+  }
+  if (pool.publishedBuffers() > cfg.num_buffers) {
+    latch({delivered, false, false, 0, 0, last_cycle, now,
+           "FIFO invariant violated: " +
+               std::to_string(pool.publishedBuffers()) +
+               " published buffers > N " + std::to_string(cfg.num_buffers)});
+    return;
+  }
+  if (hht.emissionQueue().size() > cfg.emission_queue) {
+    latch({delivered, false, false, 0, 0, last_cycle, now,
+           "FIFO invariant violated: emission queue holds " +
+               std::to_string(hht.emissionQueue().size()) +
+               " entries > depth " + std::to_string(cfg.emission_queue)});
+  }
+}
+
+void DifferentialOracle::checkFinal(const sparse::DenseVector& actual_y,
+                                    const sparse::DenseVector& expected_y) {
+  sim::Cycle last = 0;
+  for (Stream& s : streams_) {
+    last = std::max(last, s.last_cycle);
+    if (s.delivered != s.expected.size()) {
+      s.latch({s.delivered, false, false, 0, 0, s.last_cycle, s.last_cycle,
+               "stream ended after " + std::to_string(s.delivered) +
+                   " elements; the functional model expects " +
+                   std::to_string(s.expected.size())});
+    }
+  }
   if (y_divergence_) return;
+  const std::uint64_t index = delivered();
   if (actual_y.size() != expected_y.size()) {
-    y_divergence_ = {0,     false, false,
-                     0,     0,     0,
-                     0,     "output vector length " +
-                                std::to_string(actual_y.size()) +
-                                " != reference length " +
-                                std::to_string(expected_y.size())};
+    y_divergence_ = {index, false, false, 0, 0, last, last,
+                     "output vector length " + std::to_string(actual_y.size()) +
+                         " != reference length " +
+                         std::to_string(expected_y.size())};
     return;
   }
   for (sim::Index i = 0; i < expected_y.size(); ++i) {
     if (bitsOf(actual_y[i]) != bitsOf(expected_y[i])) {
-      y_divergence_ = {0,
-                       false,
-                       false,
-                       bitsOf(expected_y[i]),
-                       bitsOf(actual_y[i]),
-                       0,
-                       0,
+      y_divergence_ = {index, false, false, bitsOf(expected_y[i]),
+                       bitsOf(actual_y[i]), last, last,
                        "output y[" + std::to_string(i) +
                            "] differs from the reference kernel"};
       return;
@@ -314,19 +287,28 @@ void MultiTileOracle::checkFinal(const sparse::DenseVector& actual_y,
   }
 }
 
-bool MultiTileOracle::diverged() const {
-  if (y_divergence_) return true;
-  for (const DifferentialOracle& tile : tiles_) {
-    if (tile.diverged()) return true;
-  }
-  return false;
+bool DifferentialOracle::diverged() const {
+  return divergence().has_value();
 }
 
-std::string MultiTileOracle::describe() const {
+std::optional<Divergence> DifferentialOracle::divergence() const {
+  for (const Stream& s : streams_) {
+    if (s.divergence) return s.divergence;
+  }
+  return y_divergence_;
+}
+
+std::uint64_t DifferentialOracle::delivered() const {
+  std::uint64_t total = 0;
+  for (const Stream& s : streams_) total += s.delivered;
+  return total;
+}
+
+std::string DifferentialOracle::describe() const {
   std::ostringstream os;
-  for (std::size_t t = 0; t < tiles_.size(); ++t) {
-    if (tiles_[t].diverged()) {
-      os << "tile " << t << ": " << tiles_[t].divergence()->describe() << "\n";
+  for (std::size_t t = 0; t < streams_.size(); ++t) {
+    if (streams_[t].divergence) {
+      os << "tile " << t << ": " << streams_[t].divergence->describe() << "\n";
     }
   }
   if (y_divergence_) {

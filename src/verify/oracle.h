@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/multi_tile.h"
 #include "harness/system.h"
 #include "sim/probe.h"
 #include "sparse/csr.h"
@@ -64,8 +63,8 @@ std::vector<StreamEvent> expectedMergeV1Stream(const sparse::CsrMatrix& m,
 std::vector<StreamEvent> expectedStreamV2Stream(const sparse::CsrMatrix& m,
                                                 const sparse::SparseVector& v);
 
-// Shard-restricted variants: the expected stream of one tile of a
-// MultiTileSystem running the corresponding *Shard kernel — exactly the
+// Shard-restricted variants: the expected stream of one tile of an N-tile
+// System running the corresponding *Shard kernel — exactly the
 // full-matrix stream with the row loop clamped to the shard (the tile
 // streams of a run concatenate, in tile order, into the full stream).
 std::vector<StreamEvent> expectedGatherStreamShard(
@@ -89,86 +88,24 @@ std::vector<StreamEvent> expectedHierStream(const sparse::HierBitmapMatrix& m,
 std::vector<StreamEvent> expectedFlatStream(const sparse::BitVectorMatrix& m,
                                             const sparse::DenseVector& v);
 
-/// Differential co-simulation oracle.
+/// Differential co-simulation oracle, for a System of any tile count.
 ///
-/// Runs in lockstep with harness::System via two hooks:
-///  - sim::StreamTap (install with Hht::addStreamTap): every element the FE
-///    delivers to the CPU is compared against the expected stream; the
-///    first mismatch is latched as a Divergence with its cycle window.
-///  - harness::RunObserver (pass to System::run): every `check_interval`
-///    cycles the FIFO occupancy invariants are checked against the
-///    configured hardware sizes (staging <= BLEN, published buffers <= N,
-///    emission queue <= its depth).
+/// Runs in lockstep with the machine via two hooks:
+///  - one sim::StreamTap per tile (installed on each ASIC HHT by attach()):
+///    every element tile t's FE delivers to its CPU is compared against
+///    tile t's expected stream; the first mismatch is latched per tile as a
+///    Divergence with its cycle window.
+///  - harness::RunObserver (pass to System::run or addObserver): every
+///    `check_interval` cycles each tile's FIFO occupancy invariants are
+///    checked against the configured hardware sizes (staging <= BLEN,
+///    published buffers <= N, emission queue <= its depth); in chunk-queue
+///    mode it also folds the claim log into the expected streams.
 ///
-/// After the run, checkFinal() verifies the delivered-element count and the
-/// bit-exact output vector. The oracle never throws on divergence — it
-/// latches the first one and keeps observing, so a campaign driver can
-/// always collect the full report and decide what to do.
-class DifferentialOracle : public sim::StreamTap, public harness::RunObserver {
- public:
-  explicit DifferentialOracle(std::vector<StreamEvent> expected,
-                              sim::Cycle check_interval = 64)
-      : expected_(std::move(expected)), check_interval_(check_interval) {}
-
-  void onDelivered(sim::Cycle now, bool is_row_end,
-                   std::uint32_t bits) override;
-  void onCycle(harness::System& sys, sim::Cycle now) override;
-
-  /// The FIFO-occupancy invariant check against `hht`'s own configured
-  /// sizes, independent of where the device lives — onCycle delegates here
-  /// for a System's device, and MultiTileOracle calls it per tile. Latches
-  /// (never throws) like every other check.
-  void checkOccupancy(const core::Hht& hht, sim::Cycle now);
-
-  /// Whether `now` is an occupancy-sampling cycle (check_interval gating;
-  /// interval 0 disables sampling entirely).
-  bool occupancyCheckDue(sim::Cycle now) const {
-    return check_interval_ != 0 && now % check_interval_ == 0;
-  }
-
-  /// Post-run checks: the whole expected stream was delivered and the
-  /// output vector matches the reference bit-for-bit.
-  void checkFinal(const sparse::DenseVector& actual_y,
-                  const sparse::DenseVector& expected_y);
-
-  /// Post-run stream-completeness check alone (no output comparison) — the
-  /// per-tile half of a multi-tile checkFinal, where y is shared and
-  /// compared once globally.
-  void checkStreamComplete();
-
-  /// Extend the expected stream mid-run — the per-row dynamic mode: a
-  /// chunk-queue run's row->tile mapping is decided by the arbiter, so the
-  /// MultiTileOracle appends each tile's expected events as the claim log
-  /// reveals which rows it won. Safe because a claim's first delivery is
-  /// always at least one cycle after the observer sees the claim (the CPU
-  /// still has to reprogram and START the HHT).
-  void appendExpected(std::vector<StreamEvent> more) {
-    expected_.insert(expected_.end(), more.begin(), more.end());
-  }
-
-  bool diverged() const { return divergence_.has_value(); }
-  const std::optional<Divergence>& divergence() const { return divergence_; }
-  std::uint64_t delivered() const { return delivered_; }
-
- private:
-  void latch(Divergence d) {
-    if (!divergence_) divergence_ = std::move(d);
-  }
-
-  std::vector<StreamEvent> expected_;
-  sim::Cycle check_interval_;
-  std::uint64_t delivered_ = 0;
-  sim::Cycle last_cycle_ = 0;
-  std::optional<Divergence> divergence_;
-};
-
-/// Multi-tile differential oracle: one DifferentialOracle (and so one
-/// stream tap) per tile, each holding that tile's shard-restricted expected
-/// stream, plus the per-cycle occupancy sweep over every tile's device.
-/// Divergences latch per tile; the shared output vector is checked once
-/// globally in checkFinal. Like the single-tile oracle it never throws —
-/// campaign drivers collect the report.
-class MultiTileOracle : public harness::MultiTileObserver {
+/// After the run, checkFinal() verifies every tile's delivered-element
+/// count, then the shared output vector bit-exactly, once. The oracle
+/// never throws on divergence — it latches and keeps observing, so a
+/// campaign driver can always collect the full report.
+class DifferentialOracle : public harness::RunObserver {
  public:
   /// Builds the expected events of one claimed row window [row_begin,
   /// row_begin + row_count) — wrap the matching expected*StreamShard
@@ -176,48 +113,75 @@ class MultiTileOracle : public harness::MultiTileObserver {
   using RowStreamFn = std::function<std::vector<StreamEvent>(
       std::uint32_t row_begin, std::uint32_t row_count)>;
 
-  /// `expected_per_tile.size()` must equal the system's tile count at
-  /// attach(). check_interval gates the occupancy sweep (0 disables).
-  explicit MultiTileOracle(
+  /// The 1-tile machine: one expected stream. check_interval gates the
+  /// occupancy sampling (0 disables it).
+  explicit DifferentialOracle(std::vector<StreamEvent> expected,
+                              sim::Cycle check_interval = 64);
+
+  /// One expected stream per tile; the count must equal the system's tile
+  /// count at attach().
+  explicit DifferentialOracle(
       std::vector<std::vector<StreamEvent>> expected_per_tile,
       sim::Cycle check_interval = 64);
 
   /// Per-row dynamic mode for chunk-queue runs: every tile starts with an
   /// empty expected stream, and onCycle drains the work-queue claim log,
   /// appending `row_stream(row_begin, row_count)` to the claiming tile's
-  /// oracle — so the expectation follows whatever row->tile mapping the
+  /// stream — so the expectation follows whatever row->tile mapping the
   /// arbiter produced. Requires the system to have a work queue and a
   /// fresh (not restored mid-run) claim log.
-  MultiTileOracle(std::uint32_t num_tiles, RowStreamFn row_stream,
-                  sim::Cycle check_interval = 64);
+  DifferentialOracle(std::uint32_t num_tiles, RowStreamFn row_stream,
+                     sim::Cycle check_interval = 64);
 
-  /// Install tile t's oracle as a stream tap on sys.hht(t). Pair with
-  /// detach() before the system (or this oracle) is destroyed.
-  void attach(harness::MultiTileSystem& sys);
-  void detach(harness::MultiTileSystem& sys);
+  /// Install tile t's stream tap on sys.asicHht(t) (the programmable HHT
+  /// has no tap surface and is skipped). Pair with detach() before the
+  /// system (or this oracle) is destroyed.
+  void attach(harness::System& sys);
+  void detach(harness::System& sys);
 
-  void onCycle(harness::MultiTileSystem& sys, sim::Cycle now) override;
+  void onCycle(harness::System& sys, sim::Cycle now) override;
 
-  /// Post-run: every tile's stream completed, and the shared output vector
-  /// matches the reference bit-for-bit.
+  /// Post-run checks: every tile's whole expected stream was delivered,
+  /// and the shared output vector matches the reference bit-for-bit.
   void checkFinal(const sparse::DenseVector& actual_y,
                   const sparse::DenseVector& expected_y);
 
   bool diverged() const;
+  bool diverged(std::uint32_t tile) const {
+    return streams_.at(tile).divergence.has_value();
+  }
+  /// The first latched divergence: the lowest diverged tile's, else the
+  /// output vector's.
+  std::optional<Divergence> divergence() const;
+  /// Elements delivered, over all tiles or by one tile.
+  std::uint64_t delivered() const;
+  std::uint64_t delivered(std::uint32_t tile) const {
+    return streams_.at(tile).delivered;
+  }
   /// All latched divergences, one line per tile, for a campaign report.
   std::string describe() const;
-  std::uint32_t numTiles() const {
-    return static_cast<std::uint32_t>(tiles_.size());
-  }
-  DifferentialOracle& tileOracle(std::uint32_t tile) {
-    return tiles_.at(tile);
-  }
 
  private:
-  std::vector<DifferentialOracle> tiles_;  ///< stable: sized once in the ctor
+  /// One tile's expected stream and the tap that checks it.
+  struct Stream : sim::StreamTap {
+    std::vector<StreamEvent> expected;
+    std::uint64_t delivered = 0;
+    sim::Cycle last_cycle = 0;
+    std::optional<Divergence> divergence;
+
+    void onDelivered(sim::Cycle now, bool is_row_end,
+                     std::uint32_t bits) override;
+    void checkOccupancy(const core::Hht& hht, sim::Cycle now);
+    void latch(Divergence d) {
+      if (!divergence) divergence = std::move(d);
+    }
+  };
+
+  std::vector<Stream> streams_;  ///< stable: sized once in the ctor
+  sim::Cycle check_interval_;
   std::optional<Divergence> y_divergence_;
-  RowStreamFn row_stream_;        ///< set = per-row dynamic mode
-  std::size_t next_claim_ = 0;    ///< claim-log drain cursor (dynamic mode)
+  RowStreamFn row_stream_;      ///< set = per-row dynamic mode
+  std::size_t next_claim_ = 0;  ///< claim-log drain cursor (dynamic mode)
 };
 
 }  // namespace hht::verify

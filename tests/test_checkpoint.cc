@@ -376,5 +376,113 @@ TEST(Checkpoint, MidDegradedSnapshotRejectsTheOriginalProgram) {
   }
 }
 
+/// The fifo-parity machine of the degraded tests above: every FIFO pop is
+/// corrupted, so the HHT kernel deterministically falls back.
+SystemConfig fifoParityConfig() {
+  SystemConfig cfg = defaultConfig();
+  cfg.faults.enabled = true;
+  cfg.faults.seed = 43;
+  cfg.faults.fifo_corrupt_rate = 1.0;
+  return cfg;
+}
+
+/// A snapshot taken 100 cycles into the degraded fallback rerun.
+std::vector<std::uint8_t> midDegradedSnapshot(const SystemConfig& cfg,
+                                              const CsrMatrix& m,
+                                              const DenseVector& v) {
+  System sys(cfg);
+  const kernels::SpmvLayout layout = loadSpmv(sys, m, v);
+  const isa::Program program =
+      kernels::spmvScalarHht(layout, cfg.memory.mmio_base);
+  const isa::Program fallback = kernels::spmvScalarBaseline(layout);
+  CheckpointInDegraded observer(fallback, 100);
+  sys.run(program, layout.y, layout.num_rows, 500'000'000, &fallback,
+          &observer);
+  return observer.snapshot();
+}
+
+// A rejected restore must not leave the machine half-degraded: the
+// continuation fields are committed only after the whole payload parsed.
+TEST(Checkpoint, RejectedDegradedSnapshotLeavesNoDegradedState) {
+  const SystemConfig cfg = fifoParityConfig();
+  sim::Rng rng(22);
+  const CsrMatrix m = workload::randomCsr(rng, 24, 24, 0.4);
+  const DenseVector v = workload::randomDenseVector(rng, 24);
+  const std::vector<std::uint8_t> snap = midDegradedSnapshot(cfg, m, v);
+  ASSERT_FALSE(snap.empty());
+
+  System target(cfg);
+  const kernels::SpmvLayout layout = loadSpmv(target, m, v);
+  const isa::Program fallback = kernels::spmvScalarBaseline(layout);
+  const std::vector<std::uint8_t> cut(snap.begin(), snap.end() - 8);
+  try {
+    target.restore(cut, fallback);
+    ADD_FAILURE() << "restore accepted a truncated snapshot";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Checkpoint) << e.what();
+  }
+  EXPECT_FALSE(target.degradedActive());
+}
+
+/// Counts the cycles observed with degradedActive() set, and checkpoints
+/// the running program once at cycle `at`.
+class DegradedProbe : public RunObserver {
+ public:
+  DegradedProbe(const isa::Program& program, Cycle at)
+      : program_(&program), at_(at) {}
+
+  void onCycle(System& sys, Cycle now) override {
+    if (sys.degradedActive()) ++degraded_cycles_;
+    if (now == at_) snapshot_ = sys.checkpoint(*program_, now + 1);
+  }
+
+  Cycle degradedCycles() const { return degraded_cycles_; }
+  const std::vector<std::uint8_t>& snapshot() const { return snapshot_; }
+
+ private:
+  const isa::Program* program_;
+  Cycle at_;
+  Cycle degraded_cycles_ = 0;
+  std::vector<std::uint8_t> snapshot_;
+};
+
+// run() starts a fresh primary run even on a System restored mid-degraded:
+// observers never see degradedActive(), and a checkpoint taken during that
+// run restores as a primary-run checkpoint, not as a stale fallback.
+TEST(Checkpoint, RunAfterDegradedRestoreIsAPrimaryRun) {
+  const SystemConfig cfg = fifoParityConfig();
+  sim::Rng rng(22);
+  const CsrMatrix m = workload::randomCsr(rng, 24, 24, 0.4);
+  const DenseVector v = workload::randomDenseVector(rng, 24);
+  const std::vector<std::uint8_t> snap = midDegradedSnapshot(cfg, m, v);
+  ASSERT_FALSE(snap.empty());
+
+  System sys(cfg);
+  const kernels::SpmvLayout layout = loadSpmv(sys, m, v);
+  // CPU-only, so the FIFO faults cannot touch it.
+  const isa::Program fresh = kernels::spmvScalarBaseline(layout);
+  sys.restore(snap, fresh);
+  ASSERT_TRUE(sys.degradedActive());
+
+  DegradedProbe probe(fresh, 1000);
+  const RunResult primary = sys.run(fresh, layout.y, layout.num_rows,
+                                    500'000'000, nullptr, &probe);
+  EXPECT_EQ(probe.degradedCycles(), 0u);
+  EXPECT_FALSE(sys.degradedActive());
+  EXPECT_FALSE(primary.degraded);
+  EXPECT_EQ(primary.fault_cause, sim::FaultCause::None);
+  ASSERT_FALSE(probe.snapshot().empty()) << "run ended before cycle 1000";
+
+  System again(cfg);
+  const Cycle start = again.restore(probe.snapshot(), fresh);
+  EXPECT_FALSE(again.degradedActive());
+  const RunResult resumed =
+      again.resume(fresh, layout.y, layout.num_rows, start);
+  EXPECT_FALSE(resumed.degraded);
+  EXPECT_EQ(resumed.fault_cause, sim::FaultCause::None);
+  EXPECT_TRUE(resumed.fault_detail.empty());
+  expectIdentical(primary, resumed);
+}
+
 }  // namespace
 }  // namespace hht::harness

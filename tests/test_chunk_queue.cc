@@ -226,7 +226,7 @@ TEST(ChunkQueue, SpmspvBothVariantsBitIdentical) {
 
 TEST(ChunkQueue, PerRowOracleStaysCleanOnDynamicSchedule) {
   const SystemConfig cfg = cqConfig(4);
-  MultiTileSystem sys(cfg);
+  System sys(cfg);
   const sparse::CsrMatrix m = skewedMatrix(0xD1D2);
   sim::Rng rng(0xD1D3);
   const sparse::DenseVector v = workload::randomDenseVector(rng, m.numCols());
@@ -241,20 +241,20 @@ TEST(ChunkQueue, PerRowOracleStaysCleanOnDynamicSchedule) {
   }
   // Per-row dynamic mode: expectations follow the claim log, per claimed
   // row window.
-  verify::MultiTileOracle oracle(
+  verify::DifferentialOracle oracle(
       4, [&](std::uint32_t row_begin, std::uint32_t row_count) {
         return verify::expectedGatherStreamShard(
             m, v, {row_begin, row_begin + row_count, 0});
       });
   oracle.attach(sys);
-  const RunResult r =
-      sys.run(programs, layout.y, layout.num_rows, 500'000'000, &oracle);
+  const RunResult r = sys.run(programs, layout.y, layout.num_rows,
+                              500'000'000, nullptr, &oracle);
   oracle.detach(sys);
   oracle.checkFinal(r.y, sparse::spmvCsr(m, v));
   EXPECT_FALSE(oracle.diverged()) << oracle.describe();
   std::uint64_t delivered = 0;
   for (std::uint32_t t = 0; t < 4; ++t) {
-    delivered += oracle.tileOracle(t).delivered();
+    delivered += oracle.delivered(t);
   }
   EXPECT_EQ(delivered, m.nnz());
 }
@@ -264,7 +264,7 @@ TEST(ChunkQueue, PerRowOracleLocalizesAnInjectedDivergence) {
   // the tile that claims that row (whichever it is) must latch, proving
   // the dynamic expectations really track the claim log.
   const SystemConfig cfg = cqConfig(2);
-  MultiTileSystem sys(cfg);
+  System sys(cfg);
   const sparse::CsrMatrix m = skewedMatrix(0xD1D4, 48);
   sim::Rng rng(0xD1D5);
   const sparse::DenseVector v = workload::randomDenseVector(rng, m.numCols());
@@ -276,7 +276,7 @@ TEST(ChunkQueue, PerRowOracleLocalizesAnInjectedDivergence) {
     programs.push_back(kernels::spmvVectorHhtChunkQueue(
         layout, sys.mmioBaseOf(t), sys.workQueueBase() + 4 * t));
   }
-  verify::MultiTileOracle oracle(
+  verify::DifferentialOracle oracle(
       2, [&](std::uint32_t row_begin, std::uint32_t row_count) {
         auto events = verify::expectedGatherStreamShard(
             m, v, {row_begin, row_begin + row_count, 0});
@@ -286,7 +286,8 @@ TEST(ChunkQueue, PerRowOracleLocalizesAnInjectedDivergence) {
         return events;
       });
   oracle.attach(sys);
-  sys.run(programs, layout.y, layout.num_rows, 500'000'000, &oracle);
+  sys.run(programs, layout.y, layout.num_rows, 500'000'000, nullptr,
+          &oracle);
   oracle.detach(sys);
   EXPECT_TRUE(oracle.diverged());
 }
@@ -301,7 +302,7 @@ TEST(ChunkQueue, CheckpointRestoreResumeRoundTripsQueueState) {
     kernels::SpmvLayout layout;
     std::vector<isa::Program> programs;
   };
-  const auto prepare = [&](MultiTileSystem& sys) {
+  const auto prepare = [&](System& sys) {
     Prepared p;
     p.layout = loadSpmv(sys.arena(), sys.memory().sram(), m, v);
     sys.workQueue()->seed(dealRowChunks(p.layout.num_rows, 4, 8));
@@ -312,17 +313,17 @@ TEST(ChunkQueue, CheckpointRestoreResumeRoundTripsQueueState) {
     return p;
   };
 
-  MultiTileSystem uninterrupted(cfg);
+  System uninterrupted(cfg);
   const Prepared w = prepare(uninterrupted);
   const RunResult base =
       uninterrupted.run(w.programs, w.layout.y, w.layout.num_rows);
   ASSERT_GT(base.cycles, 200u);
 
-  class CheckpointAt : public MultiTileObserver {
+  class CheckpointAt : public RunObserver {
    public:
     CheckpointAt(const std::vector<isa::Program>& programs, Cycle at)
         : programs_(&programs), at_(at) {}
-    void onCycle(MultiTileSystem& sys, Cycle now) override {
+    void onCycle(System& sys, Cycle now) override {
       if (now == at_ && snapshot_.empty()) {
         snapshot_ = sys.checkpoint(*programs_, now + 1);
       }
@@ -334,16 +335,16 @@ TEST(ChunkQueue, CheckpointRestoreResumeRoundTripsQueueState) {
     Cycle at_;
   };
 
-  MultiTileSystem observed(cfg);
+  System observed(cfg);
   const Prepared w2 = prepare(observed);
   // Checkpoint mid-run, when some chunks are claimed and some pending —
   // the interesting queue state.
   CheckpointAt observer(w2.programs, base.cycles / 2);
   observed.run(w2.programs, w2.layout.y, w2.layout.num_rows, 500'000'000,
-               &observer);
+               nullptr, &observer);
   ASSERT_FALSE(observer.snapshot_.empty());
 
-  MultiTileSystem resumed_sys(cfg);
+  System resumed_sys(cfg);
   const Prepared w3 = prepare(resumed_sys);
   const Cycle start = resumed_sys.restore(observer.snapshot_, w3.programs);
   const RunResult resumed = resumed_sys.resume(w3.programs, w3.layout.y,
@@ -363,7 +364,7 @@ TEST(ChunkQueue, SnapshotFingerprintSeparatesQueueOnFromOff) {
   sim::Rng rng(0xD1D9);
   const sparse::DenseVector v = workload::randomDenseVector(rng, m.numCols());
 
-  MultiTileSystem with_wq(cqConfig(2));
+  System with_wq(cqConfig(2));
   const kernels::SpmvLayout layout =
       loadSpmv(with_wq.arena(), with_wq.memory().sram(), m, v);
   with_wq.workQueue()->seed(dealRowChunks(layout.num_rows, 2, 8));
@@ -376,7 +377,7 @@ TEST(ChunkQueue, SnapshotFingerprintSeparatesQueueOnFromOff) {
 
   SystemConfig plain = cqConfig(2);
   plain.memory.work_queue_enabled = false;
-  MultiTileSystem without_wq(plain);
+  System without_wq(plain);
   loadSpmv(without_wq.arena(), without_wq.memory().sram(), m, v);
   try {
     without_wq.restore(snap, programs);
@@ -412,7 +413,7 @@ TEST(ChunkQueue, QueueWaitShowsUpInPerTileStallProfiles) {
   // attribute their stalls to the queue_wait bucket — and the buckets must
   // still partition the horizon exactly.
   const SystemConfig cfg = cqConfig(2);
-  MultiTileSystem sys(cfg);
+  System sys(cfg);
   const sparse::CsrMatrix m = skewedMatrix(0xD1DC, 48);
   sim::Rng rng(0xD1DD);
   const sparse::DenseVector v = workload::randomDenseVector(rng, m.numCols());

@@ -4,6 +4,10 @@
 // bundles and the fuzz campaign both stand on this property.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <ios>
+#include <string>
+
 #include "harness/experiment.h"
 #include "sparse/bitvector.h"
 #include "sparse/hier_bitmap.h"
@@ -119,6 +123,145 @@ TEST(Determinism, ResilientDriverUnderInjectedFaults) {
   const Operands ops = operands(0xDE'7E'06);
   twice("spmv-hht-resilient",
         [&] { return runSpmvHhtResilient(cfg, ops.m, ops.v, false); });
+}
+
+// ---------------------------------------------------------------------------
+// Pinned run digests: one FNV-1a hash over every scalar RunResult field,
+// the merged stats map and the bits of y, for one run of each machine
+// shape. The constants pin the simulated outcome itself — a change to the
+// harness that moves a single cycle, counter or output bit anywhere in
+// these runs fails here. Update them only for an intended timing change.
+// ---------------------------------------------------------------------------
+
+class Fnv {
+ public:
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001B3ull;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void str(const std::string& s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+std::uint64_t digest(const RunResult& r) {
+  Fnv h;
+  h.u64(r.cycles);
+  h.u64(r.retired);
+  h.u64(r.cpu_wait_cycles);
+  h.u64(r.hht_wait_cycles);
+  h.u64(r.hht_residual_busy);
+  h.u64(r.degraded);
+  h.u64(static_cast<std::uint64_t>(r.fault_cause));
+  h.str(r.fault_detail);
+  h.u64(r.y.size());
+  for (const float x : r.y.values()) h.u64(std::bit_cast<std::uint32_t>(x));
+  for (const auto& [name, value] : r.stats.all()) {
+    h.str(name);
+    h.u64(value);
+  }
+  return h.value();
+}
+
+void expectDigest(const char* label, const RunResult& r,
+                  std::uint64_t want) {
+  const std::uint64_t got = digest(r);
+  EXPECT_EQ(got, want) << label << ": digest 0x" << std::hex << got;
+}
+
+/// Timing-only faults a run without a fallback survives: dropped and
+/// delayed SRAM responses, never a device fault.
+SystemConfig withBenignFaults(SystemConfig cfg) {
+  cfg.faults.enabled = true;
+  cfg.faults.seed = 0xD16E57;
+  cfg.faults.drop_rate = 5e-3;
+  cfg.faults.delay_rate = 2e-2;
+  return cfg;
+}
+
+/// fig_scaleout's "l1ch" topology: per-tile L1s, four interleaved
+/// channels and the HHT stride prefetcher.
+SystemConfig l1chConfig() {
+  SystemConfig cfg = defaultConfig();
+  cfg.memory.policy = mem::ArbiterPolicy::RoundRobin;
+  mem::TopologyConfig& t = cfg.memory.topology;
+  t.tile_l1_enabled = true;
+  t.tile_l1.size_bytes = 4096;
+  t.tile_l1.line_bytes = 32;
+  t.tile_l1.ways = 4;
+  t.tile_l1.hit_latency = 1;
+  t.tile_l1.miss_penalty = 2;
+  t.hht_prefetch_enabled = true;
+  t.channels = 4;
+  t.interleave_bytes = 256;
+  return cfg;
+}
+
+TEST(Determinism, PinnedRunDigests) {
+  const SystemConfig cfg = defaultConfig();
+  const Operands ops = operands(0xD16E'01);
+  const sparse::HierBitmapMatrix hm =
+      sparse::HierBitmapMatrix::fromDense(ops.m.toDense());
+  const sparse::BitVectorMatrix bm =
+      sparse::BitVectorMatrix::fromDense(ops.m.toDense());
+  sim::Rng rng(0xD16E'02);
+  const CsrMatrix big = workload::randomCsr(rng, 96, 96, 0.7);
+  const DenseVector big_v = workload::randomDenseVector(rng, 96);
+
+  // The five ASIC engines on the paper's one-tile machine.
+  expectDigest("gather", runSpmvHht(cfg, ops.m, ops.v, true),
+               0xbdc4fe4d30553e90);
+  expectDigest("merge-v1", runSpmspvHht(cfg, ops.m, ops.sv, 1),
+               0x13433bfdaf891a3a);
+  expectDigest("stream-v2", runSpmspvHht(cfg, ops.m, ops.sv, 2),
+               0x47451cffbc772da7);
+  expectDigest("hier", runHierHht(cfg, hm, ops.v), 0xb766893369bcd473);
+  expectDigest("flat", runFlatHht(cfg, bm, ops.v), 0xab51d07052590173);
+  // The programmable HHT (firmware on the micro-core).
+  expectDigest("programmable", runSpmvProgHht(cfg, ops.m, ops.v, false),
+               0x9f7285f34502ced0);
+  {  // Every FIFO pop corrupted: the run degrades onto the scalar fallback.
+    SystemConfig faulty = cfg;
+    faulty.faults.enabled = true;
+    faulty.faults.seed = 0xD16E'03;
+    faulty.faults.fifo_corrupt_rate = 1.0;
+    const RunResult r = runSpmvHhtResilient(faulty, ops.m, ops.v, false);
+    EXPECT_TRUE(r.degraded);
+    expectDigest("degraded", r, 0x034be25e0ba3e8d8);
+  }
+  // Four tiles with faults on: static nnz-balanced shards and the chunk
+  // queue.
+  const SystemConfig faulty4 = withBenignFaults(cfg);
+  const RunResult shards = runSpmvHhtSharded(
+      faulty4, 4, Partition::NnzBalanced, big, big_v, true);
+  const RunResult queue = runSpmvHhtChunkQueue(faulty4, 4, big, big_v, true, 8);
+  for (const RunResult* r : {&shards, &queue}) {
+    EXPECT_GT(r->stats.value("mem.drop_recoveries"), 0u);
+    EXPECT_GT(r->stats.value("mem.delayed_responses"), 0u);
+  }
+  expectDigest("4-tile-shards-faults", shards, 0x6e7e10b43a947fa6);
+  expectDigest("4-tile-queue-faults", queue, 0x41f2ae6038df92a3);
+  // Sixteen tiles on the hierarchical l1ch topology.
+  expectDigest("16-tile-l1ch",
+               runSpmvHhtSharded(l1chConfig(), 16, Partition::NnzBalanced,
+                                 big, big_v, true),
+               0xa1031ee1d65470bb);
+  {  // Two tile workers (host-only: must match the serial schedule).
+    SystemConfig threaded = cfg;
+    threaded.tile_workers = 2;
+    expectDigest("4-tile-workers2",
+                 runSpmvHhtChunkQueue(threaded, 4, big, big_v, false, 8),
+                 0x4085a07b54034b1e);
+  }
 }
 
 }  // namespace

@@ -155,7 +155,7 @@ class FaultHarness {
     mem_.attachMmioDevice(&hht_);
     if (fc.enabled) {
       injector_ = std::make_unique<sim::FaultInjector>(fc);
-      mem_.setFaultInjector(injector_.get());
+      mem_.setTileFaultInjector(0, injector_.get());
       hht_.setFaultInjector(injector_.get());
     }
   }

@@ -1,9 +1,8 @@
 // Multi-tile scale-out tests (DESIGN.md §13): N-tile sharded kernels are
-// bit-identical to the single-tile System for SpMV and both SpMSpV
-// variants under both partitioners; the single-tile robustness features
-// (checkpoint/restore, differential oracle, per-tile stall profiles, the
-// event-scheduled run loop, watchdog and fault attribution) all carry over
-// to a multi-tile system.
+// bit-identical to the 1-tile machine for SpMV and both SpMSpV variants
+// under both partitioners; the robustness features (checkpoint/restore,
+// differential oracle, per-tile stall profiles, the event-scheduled run
+// loop, watchdog and fault attribution) all carry over to N tiles.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -104,13 +103,13 @@ TEST(MultiTile, OneTileShardedRunIsCycleIdenticalToSystem) {
   sim::Rng rng(0x71E7);
   const sparse::CsrMatrix m = workload::randomCsr(rng, 64, 64, 0.2);
   const sparse::DenseVector v = workload::randomDenseVector(rng, 64);
-  // Same config both sides (System requires num_tiles == 1).
+  // Same 1-tile config both sides.
   const SystemConfig cfg = defaultConfig();
   const RunResult single = runSpmvHht(cfg, m, v, true);
   const RunResult sharded =
       runSpmvHhtSharded(cfg, 1, Partition::Block, m, v, true);
   // The shard program is instruction-identical (only its name differs), so
-  // a 1-tile MultiTileSystem must reproduce the System cycle for cycle.
+  // the 1-tile sharded run must reproduce the unsharded one cycle for cycle.
   EXPECT_EQ(single.cycles, sharded.cycles);
   EXPECT_EQ(single.retired, sharded.retired);
   EXPECT_EQ(single.cpu_wait_cycles, sharded.cpu_wait_cycles);
@@ -131,35 +130,46 @@ TEST(MultiTile, MoreTilesThanRowsLeavesTrailingShardsEmpty) {
 }
 
 TEST(MultiTile, RejectsUnsupportedConfigsAndProgramCounts) {
-  {  // System stays single-tile.
+  {  // The programmable HHT is a 1-tile study.
     SystemConfig cfg = scaleConfig(2);
+    cfg.programmable_hht = true;
     try {
       System sys(cfg);
-      ADD_FAILURE() << "System accepted num_tiles=2";
+      ADD_FAILURE() << "System accepted programmable_hht on 2 tiles";
     } catch (const SimError& e) {
       EXPECT_EQ(e.kind(), ErrorKind::Config);
     }
   }
-  {  // MultiTileSystem is ASIC-only.
-    SystemConfig cfg = scaleConfig(2);
-    cfg.programmable_hht = true;
-    EXPECT_THROW(MultiTileSystem sys(cfg), SimError);
-  }
   {  // Fault injection is supported per tile: one injector per tile, the
-     // tile-0 stream seeded identically to a System's.
+     // tile-0 stream seeded identically to the 1-tile machine's.
     SystemConfig cfg = scaleConfig(2);
     cfg.faults.enabled = true;
     cfg.faults.drop_rate = 0.01;
-    MultiTileSystem sys(cfg);
+    System sys(cfg);
     EXPECT_NE(sys.faultInjector(0), nullptr);
     EXPECT_NE(sys.faultInjector(1), nullptr);
     EXPECT_NE(sys.faultInjector(0), sys.faultInjector(1));
   }
   {  // One program per tile, exactly.
-    MultiTileSystem sys(scaleConfig(2));
+    System sys(scaleConfig(2));
     std::vector<isa::Program> one{
         isa::ProgramBuilder("only_one").ecall().build()};
     EXPECT_THROW(sys.run(one, 0x1000, 1), SimError);
+  }
+  {  // A degradation fallback is 1-tile only: the serving layer owns the
+     // multi-tile degrade policy.
+    System sys(scaleConfig(2));
+    const std::vector<isa::Program> programs{
+        isa::ProgramBuilder("t0").ecall().build(),
+        isa::ProgramBuilder("t1").ecall().build()};
+    const isa::Program fallback =
+        isa::ProgramBuilder("fallback").ecall().build();
+    try {
+      sys.run(programs, 0x1000, 1, 500'000'000, &fallback);
+      ADD_FAILURE() << "a 2-tile run accepted a fallback program";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::Config);
+    }
   }
 }
 
@@ -172,7 +182,7 @@ struct ShardedWorkload {
   std::vector<isa::Program> programs;
 };
 
-ShardedWorkload prepare(MultiTileSystem& sys, std::uint64_t seed) {
+ShardedWorkload prepare(System& sys, std::uint64_t seed) {
   sim::Rng rng(seed);
   ShardedWorkload w;
   w.m = workload::randomCsr(rng, 64, 64, 0.3);
@@ -186,13 +196,13 @@ ShardedWorkload prepare(MultiTileSystem& sys, std::uint64_t seed) {
   return w;
 }
 
-/// Observer that checkpoints the running MultiTileSystem once, at `at`.
-class CheckpointAt : public MultiTileObserver {
+/// Observer that checkpoints the running System once, at `at`.
+class CheckpointAt : public RunObserver {
  public:
   CheckpointAt(const std::vector<isa::Program>& programs, Cycle at)
       : programs_(&programs), at_(at) {}
 
-  void onCycle(MultiTileSystem& sys, Cycle now) override {
+  void onCycle(System& sys, Cycle now) override {
     if (now == at_ && snapshot_.empty()) {
       snapshot_ = sys.checkpoint(*programs_, now + 1);
       resume_at_ = now + 1;
@@ -212,23 +222,23 @@ class CheckpointAt : public MultiTileObserver {
 TEST(MultiTile, CheckpointRestoreResumeIsBitIdenticalOn4Tiles) {
   const SystemConfig cfg = scaleConfig(4);
 
-  MultiTileSystem uninterrupted(cfg);
+  System uninterrupted(cfg);
   const ShardedWorkload w = prepare(uninterrupted, 0x4711);
   const RunResult base =
       uninterrupted.run(w.programs, w.layout.y, w.layout.num_rows);
   ASSERT_GT(base.cycles, 200u);
 
-  MultiTileSystem observed(cfg);
+  System observed(cfg);
   const ShardedWorkload w2 = prepare(observed, 0x4711);
   CheckpointAt observer(w2.programs, base.cycles / 2);
   const RunResult watched = observed.run(w2.programs, w2.layout.y,
                                          w2.layout.num_rows, 500'000'000,
-                                         &observer);
+                                         nullptr, &observer);
   EXPECT_EQ(base.cycles, watched.cycles);
   EXPECT_EQ(base.stats.all(), watched.stats.all());
   ASSERT_FALSE(observer.snapshot().empty());
 
-  MultiTileSystem resumed_sys(cfg);
+  System resumed_sys(cfg);
   const Cycle start =
       resumed_sys.restore(observer.snapshot(), w2.programs);
   EXPECT_EQ(start, observer.resumeAt());
@@ -243,12 +253,12 @@ TEST(MultiTile, CheckpointRestoreResumeIsBitIdenticalOn4Tiles) {
 
 TEST(MultiTile, RestoreRejectsTileCountAndProgramMismatch) {
   const SystemConfig cfg = scaleConfig(4);
-  MultiTileSystem sys(cfg);
+  System sys(cfg);
   const ShardedWorkload w = prepare(sys, 0x4712);
   const std::vector<std::uint8_t> snap = sys.checkpoint(w.programs, 0);
 
   {  // Same snapshot into a 2-tile system: fingerprint already differs.
-    MultiTileSystem target(scaleConfig(2));
+    System target(scaleConfig(2));
     ShardedWorkload w2 = prepare(target, 0x4712);
     try {
       target.restore(snap, w2.programs);
@@ -258,7 +268,7 @@ TEST(MultiTile, RestoreRejectsTileCountAndProgramMismatch) {
     }
   }
   {  // Right tile count, one wrong program.
-    MultiTileSystem target(cfg);
+    System target(cfg);
     ShardedWorkload w2 = prepare(target, 0x4712);
     w2.programs[2] = isa::ProgramBuilder("imposter").ecall().build();
     try {
@@ -270,14 +280,37 @@ TEST(MultiTile, RestoreRejectsTileCountAndProgramMismatch) {
   }
 }
 
+TEST(MultiTile, RestoreRejectsASnapshotOfAnotherTileCount) {
+  // One snapshot path serves every tile count, so a 1-tile snapshot must
+  // not restore into a 4-tile machine, nor the reverse.
+  System one(scaleConfig(1));
+  const ShardedWorkload w1 = prepare(one, 0x4714);
+  System four(scaleConfig(4));
+  const ShardedWorkload w4 = prepare(four, 0x4714);
+  const std::vector<std::uint8_t> snap1 = one.checkpoint(w1.programs, 0);
+  const std::vector<std::uint8_t> snap4 = four.checkpoint(w4.programs, 0);
+  const auto expectRejected = [](System& target,
+                                 const std::vector<std::uint8_t>& snap,
+                                 const std::vector<isa::Program>& programs) {
+    try {
+      target.restore(snap, programs);
+      ADD_FAILURE() << "restore accepted a snapshot of another tile count";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::Checkpoint) << e.what();
+    }
+  };
+  expectRejected(four, snap1, w4.programs);
+  expectRejected(one, snap4, w1.programs);
+}
+
 TEST(MultiTile, RestoreRejectsNewerSnapshotVersion) {
   const SystemConfig cfg = scaleConfig(4);
-  MultiTileSystem sys(cfg);
+  System sys(cfg);
   const ShardedWorkload w = prepare(sys, 0x4713);
   std::vector<std::uint8_t> snap = sys.checkpoint(w.programs, 0);
   const std::uint32_t newer = kSnapshotVersion + 1;
   std::memcpy(snap.data() + 4, &newer, sizeof newer);  // version field
-  MultiTileSystem target(cfg);
+  System target(cfg);
   ShardedWorkload w2 = prepare(target, 0x4713);
   try {
     target.restore(snap, w2.programs);
@@ -291,7 +324,7 @@ TEST(MultiTile, RestoreRejectsNewerSnapshotVersion) {
 
 TEST(MultiTile, DifferentialOracleTapsEveryTileAndStaysClean) {
   const SystemConfig cfg = scaleConfig(2);
-  MultiTileSystem sys(cfg);
+  System sys(cfg);
   sim::Rng rng(0x4714);
   const sparse::CsrMatrix m = workload::randomCsr(rng, 48, 48, 0.35);
   const sparse::SparseVector v = workload::randomSparseVector(rng, 48, 0.5);
@@ -307,20 +340,21 @@ TEST(MultiTile, DifferentialOracleTapsEveryTileAndStaysClean) {
         kernels::spmspvHhtV1Shard(layout, shards[t], sys.mmioBaseOf(t)));
   }
 
-  verify::MultiTileOracle oracle(std::move(expected));
+  verify::DifferentialOracle oracle(std::move(expected));
   oracle.attach(sys);
   const RunResult r =
-      sys.run(programs, layout.y, layout.num_rows, 500'000'000, &oracle);
+      sys.run(programs, layout.y, layout.num_rows, 500'000'000, nullptr,
+              &oracle);
   oracle.detach(sys);
   oracle.checkFinal(r.y, sparse::spmspvMerge(m, v));
   EXPECT_FALSE(oracle.diverged()) << oracle.describe();
-  EXPECT_GT(oracle.tileOracle(0).delivered(), 0u);
-  EXPECT_GT(oracle.tileOracle(1).delivered(), 0u);
+  EXPECT_GT(oracle.delivered(0), 0u);
+  EXPECT_GT(oracle.delivered(1), 0u);
 }
 
 TEST(MultiTile, OracleCatchesACorruptedTileStream) {
   const SystemConfig cfg = scaleConfig(2);
-  MultiTileSystem sys(cfg);
+  System sys(cfg);
   const ShardedWorkload w = prepare(sys, 0x4715);
 
   std::vector<std::vector<verify::StreamEvent>> expected;
@@ -332,18 +366,19 @@ TEST(MultiTile, OracleCatchesACorruptedTileStream) {
   // tile 1 (the taps are per-tile, so divergence localizes).
   ASSERT_FALSE(expected[1].empty());
   expected[1][0].bits ^= 0x00400000;
-  verify::MultiTileOracle oracle(std::move(expected));
+  verify::DifferentialOracle oracle(std::move(expected));
   oracle.attach(sys);
-  sys.run(w.programs, w.layout.y, w.layout.num_rows, 500'000'000, &oracle);
+  sys.run(w.programs, w.layout.y, w.layout.num_rows, 500'000'000, nullptr,
+          &oracle);
   oracle.detach(sys);
-  EXPECT_FALSE(oracle.tileOracle(0).diverged());
-  EXPECT_TRUE(oracle.tileOracle(1).diverged());
+  EXPECT_FALSE(oracle.diverged(0));
+  EXPECT_TRUE(oracle.diverged(1));
   EXPECT_TRUE(oracle.diverged());
 }
 
 TEST(MultiTile, PerTileStallProfilesPartitionTheSharedHorizon) {
   SystemConfig cfg = scaleConfig(2);
-  MultiTileSystem sys(cfg);
+  System sys(cfg);
   const ShardedWorkload w = prepare(sys, 0x4716);
   obs::TraceSink sink0, sink1;
   sys.setTileTraceSink(0, &sink0);
@@ -432,7 +467,7 @@ DiffOutcome runDiffCase(const DiffCase& c, bool fastforward) {
     cfg.faults.sram_read_flip_rate = 2e-3;
     cfg.faults.fifo_corrupt_rate = 2e-3;
   }
-  MultiTileSystem sys(cfg);
+  System sys(cfg);
   // Deep stalls get a smaller matrix: every load costs 512 cycles.
   const sim::Index n = c.sram_latency >= 512 ? 16 : 40;
   sim::Rng rng(0xD1FF'0000 + c.tiles);
@@ -567,7 +602,7 @@ TEST(MultiTile, RandomizedRunLoopDifferential) {
 
 /// Blocking pop of tile `tile`'s BUF_DATA without ever starting its HHT:
 /// the core retries the MMIO read forever with zero forward progress.
-isa::Program orphanPop(const MultiTileSystem& sys, std::uint32_t tile) {
+isa::Program orphanPop(const System& sys, std::uint32_t tile) {
   isa::ProgramBuilder b("orphan_pop");
   b.li(isa::reg::a0, static_cast<std::int32_t>(sys.mmioBaseOf(tile) +
                                                core::mmr::kBufData));
@@ -596,7 +631,7 @@ TEST(MultiTile, WedgedTileWatchdogNamesTheTileInBothLoopModes) {
     SystemConfig cfg = scaleConfig(4);
     cfg.watchdog_cycles = 2000;
     cfg.host_fastforward = fastforward;
-    MultiTileSystem sys(cfg);
+    System sys(cfg);
     ShardedWorkload w = prepare(sys, 0x4740);
     w.programs[2] = orphanPop(sys, 2);
     return captureError([&] {
@@ -626,7 +661,7 @@ TEST(MultiTile, DeviceFaultNamesTheSameTileInBothLoopModes) {
     cfg.faults.seed = 0xFA17;
     cfg.faults.fifo_corrupt_rate = 1.0;
     cfg.host_fastforward = fastforward;
-    MultiTileSystem sys(cfg);
+    System sys(cfg);
     const ShardedWorkload w = prepare(sys, 0x4741);
     return captureError(
         [&] { sys.run(w.programs, w.layout.y, w.layout.num_rows); });
@@ -652,7 +687,7 @@ TEST(MultiTile, ThreadedTilePhaseIsByteIdenticalToSerial) {
   for (const std::uint32_t tiles : {2u, 4u, 8u}) {
     SystemConfig serial_cfg = scaleConfig(tiles);
     serial_cfg.tile_workers = 1;
-    MultiTileSystem serial_sys(serial_cfg);
+    System serial_sys(serial_cfg);
     const ShardedWorkload ws = prepare(serial_sys, 0x4720 + tiles);
     const RunResult serial =
         serial_sys.run(ws.programs, ws.layout.y, ws.layout.num_rows);
@@ -662,7 +697,7 @@ TEST(MultiTile, ThreadedTilePhaseIsByteIdenticalToSerial) {
     for (const std::uint32_t workers : {2u, 4u}) {
       SystemConfig thr_cfg = scaleConfig(tiles);
       thr_cfg.tile_workers = workers;
-      MultiTileSystem thr_sys(thr_cfg);
+      System thr_sys(thr_cfg);
       const ShardedWorkload wt = prepare(thr_sys, 0x4720 + tiles);
       const RunResult thr =
           thr_sys.run(wt.programs, wt.layout.y, wt.layout.num_rows);
@@ -691,7 +726,7 @@ TEST(MultiTile, ThreadedTilePhaseEmitsIdenticalTraces) {
   const auto run = [&](std::uint32_t workers) {
     SystemConfig cfg = scaleConfig(tiles);
     cfg.tile_workers = workers;
-    MultiTileSystem sys(cfg);
+    System sys(cfg);
     const ShardedWorkload w = prepare(sys, 0x4730);
     std::vector<obs::TraceSink> sinks(tiles);
     for (std::uint32_t t = 0; t < tiles; ++t) {
@@ -765,7 +800,7 @@ TEST(MultiTile, HierarchicalRunStaysCleanUnderDifferentialOracle) {
   // upstream of the memory topology — a hierarchical run must deliver the
   // exact same functional stream to every tap.
   const SystemConfig cfg = hierConfig(2);
-  MultiTileSystem sys(cfg);
+  System sys(cfg);
   sim::Rng rng(0x71F1);
   const sparse::CsrMatrix m = workload::randomCsr(rng, 48, 48, 0.35);
   const sparse::SparseVector v = workload::randomSparseVector(rng, 48, 0.5);
@@ -781,15 +816,16 @@ TEST(MultiTile, HierarchicalRunStaysCleanUnderDifferentialOracle) {
         kernels::spmspvHhtV1Shard(layout, shards[t], sys.mmioBaseOf(t)));
   }
 
-  verify::MultiTileOracle oracle(std::move(expected));
+  verify::DifferentialOracle oracle(std::move(expected));
   oracle.attach(sys);
   const RunResult r =
-      sys.run(programs, layout.y, layout.num_rows, 500'000'000, &oracle);
+      sys.run(programs, layout.y, layout.num_rows, 500'000'000, nullptr,
+              &oracle);
   oracle.detach(sys);
   oracle.checkFinal(r.y, sparse::spmspvMerge(m, v));
   EXPECT_FALSE(oracle.diverged()) << oracle.describe();
-  EXPECT_GT(oracle.tileOracle(0).delivered(), 0u);
-  EXPECT_GT(oracle.tileOracle(1).delivered(), 0u);
+  EXPECT_GT(oracle.delivered(0), 0u);
+  EXPECT_GT(oracle.delivered(1), 0u);
   // The run really went through the hierarchy: local hits happened and the
   // shared level spread across more than one channel.
   EXPECT_GT(r.stats.value("mem.l1.hits"), 0u);
@@ -804,20 +840,20 @@ TEST(MultiTile, HierarchicalCheckpointRestoreResumeIsBitIdentical) {
   // all restore mid-run and the continuation is bit-identical.
   const SystemConfig cfg = hierConfig(4);
 
-  MultiTileSystem uninterrupted(cfg);
+  System uninterrupted(cfg);
   const ShardedWorkload w = prepare(uninterrupted, 0x4719);
   const RunResult base =
       uninterrupted.run(w.programs, w.layout.y, w.layout.num_rows);
   ASSERT_GT(base.cycles, 200u);
 
-  MultiTileSystem observed(cfg);
+  System observed(cfg);
   const ShardedWorkload w2 = prepare(observed, 0x4719);
   CheckpointAt observer(w2.programs, base.cycles / 2);
   observed.run(w2.programs, w2.layout.y, w2.layout.num_rows, 500'000'000,
-               &observer);
+               nullptr, &observer);
   ASSERT_FALSE(observer.snapshot().empty());
 
-  MultiTileSystem resumed_sys(cfg);
+  System resumed_sys(cfg);
   const Cycle start = resumed_sys.restore(observer.snapshot(), w2.programs);
   const RunResult resumed = resumed_sys.resume(w2.programs, w2.layout.y,
                                                w2.layout.num_rows, start);
@@ -830,7 +866,7 @@ TEST(MultiTile, HierarchicalCheckpointRestoreResumeIsBitIdentical) {
 
 TEST(MultiTile, StatsKeepTilePrefixedNamespaces) {
   const SystemConfig cfg = scaleConfig(2);
-  MultiTileSystem sys(cfg);
+  System sys(cfg);
   const ShardedWorkload w = prepare(sys, 0x4718);
   const RunResult r = sys.run(w.programs, w.layout.y, w.layout.num_rows);
   // Tile 0 keeps the historic names; tile 1 is prefixed — both CPU-side

@@ -479,12 +479,11 @@ TEST(GoldenTrace, OracleTapAndTraceSinkCoexist) {
       kernels::spmvScalarHht(layout, cfg.memory.mmio_base);
 
   verify::DifferentialOracle oracle(verify::expectedGatherStream(w.m, w.v));
-  ASSERT_NE(sys.asicHht(), nullptr);
-  sys.asicHht()->addStreamTap(&oracle);
+  oracle.attach(sys);
   sys.addObserver(&oracle);
   const RunResult res = sys.run(program, layout.y, layout.num_rows);
   sys.removeObserver(&oracle);
-  sys.asicHht()->removeStreamTap(&oracle);
+  oracle.detach(sys);
 
   EXPECT_FALSE(oracle.diverged());
   EXPECT_EQ(sys.hostSkippedCycles(), 0u);

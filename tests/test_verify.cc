@@ -136,7 +136,7 @@ TEST(Oracle, InjectedFlipIsCaughtAtTheExactElement) {
 }
 
 TEST(Oracle, FinalOutputMismatchIsADivergence) {
-  DifferentialOracle oracle({});
+  DifferentialOracle oracle(std::vector<StreamEvent>{});
   const DenseVector actual(std::vector<sparse::Value>{1.0f, 2.0f});
   const DenseVector expected(std::vector<sparse::Value>{1.0f, 3.0f});
   oracle.checkFinal(actual, expected);
