@@ -66,6 +66,10 @@ class EmissionQueue {
   }
 
   bool empty() const { return entries_.empty(); }
+  /// Is the head slot filled (drainable once the pool has room)?
+  bool headFilled() const {
+    return !entries_.empty() && entries_.front().has_value();
+  }
   std::size_t size() const { return entries_.size(); }
 
   void reset() {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "core/buffers.h"
@@ -44,7 +45,9 @@ struct EngineContext {
 class Engine {
  public:
   explicit Engine(const EngineContext& ctx)
-      : ctx_(ctx), c_mem_reads_(&ctx_.stats.counter("hht.mem_reads")) {}
+      : ctx_(ctx),
+        port_(mem::requesterIndex(mem::Requester::Hht, ctx.tile)),
+        c_mem_reads_(&ctx_.stats.counter("hht.mem_reads")) {}
   virtual ~Engine() = default;
 
   Engine(const Engine&) = delete;
@@ -56,10 +59,20 @@ class Engine {
   /// queue (the queue and buffers may still hold undelivered slots).
   virtual bool done() const = 0;
 
+  /// Quiescence protocol (DESIGN.md §11): true when no tick can change
+  /// this engine's state (beyond what creditSkippedCycles credits) until a
+  /// new response reaches this tile's BE port — no walker wants to issue,
+  /// no row needs configuring, and a merge step can only wait or stall
+  /// behind a full emission queue. The device then sleeps until
+  /// MemorySystem::requesterReadyCycle. The default (never) is always
+  /// correct.
+  virtual bool stalledOnMemory() const { return false; }
+
   /// Quiescence protocol (DESIGN.md §11): credit `n` ticks the device
   /// skipped over. Engines whose tick advances free-running state even
-  /// while idle (the comparator recurrence phase) override this so a
-  /// skipping run serializes byte-identically to a naive one.
+  /// while idle (the comparator recurrence phase), or bumps a stall
+  /// counter while stalled on memory, override this so a skipping run
+  /// serializes byte-identically to a naive one.
   virtual void creditSkippedCycles(Cycle n) { (void)n; }
 
   /// Checkpoint hooks. The base serializes the shared `faulted_` flag;
@@ -94,6 +107,12 @@ class Engine {
   /// the per-pending scans are skipped wholesale on quiet cycles.
   bool responsesWaiting() const {
     return ctx_.mem.hasResponses(mem::Requester::Hht, ctx_.tile);
+  }
+
+  /// Claim a completed BE read (walker polls), straight from this tile's
+  /// BE port.
+  std::optional<mem::MemResponse> takeResponse(mem::RequestId id) {
+    return ctx_.mem.takeResponse(port_, id);
   }
 
   /// Report a detected fault to the owning device and freeze this engine
@@ -145,6 +164,14 @@ class Engine {
   }
 
  protected:
+  /// How many of the `n` ticks starting at comparator phase `phase` are
+  /// comparator-ready (phase 0 of `recurrence`).
+  static Cycle readyTicks(std::uint32_t phase, std::uint32_t recurrence,
+                          Cycle n) {
+    const Cycle first = (recurrence - phase) % recurrence;
+    return n > first ? (n - 1 - first) / recurrence + 1 : 0;
+  }
+
   static std::string toHex(Addr addr) {
     static const char* digits = "0123456789abcdef";
     std::string out;
@@ -155,6 +182,7 @@ class Engine {
   }
 
   EngineContext ctx_;
+  std::uint32_t port_;  ///< this tile's BE requester index
   bool faulted_ = false;
   std::uint64_t* c_mem_reads_;  ///< hot path: one BE read per issue slot
 };

@@ -24,9 +24,9 @@ void GatherEngine::tick(Cycle now) {
   // 1. Collect memory responses (the poison flags only change under a
   //    poll, so the whole block is skipped when the lane is empty).
   if (responsesWaiting()) {
-    rows_.poll(ctx_.mem);
-    cols_.poll(ctx_.mem);
-    vfetch_.poll(ctx_.mem, ctx_.emit);
+    rows_.poll(*this);
+    cols_.poll(*this);
+    vfetch_.poll(*this, ctx_.emit);
     if (rows_.sawPoison() || cols_.sawPoison() || vfetch_.sawPoison()) {
       reportFault(sim::FaultCause::MemUncorrectable,
                   "ECC-uncorrectable response reached the gather pipeline");
@@ -85,6 +85,20 @@ void GatherEngine::tick(Cycle now) {
     }
     --budget;
   }
+}
+
+bool GatherEngine::stalledOnMemory() const {
+  // Without a response a tick can only configure or retire a row (step 2),
+  // generate a V address (step 3) or issue a read (step 4).
+  if (rows_.haveRow() && !(row_stream_ready_ && cols_.morePending())) {
+    return false;
+  }
+  if (row_stream_ready_ && cols_.headAvailable() && ctx_.emit.canReserve() &&
+      vfetch_.canAccept()) {
+    return false;
+  }
+  return !rows_.wantIssue() && !vfetch_.wantIssue() &&
+         !(row_stream_ready_ && cols_.wantIssue());
 }
 
 bool GatherEngine::done() const {

@@ -19,6 +19,7 @@ class GatherEngine : public Engine {
 
   void tick(Cycle now) override;
   bool done() const override;
+  bool stalledOnMemory() const override;
 
   void serialize(sim::StateWriter& w) const override {
     Engine::serialize(w);

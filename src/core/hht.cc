@@ -137,23 +137,39 @@ sim::Cycle Hht::nextEventCycle(sim::Cycle now) const {
   // Any observer needs real per-cycle ticks (delivery/event timestamps).
   if (!taps_.empty() || trace_ != nullptr) return now + 1;
   if (faultRaised() || !engine_) return sim::kNeverCycle;
-  if (!engine_->done() || !emit_.empty() || !finished_flush_done_) {
-    return now + 1;
-  }
-  // A done engine still polls its walkers every tick: speculative reads
-  // (e.g. vector indices fetched past the last match) may be queued or in
-  // flight, and only those polls drain their responses out of the memory
-  // system. Quiescent only once the memory system is completely empty.
-  if (!mem_.idle()) return now + 1;
-  return sim::kNeverCycle;
+  // A tick acts when the engine can, when the emission queue can drain
+  // into the pool, or when a done stream's tail buffer is unpublished.
+  if (!engine_->done() && !engine_->stalledOnMemory()) return now + 1;
+  if (emit_.headFilled() && buffers_.canPush()) return now + 1;
+  if (!finished_flush_done_ && engine_->done()) return now + 1;
+  // Otherwise only a response reaching this tile's BE port wakes it (a
+  // done engine still claims its speculative reads' responses, e.g.
+  // vector indices fetched past the last match), or a CPU pop freeing the
+  // pool, which the run loop sees as MMIO and re-asks after.
+  return mem_.requesterReadyCycle(mem::Requester::Hht, tile_, now);
 }
 
 void Hht::skipCycles(sim::Cycle n) {
   // Exactly what the skipped ticks would have done: stamp the tick cycle
-  // (tick assigns, so advancing by n lands on the same value) and advance
-  // any free-running engine state (the comparator recurrence phase).
+  // (tick assigns, so advancing by n lands on the same value), count a
+  // sleeping live engine's active (and buffer-throttled) cycles, and
+  // advance any free-running engine state (the comparator recurrence
+  // phase).
   last_tick_cycle_ += n;
-  if (engine_ && !faultRaised()) engine_->creditSkippedCycles(n);
+  if (!engine_ || faultRaised()) return;
+  if (!engine_->done()) {
+    *c_active_cycles_ += n;
+    if (!emit_.empty() && buffers_.freeCapacity() == 0) {
+      *c_stall_buffers_full_ += n;
+    }
+  }
+  engine_->creditSkippedCycles(n);
+}
+
+void Hht::skipRefusedReads(Addr offset, std::uint64_t n) {
+  // Only BUF_DATA and VALID refuse, and each refusal is one CPU-wait cycle.
+  (void)offset;
+  *c_cpu_wait_cycles_ += n;
 }
 
 bool Hht::busy() const {

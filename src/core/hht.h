@@ -33,14 +33,17 @@ class Hht final : public HhtDevice {
   /// CPU-side buffers.
   void tick(sim::Cycle now) override;
 
-  /// Quiescence protocol (DESIGN.md §11). The device is skippable only
-  /// once the engine is done, the emission queue is drained, the tail
-  /// buffer is flushed and the BE's memory traffic has fully drained
-  /// (a done engine may still hold speculative reads in flight whose
-  /// responses only leave the memory system through its tick polls). Any
-  /// attached observer — stream tap or trace sink — forces per-cycle mode:
-  /// delivery timestamps must come from real ticks. The two share one
-  /// combined check so stacking observers never double-disables anything.
+  /// Quiescence protocol (DESIGN.md §11). The device sleeps while its
+  /// engine is stalled on memory (Engine::stalledOnMemory) or done, the
+  /// emission queue cannot drain and the tail buffer is flushed — until
+  /// the next response reaches its tile's BE port
+  /// (MemorySystem::requesterReadyCycle; a done engine may still hold
+  /// speculative reads in flight whose responses only leave the memory
+  /// system through its tick polls). skipCycles credits a sleeping live
+  /// engine's active and buffer-throttled cycles. Any attached observer —
+  /// stream tap or trace sink — forces per-cycle mode: delivery timestamps
+  /// must come from real ticks. The two share one combined check so
+  /// stacking observers never double-disables anything.
   sim::Cycle nextEventCycle(sim::Cycle now) const override;
   void skipCycles(sim::Cycle n) override;
 
@@ -50,6 +53,13 @@ class Hht final : public HhtDevice {
                                mem::Requester who) override;
   void mmioWrite(Addr offset, std::uint32_t size, std::uint32_t value,
                  mem::Requester who) override;
+  /// A refused BUF_DATA/VALID read waits for a published buffer, which
+  /// only this device's own tick can produce: the read cannot be accepted
+  /// before the device's next event.
+  sim::Cycle mmioReadyCycle(sim::Cycle now) const override {
+    return nextEventCycle(now);
+  }
+  void skipRefusedReads(Addr offset, std::uint64_t n) override;
 
   /// True while the BE is producing or the FE holds undelivered data.
   bool busy() const override;

@@ -35,8 +35,8 @@ void HierBitmapEngine::tick(Cycle now) {
   // survives to the next tick), and the poison flags only change under a
   // poll.
   if (responsesWaiting()) {
-    l1_.poll(ctx_.mem);
-    vfetch_.poll(ctx_.mem, ctx_.emit);
+    l1_.poll(*this);
+    vfetch_.poll(*this, ctx_.emit);
     if (l1_.sawPoison() || vfetch_.sawPoison()) {
       reportFault(sim::FaultCause::MemUncorrectable,
                   "ECC-uncorrectable response reached the bitmap pipeline");
@@ -47,7 +47,7 @@ void HierBitmapEngine::tick(Cycle now) {
     while (!leaf_fetches_.empty()) {
       LeafFetch& f = leaf_fetches_.front();
       if (!f.have_lo) {
-        if (auto r = ctx_.mem.takeResponse(f.lo_req)) {
+        if (auto r = takeResponse(f.lo_req)) {
           if (r->poisoned) {
             reportFault(sim::FaultCause::MemUncorrectable,
                         "ECC-uncorrectable leaf-word response");
@@ -58,7 +58,7 @@ void HierBitmapEngine::tick(Cycle now) {
         }
       }
       if (!f.have_hi) {
-        if (auto r = ctx_.mem.takeResponse(f.hi_req)) {
+        if (auto r = takeResponse(f.hi_req)) {
           if (r->poisoned) {
             reportFault(sim::FaultCause::MemUncorrectable,
                         "ECC-uncorrectable leaf-word response");
@@ -210,6 +210,39 @@ void HierBitmapEngine::tick(Cycle now) {
       break;
     }
   }
+}
+
+bool HierBitmapEngine::scanWaits(bool& stall) const {
+  // The first step of the bit-scan loop in tick(), without its effects.
+  stall = false;
+  if (!leaf_q_.empty()) {
+    const Leaf& leaf = leaf_q_.front();
+    if (leaf.bits == 0) return false;  // drops the leaf
+    const std::uint64_t pos =
+        leaf.slot * kLeafBits +
+        static_cast<unsigned>(std::countr_zero(leaf.bits));
+    const auto row = static_cast<std::uint32_t>(pos / ctx_.mmr.num_cols);
+    if (row >= ctx_.mmr.m_num_rows) return false;  // faults
+    if (row > cur_row_) return !ctx_.emit.canReserve();  // closes a row
+    stall = !ctx_.emit.canReserve() || !vfetch_.canAccept();
+    return stall;
+  }
+  const std::uint32_t depth = ctx_.cfg.prefetch_queue;
+  if (flat_ && next_slot_ < num_slots_ && slot_q_.size() < depth) return false;
+  if (l1_word_open_) return l1_word_bits_ != 0 && slot_q_.size() >= depth;
+  if (l1_.headAvailable()) return false;
+  const bool scan_done = flat_ ? next_slot_ >= num_slots_ : !l1_.morePending();
+  return !(scan_done && slot_q_.empty() && leaf_fetches_.empty() &&
+           cur_row_ < ctx_.mmr.m_num_rows && ctx_.emit.canReserve());
+}
+
+bool HierBitmapEngine::stalledOnMemory() const {
+  // Without a response a tick can only take a bit-scan step or issue a
+  // read.
+  bool stall = false;
+  if (!scanWaits(stall)) return false;
+  return (slot_q_.empty() || leaf_fetches_.size() >= 2) &&
+         !vfetch_.wantIssue() && !l1_.wantIssue();
 }
 
 bool HierBitmapEngine::done() const {

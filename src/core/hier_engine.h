@@ -30,10 +30,17 @@ class HierBitmapEngine : public Engine {
 
   void tick(Cycle now) override;
   bool done() const override;
+  bool stalledOnMemory() const override;
 
   /// The comparator recurrence free-runs every tick, even when idle or
-  /// done; skipped ticks must advance it identically (DESIGN.md §11).
+  /// done; skipped ticks must advance it identically, and each skipped
+  /// ready tick of a gather stalled behind a full emission queue counts
+  /// its emit stall (DESIGN.md §11).
   void creditSkippedCycles(Cycle n) override {
+    bool stall = false;
+    if (scanWaits(stall) && stall) {
+      *c_emit_stall_ += readyTicks(cmp_phase_, ctx_.cfg.cmp_recurrence, n);
+    }
     cmp_phase_ = static_cast<std::uint32_t>(
         (cmp_phase_ + n) % ctx_.cfg.cmp_recurrence);
   }
@@ -122,6 +129,11 @@ class HierBitmapEngine : public Engine {
     std::uint64_t slot;
     std::uint64_t bits;
   };
+
+  /// True when a ready bit-scan step would change no state without a new
+  /// response; `stall` is then whether it stalls a gather behind a full
+  /// emission queue (bumping the emit-stall counter).
+  bool scanWaits(bool& stall) const;
 
   std::uint64_t numPositions() const {
     return static_cast<std::uint64_t>(ctx_.mmr.m_num_rows) * ctx_.mmr.num_cols;

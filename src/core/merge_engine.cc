@@ -41,10 +41,10 @@ void MergeEngine::tick(Cycle now) {
   if (faulted_) return;
 
   if (responsesWaiting()) {
-    rows_.poll(ctx_.mem);
-    cols_.poll(ctx_.mem);
-    vidx_.poll(ctx_.mem);
-    vfetch_.poll(ctx_.mem, ctx_.emit);
+    rows_.poll(*this);
+    cols_.poll(*this);
+    vidx_.poll(*this);
+    vfetch_.poll(*this, ctx_.emit);
     if (rows_.sawPoison() || cols_.sawPoison() || vidx_.sawPoison() ||
         vfetch_.sawPoison()) {
       reportFault(sim::FaultCause::MemUncorrectable,
@@ -132,6 +132,29 @@ void MergeEngine::tick(Cycle now) {
     }
     --budget;
   }
+}
+
+bool MergeEngine::stepWaits(bool& stall) const {
+  stall = false;
+  if (!row_ready_ || row_merge_done_) return true;  // no step runs
+  if (!cols_.morePending()) return false;           // closes the merge
+  if (!cols_.headAvailable()) return true;
+  if (!vidx_.morePending()) return false;  // discards a column
+  if (!vidx_.headAvailable()) return true;
+  if (cols_.head() != vidx_.head()) return false;  // advances one side
+  stall = !ctx_.emit.canReserve(2) || !vfetch_.canAccept(2);
+  return stall;
+}
+
+bool MergeEngine::stalledOnMemory() const {
+  // Without a response a tick can only configure a row, take a merge step,
+  // close a row or issue a read.
+  bool stall = false;
+  if (rows_.haveRow() && !row_ready_) return false;
+  if (!stepWaits(stall)) return false;
+  if (row_ready_ && row_merge_done_ && ctx_.emit.canReserve()) return false;
+  return !rows_.wantIssue() && !vfetch_.wantIssue() &&
+         !(row_ready_ && (cols_.wantIssue() || vidx_.wantIssue()));
 }
 
 bool MergeEngine::done() const {

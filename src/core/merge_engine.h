@@ -20,10 +20,19 @@ class MergeEngine : public Engine {
 
   void tick(Cycle now) override;
   bool done() const override;
+  bool stalledOnMemory() const override;
 
   /// The comparator recurrence free-runs every tick, even when idle or
-  /// done; skipped ticks must advance it identically (DESIGN.md §11).
+  /// done; skipped ticks must advance it identically, and each skipped
+  /// ready tick of a match stalled behind a full emission queue counts its
+  /// comparison and emit stall (DESIGN.md §11).
   void creditSkippedCycles(Cycle n) override {
+    bool stall = false;
+    if (stepWaits(stall) && stall) {
+      const Cycle k = readyTicks(cmp_phase_, ctx_.cfg.cmp_recurrence, n);
+      *c_comparisons_ += k;
+      *c_emit_stall_ += k;
+    }
     cmp_phase_ = static_cast<std::uint32_t>(
         (cmp_phase_ + n) % ctx_.cfg.cmp_recurrence);
   }
@@ -53,6 +62,10 @@ class MergeEngine : public Engine {
 
  private:
   void configureRow();
+  /// True when a ready merge step would change no state without a new
+  /// response; `stall` is then whether it compares and stalls on a full
+  /// emission queue (bumping both counters).
+  bool stepWaits(bool& stall) const;
   /// Try to close the current row (marker + advance). Returns true if
   /// advanced.
   bool tryFinishRow(Cycle now);

@@ -30,10 +30,10 @@ void StreamEngine::tick(Cycle now) {
   if (faulted_) return;
 
   if (responsesWaiting()) {
-    rows_.poll(ctx_.mem);
-    cols_.poll(ctx_.mem);
-    vidx_.poll(ctx_.mem);
-    vfetch_.poll(ctx_.mem, ctx_.emit);
+    rows_.poll(*this);
+    cols_.poll(*this);
+    vidx_.poll(*this);
+    vfetch_.poll(*this, ctx_.emit);
     if (rows_.sawPoison() || cols_.sawPoison() || vidx_.sawPoison() ||
         vfetch_.sawPoison()) {
       reportFault(sim::FaultCause::MemUncorrectable,
@@ -122,6 +122,35 @@ void StreamEngine::tick(Cycle now) {
     }
     --budget;
   }
+}
+
+bool StreamEngine::stepWaits(int& bumps) const {
+  bumps = 0;
+  if (!row_ready_) return true;             // no step runs
+  if (!cols_.morePending()) return false;   // retires the row
+  if (!cols_.headAvailable()) return true;
+  bumps = 1;  // every step past the column head counts a comparison
+  if (!vidx_.morePending()) return !ctx_.emit.canReserve();  // emits a zero
+  if (!vidx_.headAvailable()) return true;
+  const std::uint32_t mc = cols_.head();
+  const std::uint32_t vc = vidx_.head();
+  if (mc == vc) {
+    if (ctx_.emit.canReserve() && vfetch_.canAccept()) return false;
+    bumps = 2;
+    return true;
+  }
+  if (mc < vc) return !ctx_.emit.canReserve();  // emits a zero
+  return false;                                 // advances the vector
+}
+
+bool StreamEngine::stalledOnMemory() const {
+  // Without a response a tick can only configure or retire a row, take a
+  // merge step or issue a read.
+  int bumps = 0;
+  if (rows_.haveRow() && !row_ready_) return false;
+  if (!stepWaits(bumps)) return false;
+  return !rows_.wantIssue() && !vfetch_.wantIssue() &&
+         !(row_ready_ && (cols_.wantIssue() || vidx_.wantIssue()));
 }
 
 bool StreamEngine::done() const {

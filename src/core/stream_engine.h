@@ -21,10 +21,19 @@ class StreamEngine : public Engine {
 
   void tick(Cycle now) override;
   bool done() const override;
+  bool stalledOnMemory() const override;
 
   /// The comparator recurrence free-runs every tick, even when idle or
-  /// done; skipped ticks must advance it identically (DESIGN.md §11).
+  /// done; skipped ticks must advance it identically, and each skipped
+  /// ready tick of a waiting step counts the comparison it makes (and the
+  /// emit stall of a match behind a full emission queue) (DESIGN.md §11).
   void creditSkippedCycles(Cycle n) override {
+    int bumps = 0;
+    if (stepWaits(bumps) && bumps > 0) {
+      const Cycle k = readyTicks(cmp_phase_, ctx_.cfg.cmp_recurrence, n);
+      *c_comparisons_ += k;
+      if (bumps > 1) *c_emit_stall_ += k;
+    }
     cmp_phase_ = static_cast<std::uint32_t>(
         (cmp_phase_ + n) % ctx_.cfg.cmp_recurrence);
   }
@@ -52,6 +61,10 @@ class StreamEngine : public Engine {
 
  private:
   void configureRow();
+  /// True when a ready step would change no state without a new response;
+  /// `bumps` is then 0 (no step), 1 (it counts a comparison) or 2 (a
+  /// comparison and an emit stall).
+  bool stepWaits(int& bumps) const;
 
   RowPtrWalker rows_;
   IndexStream cols_;

@@ -53,9 +53,9 @@ class RowPtrWalker {
     pending_ = engine.issueReadFor(rows_base_ + fetch_slot_ * 4u);
   }
 
-  void poll(mem::MemorySystem& mem) {
+  void poll(Engine& engine) {
     if (pending_ == mem::kInvalidRequest) return;
-    if (auto response = mem.takeResponse(pending_)) {
+    if (auto response = engine.takeResponse(pending_)) {
       pending_ = mem::kInvalidRequest;
       if (response->poisoned) {
         saw_poison_ = true;  // row extent unusable; owner raises the fault
@@ -173,9 +173,9 @@ class IndexStream {
     ++fetch_i_;
   }
 
-  void poll(mem::MemorySystem& mem) {
+  void poll(Engine& engine) {
     std::erase_if(pending_, [&](const Pending& p) {
-      if (auto response = mem.takeResponse(p.id)) {
+      if (auto response = engine.takeResponse(p.id)) {
         if (p.epoch == epoch_) {
           if (response->poisoned) {
             // Stale-epoch poison is dropped with the data (it was never
@@ -310,9 +310,9 @@ class ValueFetchQueue {
     pending_.push_back({engine.issueReadFor(item.addr), item});
   }
 
-  void poll(mem::MemorySystem& mem, EmissionQueue& emit) {
+  void poll(Engine& engine, EmissionQueue& emit) {
     std::erase_if(pending_, [&](const Pending& p) {
-      if (auto response = mem.takeResponse(p.id)) {
+      if (auto response = engine.takeResponse(p.id)) {
         if (response->poisoned) {
           if (!containment_) {
             // Legacy: the reserved ticket stays unfilled — the stream

@@ -20,7 +20,8 @@ Core::Core(const TimingConfig& timing, mem::MemorySystem& memory, int vlmax,
       mem_(memory),
       vlmax_(vlmax),
       requester_(requester),
-      tile_(static_cast<std::uint8_t>(tile)) {
+      tile_(static_cast<std::uint8_t>(tile)),
+      port_(mem::requesterIndex(requester, tile)) {
   if (vlmax < 1 || vlmax > isa::kMaxVl) {
     throw std::invalid_argument("vlmax must be in [1, kMaxVl]");
   }
@@ -162,7 +163,7 @@ void Core::tick(Cycle now) {
       break;
     case Phase::LoadWait: {
       ++*c_load_stall_;
-      if (auto response = mem_.takeResponse(load_req_)) {
+      if (auto response = mem_.takeResponse(port_, load_req_)) {
         if (response->poisoned) {
           // Machine check: an ECC-uncorrectable response reached a scalar
           // load. Architectural state must not absorb the corrupt word.
@@ -213,7 +214,7 @@ Cycle Core::nextEventCycle(Cycle now) const {
       // Ready happens on the last of them and dispatch on the one after.
       return now + busy_left_ + 1;
     case Phase::LoadWait:
-      return mem_.responseReadyCycle(load_req_, now);
+      return mem_.responseReadyCycle(port_, load_req_, now);
     case Phase::VecMem:
       if (vec_startup_left_ > 0) return now + vec_startup_left_ + 1;
       if (vec_issued_ < vec_total_) return now + 1;  // issuing every cycle
@@ -221,7 +222,8 @@ Cycle Core::nextEventCycle(Cycle now) const {
       {
         Cycle earliest = sim::kNeverCycle;
         for (const VecElem& e : vec_pending_) {
-          earliest = std::min(earliest, mem_.responseReadyCycle(e.req, now));
+          earliest =
+              std::min(earliest, mem_.responseReadyCycle(port_, e.req, now));
           if (earliest <= now + 1) return earliest;  // can't skip; stop scanning
         }
         return earliest;
@@ -673,7 +675,7 @@ void Core::tickVecMem(Cycle now) {
   // can succeed, and the per-pending takeResponse scans are skipped.
   if (!vec_pending_.empty() && mem_.hasResponses(requester_, tile_)) {
     std::erase_if(vec_pending_, [&](const VecElem& e) {
-      if (auto response = mem_.takeResponse(e.req)) {
+      if (auto response = mem_.takeResponse(port_, e.req)) {
         if (response->poisoned) {
           throw sim::SimError(
               sim::ErrorKind::MachineCheck,

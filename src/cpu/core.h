@@ -130,6 +130,7 @@ class Core {
   int vlmax_;
   mem::Requester requester_;
   std::uint8_t tile_;
+  std::uint32_t port_;  ///< mem::requesterIndex(requester_, tile_)
 
   const Program* program_ = nullptr;
 

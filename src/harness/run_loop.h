@@ -141,18 +141,25 @@ class RunLoop {
   /// ranges) instead of this thread.
   LoopOutcome run(Cycle start, Cycle max_cycles, std::uint64_t& skipped,
                   TilePool* pool = nullptr) {
+    // A gap of at most kShortGap cycles to the next event (the exact
+    // 1-2-cycle response waits of a 1-cycle SRAM) counts as busy: it is
+    // jumped without resetting the busy streak and burst length below,
+    // which resetting on every such gap would starve, and a hook answering
+    // it opens a blind window like now+1.
+    constexpr Cycle kShortGap = 2;
     // Hook thinning: while a device or memory hook keeps answering "tick me
-    // next cycle", post now+1 blindly for a stride of ticks before asking
-    // again. Extra ticks are the naive schedule, and any answer past now+1
-    // ends the blind window at once. Both hooks answer now+1 for as long as
-    // memory traffic exists, so the windows cost nothing. The core hook is
-    // consulted every tick: it encodes per-stall skips (LoadWait, gather
-    // startup) that fire even while memory is busy.
+    // (almost) next cycle", post now+1 blindly for a stride of ticks before
+    // asking again. Extra ticks are the naive schedule, and a longer answer
+    // opens no window. A hook answering that is usually busy for a while
+    // (arbitration queued, an engine issuing or emitting), so the windows
+    // cost little. The core hook is consulted every tick: it encodes
+    // per-stall skips (LoadWait, gather startup) that fire even while
+    // memory is busy.
     constexpr Cycle kHookThinStride = 16;
     const auto thinnedHook = [](const auto& c, Cycle& due, Cycle now) {
       if (now < due) return now + 1;
       const Cycle next = c.nextEventCycle(now);
-      if (next == now + 1) due = now + kHookThinStride;
+      if (next <= now + kShortGap) due = now + kHookThinStride;
       return next;
     };
     // Busy-streak burst: when the next cycle is due again and again, the
@@ -191,13 +198,18 @@ class RunLoop {
         view_.beforeMemTick(now);
         mem_.tick(now);
       } else {
-        const bool mmio_pending = mem_.mmioPending();
-        if (mmio_pending) {
+        // pendingArbitration covers this cycle's submits: they are
+        // arbitrated this same cycle, which an earlier posting cannot know.
+        const bool mem_due =
+            cal_.due(memSlot(), now) || mem_.pendingArbitration();
+        const bool mmio_tick = mem_due && mem_.mmioPending();
+        if (mmio_tick) {
           // MMIO pre-credit: settle each idle device's lazy credit BEFORE
           // the memory tick delivers MMIO. A delivered write can create or
-          // start an engine, and credit applied after that would advance
-          // the new engine for cycles naive ticked against the old state.
-          // Crediting through `now` is sound: the device was not due.
+          // start an engine, and a delivered pop can free a stalled one's
+          // buffers; credit applied after that would count cycles naive
+          // ticked against the old state. Crediting through `now` is
+          // sound: the device was not due.
           for (Tile& tile : tiles_) {
             if (!tile.dev_ticked && now + 1 > tile.dev_from) {
               tile.dev->skipCycles(now + 1 - tile.dev_from);
@@ -205,9 +217,7 @@ class RunLoop {
             }
           }
         }
-        // pendingArbitration covers this cycle's submits: they are
-        // arbitrated this same cycle, which an earlier posting cannot know.
-        if (cal_.due(memSlot(), now) || mem_.pendingArbitration()) {
+        if (mem_due) {
           view_.beforeMemTick(now);
           mem_.tick(now);
           cal_.post(memSlot(), thinnedHook(mem_, mem_hook_due, now));
@@ -221,9 +231,9 @@ class RunLoop {
           if (tile.dev_ticked) {
             cal_.post(devSlot(t), thinnedHook(*tile.dev, tile.dev_hook_due,
                                               now));
-          } else if (mmio_pending) {
-            // An MMIO start write is the one path that hands an idle
-            // device new work.
+          } else if (mmio_tick) {
+            // Delivered MMIO is the one path that wakes a sleeping device:
+            // a START write hands it new work, a FIFO pop frees buffers.
             cal_.post(devSlot(t), std::min(cal_.at(devSlot(t)),
                                            tile.dev->nextEventCycle(now)));
           }
@@ -256,8 +266,10 @@ class RunLoop {
       }
       const Cycle ev = cal_.next();
       if (ev > now + 1) {
-        busy_streak = 0;
-        burst_len = kMinBurst;
+        if (ev > now + kShortGap) {
+          busy_streak = 0;
+          burst_len = kMinBurst;
+        }
         // Jump to the next posted event, capped at max_cycles and at each
         // watched tile's next state-changing watchdog sample, so a wedged
         // run fires at the naive cycle with the naive diagnostics.
@@ -354,8 +366,10 @@ class RunLoop {
     for (Tile& tile : tiles_) tile.dev_from = tile.cpu_from = upto;
   }
 
-  /// Credit every lazily-skipped component through cycle `upto - 1`.
+  /// Credit every lazily-skipped component, and the memory system's
+  /// skipped MMIO retries, through cycle `upto - 1`.
   void creditTo(Cycle upto) {
+    mem_.creditSkippedRetries(upto);
     for (Tile& tile : tiles_) {
       if (upto > tile.dev_from) tile.dev->skipCycles(upto - tile.dev_from);
       if (upto > tile.cpu_from) tile.core->skipCycles(upto - tile.cpu_from);

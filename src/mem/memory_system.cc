@@ -115,7 +115,12 @@ MemorySystem::MemorySystem(const MemorySystemConfig& config)
       &stats_.counter("mem.secded.demand_uncorrectable");
   next_scrub_cycle_ = config_.scrub_period;
   next_seq_.resize(num_requesters_, 0);
-  completed_.resize(num_requesters_);
+  slot_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_requesters_));
+  responses_.resize(num_requesters_);
+  for (ResponseTable& table : responses_) table.slots.resize(16);
+  queued_.resize(num_requesters_, 0);
+  mmio_refused_at_.resize(num_requesters_, sim::kNeverCycle);
+  mmio_wake_.resize(num_requesters_, kWakeStale);
   stage_.resize(num_requesters_);
   if (config_.cpu_cache_enabled) {
     cpu_cache_ = std::make_unique<Cache>(config_.cache);
@@ -219,6 +224,7 @@ RequestId MemorySystem::submit(const MemAccess& access) {
   // submission count, never on cross-requester interleaving. +1 keeps ids
   // clear of kInvalidRequest.
   const RequestId id = next_seq_[who]++ * num_requesters_ + who + 1;
+  ++queued_[who];
   if (is_mmio) {
     ++*mmio_requests_[who];
   } else {
@@ -235,10 +241,39 @@ RequestId MemorySystem::submit(const MemAccess& access) {
   }
   if (is_mmio) {
     mmio_queue_.push_back({id, access});
+    mmio_fresh_ = true;
   } else {
     routeDemand({id, access});
   }
   return id;
+}
+
+void MemorySystem::growTable(ResponseTable& table) const {
+  // Double until the held responses land in distinct slots again (they
+  // are one port's, so distinct ids have distinct keys); the caller
+  // re-probes for the incoming one.
+  const std::vector<ResponseTable::Entry> held = std::move(table.slots);
+  for (std::size_t size = held.size() * 2;; size *= 2) {
+    table.slots.assign(size, ResponseTable::Entry{});
+    const bool placed = std::all_of(
+        held.begin(), held.end(), [&](const ResponseTable::Entry& e) {
+          if (e.id == ResponseTable::kNoResponse) return true;
+          ResponseTable::Entry& dst = table.slots[slotOf(table, e.id)];
+          if (dst.id != ResponseTable::kNoResponse) return false;
+          dst = e;
+          return true;
+        });
+    if (placed) return;
+  }
+}
+
+void MemorySystem::clearResponses() {
+  for (ResponseTable& table : responses_) {
+    for (ResponseTable::Entry& e : table.slots) {
+      e.id = ResponseTable::kNoResponse;
+    }
+    table.ready = 0;
+  }
 }
 
 void MemorySystem::beginStagedSubmission() { staging_ = true; }
@@ -253,6 +288,7 @@ void MemorySystem::drainStagedSubmissions() {
     for (const Pending& p : stage_[who]) {
       if (isMmio(p.access.addr)) {
         mmio_queue_.push_back(p);
+        mmio_fresh_ = true;
       } else {
         routeDemand(p);
       }
@@ -386,7 +422,8 @@ void MemorySystem::grant(const Pending& pending, Cycle now, ChannelState& ch,
       latency += injector->config().delay_cycles;
     }
   }
-  in_flight_.push_back({pending.id, now + latency, data, poisoned});
+  in_flight_.push_back({pending.id, now + latency, data, poisoned,
+                        static_cast<std::uint8_t>(requesterIndex(a))});
   ++*grants_;
   ++*grants_by_[requesterIndex(a)];
   if (ch.grants != nullptr) ++*ch.grants;
@@ -412,6 +449,7 @@ void MemorySystem::grant(const Pending& pending, Cycle now, ChannelState& ch,
 void MemorySystem::completeLocal(const Pending& pending, Cycle latency,
                                  Cycle now) {
   const MemAccess& a = pending.access;
+  --queued_[requesterIndex(a)];
   if (latency == 0) latency = 1;
   if (a.is_write) {
     // Posted, like a channel-granted store: functional data lives in the
@@ -426,7 +464,8 @@ void MemorySystem::completeLocal(const Pending& pending, Cycle latency,
   // which a tile-local hit never touches. Keeping the draw sequence off
   // this path also keeps a tile's injector stream identical between flat
   // and hierarchical runs of the same miss traffic.
-  in_flight_.push_back({pending.id, now + latency, data, poisoned});
+  in_flight_.push_back({pending.id, now + latency, data, poisoned,
+                        static_cast<std::uint8_t>(requesterIndex(a))});
 }
 
 void MemorySystem::emitPrefetchEvent(Cycle now, Addr line, std::uint32_t tile,
@@ -499,12 +538,12 @@ void MemorySystem::serviceLanes(Cycle now) {
     auto& lane = tile_lanes_[t];
     if (lane.empty()) continue;
     Cache* l1 = tile_l1_.empty() ? nullptr : tile_l1_[t].get();
-    std::uint32_t served = 0;
-    std::size_t i = 0;
-    while (i < lane.size() && (bw == 0 || served < bw)) {
-      ++served;
+    // Serve the lane's oldest entries in order, then erase the served
+    // prefix in one move.
+    const std::size_t served =
+        bw == 0 ? lane.size() : std::min<std::size_t>(bw, lane.size());
+    for (std::size_t i = 0; i < served; ++i) {
       Pending p = lane[i];
-      lane.erase(lane.begin() + static_cast<std::ptrdiff_t>(i));
       const MemAccess& a = p.access;
       if (pf_on && !a.is_write && a.requester == Requester::Hht) {
         observeHhtStride(t, a.addr, now);
@@ -551,6 +590,8 @@ void MemorySystem::serviceLanes(Cycle now) {
       p.l1_latency = lat;
       channels_[topo.channelOf(a.addr)].queue.push_back(p);
     }
+    lane.erase(lane.begin(),
+               lane.begin() + static_cast<std::ptrdiff_t>(served));
   }
 }
 
@@ -584,8 +625,7 @@ void MemorySystem::tick(Cycle now) {
   // 1. Retire accesses whose latency has elapsed.
   std::erase_if(in_flight_, [&](const InFlight& f) {
     if (f.done_at > now) return false;
-    completed_[(f.id - 1) % num_requesters_].emplace_back(
-        f.id, MemResponse{f.data, f.poisoned});
+    deliver(f.who, f.id, MemResponse{f.data, f.poisoned});
     return true;
   });
 
@@ -616,6 +656,7 @@ void MemorySystem::tick(Cycle now) {
                                return requesterIndex(p.access) == winner;
                              });
       grant(*it, now, ch, k);
+      --queued_[winner];
       ch.queue.erase(it);
     }
   }
@@ -719,33 +760,64 @@ void MemorySystem::tick(Cycle now) {
   std::erase_if(mmio_queue_, [&](Pending& p) {
     const std::uint32_t who = requesterIndex(p.access);
     if ((blocked >> who) & 1u) return false;
-    const Addr window = p.access.addr - config_.mmio_base;
-    const std::uint32_t window_tile = window / config_.mmio_size;
-    MmioDevice* device = mmio_devices_[window_tile];
+    MmioDevice* device = mmioDevice(p.access);
     if (device == nullptr) {
       // Unmapped MMIO: reads return 0, writes are dropped.
-      if (!p.access.is_write) {
-        completed_[(p.id - 1) % num_requesters_].emplace_back(
-            p.id, MemResponse{0, false});
-      }
+      if (!p.access.is_write) deliver(who, p.id, MemResponse{0, false});
+      --queued_[who];
       return true;
     }
-    const Addr offset = window % config_.mmio_size;
+    const Addr offset = mmioOffset(p.access);
     if (p.access.is_write) {
       device->mmioWrite(offset, p.access.size, p.access.wdata,
                         p.access.requester);
+      --queued_[who];
       return true;  // posted, like SRAM stores
+    }
+    // A read refused at an earlier tick: first the retries skipped since
+    // (ticks before its device's wake cycle, each a certain refusal).
+    Cycle& refused_at = mmio_refused_at_[who];
+    if (refused_at != sim::kNeverCycle && now - refused_at > 1) {
+      device->skipRefusedReads(offset, now - refused_at - 1);
     }
     const MmioReadResult result =
         device->mmioRead(offset, p.access.size, p.access.requester);
     if (!result.ready) {
-      blocked |= 1ull << who;  // retry next cycle; requester stays stalled
+      blocked |= 1ull << who;  // requester stays stalled
+      refused_at = now;
+      mmio_wake_[who] = kWakeStale;
       return false;
     }
-    completed_[(p.id - 1) % num_requesters_].emplace_back(
-        p.id, MemResponse{result.data, false});
+    refused_at = sim::kNeverCycle;
+    deliver(who, p.id, MemResponse{result.data, false});
+    --queued_[who];
     return true;
   });
+  mmio_fresh_ = false;
+}
+
+Cycle MemorySystem::mmioWake(const Pending& head, Cycle now) const {
+  // Asked lazily, after the tick that refused the read: run loops ask
+  // only between ticks, so the device state is the refusal's (ticking
+  // every cycle never asks at all).
+  const std::uint32_t who = requesterIndex(head.access);
+  Cycle& wake = mmio_wake_[who];
+  if (wake == kWakeStale) wake = mmioDevice(head.access)->mmioReadyCycle(now);
+  return std::max(wake, now + 1);
+}
+
+void MemorySystem::creditSkippedRetries(Cycle upto) {
+  std::uint64_t seen = 0;
+  for (const Pending& p : mmio_queue_) {
+    const std::uint32_t who = requesterIndex(p.access);
+    if ((seen >> who) & 1u) continue;  // only a port's head is retried
+    seen |= 1ull << who;
+    Cycle& refused_at = mmio_refused_at_[who];
+    if (refused_at == sim::kNeverCycle || upto - refused_at <= 1) continue;
+    mmioDevice(p.access)->skipRefusedReads(mmioOffset(p.access),
+                                           upto - refused_at - 1);
+    refused_at = upto - 1;
+  }
 }
 
 // Coalesced active/drained occupancy transitions (one kPhase event per
@@ -838,22 +910,47 @@ std::uint32_t MemorySystem::pickRequester(ChannelState& ch,
   return r;
 }
 
-Cycle MemorySystem::responseReadyCycle(RequestId id, Cycle now) const {
-  for (const auto& [done_id, response] : completed_[(id - 1) % num_requesters_]) {
-    (void)response;
-    if (done_id == id) return now + 1;
+Cycle MemorySystem::requesterReadyCycle(Requester role, std::uint32_t tile,
+                                        Cycle now) const {
+  const std::uint32_t who = requesterIndex(role, tile);
+  if (queued_[who] != 0 || responses_[who].ready != 0) return now + 1;
+  Cycle earliest = sim::kNeverCycle;
+  for (const InFlight& f : in_flight_) {
+    if (f.who == who) earliest = std::min(earliest, f.done_at);
+  }
+  // Retired during tick(done_at), after the consumer's tick that cycle.
+  return earliest == sim::kNeverCycle ? sim::kNeverCycle
+                                      : std::max(earliest, now) + 1;
+}
+
+Cycle MemorySystem::responseReadyCycle(std::uint32_t who, RequestId id,
+                                       Cycle now) const {
+  const ResponseTable& table = responses_[who];
+  if (table.ready != 0 && table.slots[slotOf(table, id)].id == id) {
+    return now + 1;
   }
   for (const InFlight& f : in_flight_) {
-    // The response enters completed_ during tick(done_at); consumers tick
-    // before the memory system, so the first successful poll is done_at+1.
+    // The response is filed during tick(done_at); consumers tick before
+    // the memory system, so the first successful poll is done_at+1.
     if (f.id == id) return std::max(f.done_at, now) + 1;
+  }
+  const Pending* head = nullptr;
+  for (const Pending& p : mmio_queue_) {
+    if (requesterIndex(p.access) != who) continue;
+    if (head == nullptr) head = &p;
+    if (p.id != id) continue;
+    if (mmio_refused_at_[who] == sim::kNeverCycle) break;  // not tried yet
+    // The port's head read was refused: neither it nor anything behind it
+    // can complete before the head's device wakes.
+    const Cycle wake = mmioWake(*head, now);
+    return wake == sim::kNeverCycle ? sim::kNeverCycle : wake + 1;
   }
   return now + 1;  // still queued (lane, channel or MMIO): poll next cycle
 }
 
 Cycle MemorySystem::nextEventCycle(Cycle now) const {
   if (pendingArbitration()) {
-    return now + 1;  // arbitration / MMIO retry runs every tick
+    return now + 1;  // arbitration runs every tick
   }
   Cycle earliest = sim::kNeverCycle;
   if (config_.scrub_enabled) {
@@ -863,6 +960,15 @@ Cycle MemorySystem::nextEventCycle(Cycle now) const {
   }
   for (const InFlight& f : in_flight_) {
     earliest = std::min(earliest, f.done_at);
+  }
+  // Every queued MMIO access was tried by the last tick (none is fresh),
+  // so each port's head was refused: it retries at its device's wake.
+  std::uint64_t seen = 0;
+  for (const Pending& p : mmio_queue_) {
+    const std::uint32_t who = requesterIndex(p.access);
+    if ((seen >> who) & 1u) continue;
+    seen |= 1ull << who;
+    earliest = std::min(earliest, mmioWake(p, now));
   }
   return earliest == sim::kNeverCycle ? sim::kNeverCycle
                                       : std::max(earliest, now + 1);
@@ -899,13 +1005,16 @@ void MemorySystem::cancelAll() {
   for (StrideState& pf : hht_pf_) pf = StrideState{};
   for (auto& tracked : hht_pf_tracked_) tracked.clear();
   in_flight_.clear();
-  for (auto& lane : completed_) lane.clear();
+  clearResponses();
   for (auto& lane : stage_) lane.clear();
+  std::fill(queued_.begin(), queued_.end(), 0u);
+  std::fill(mmio_refused_at_.begin(), mmio_refused_at_.end(), sim::kNeverCycle);
+  mmio_fresh_ = false;
 }
 
 std::string MemorySystem::describeState() const {
   std::size_t completed_total = 0;
-  for (const auto& lane : completed_) completed_total += lane.size();
+  for (const ResponseTable& table : responses_) completed_total += table.ready;
   std::size_t channel_total = 0;
   for (const ChannelState& ch : channels_) channel_total += ch.queue.size();
   std::size_t lane_total = 0;
@@ -1029,20 +1138,22 @@ void MemorySystem::serialize(sim::StateWriter& w) const {
     w.b(f.poisoned);
   }
 
-  // Unclaimed responses are kept per-lane in retirement order; serialize
+  // Unclaimed responses sit in per-port slot tables; serialize them
   // flattened and sorted by id so identical states produce identical
-  // snapshot bytes regardless of the order responses retired.
-  std::vector<std::pair<RequestId, MemResponse>> done;
-  for (const auto& lane : completed_) {
-    done.insert(done.end(), lane.begin(), lane.end());
+  // snapshot bytes whatever the table sizes or retirement order.
+  std::vector<ResponseTable::Entry> done;
+  for (const ResponseTable& table : responses_) {
+    for (const ResponseTable::Entry& e : table.slots) {
+      if (e.id != ResponseTable::kNoResponse) done.push_back(e);
+    }
   }
   std::sort(done.begin(), done.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const auto& a, const auto& b) { return a.id < b.id; });
   w.u64(done.size());
-  for (const auto& [id, response] : done) {
-    w.u64(id);
-    w.u32(response.data);
-    w.b(response.poisoned);
+  for (const ResponseTable::Entry& e : done) {
+    w.u64(e.id);
+    w.u32(e.response.data);
+    w.b(e.response.poisoned);
   }
 
   // Snapshot v6: per-requester id-stream counters (replaces the single
@@ -1122,6 +1233,11 @@ void MemorySystem::deserialize(sim::StateReader& r) {
     }
   }
 
+  // Ids carry their port (id = seq*R + who + 1), so the host-only port
+  // fields and tables are rebuilt from them.
+  const auto port_of = [this](RequestId id) {
+    return static_cast<std::uint32_t>((id - 1) % num_requesters_);
+  };
   in_flight_.clear();
   const std::uint64_t n_flight = r.u64();
   for (std::uint64_t i = 0; i < n_flight; ++i) {
@@ -1130,17 +1246,18 @@ void MemorySystem::deserialize(sim::StateReader& r) {
     f.done_at = r.u64();
     f.data = r.u32();
     f.poisoned = r.b();
+    f.who = static_cast<std::uint8_t>(port_of(f.id));
     in_flight_.push_back(f);
   }
 
-  for (auto& lane : completed_) lane.clear();
+  clearResponses();
   const std::uint64_t n_done = r.u64();
   for (std::uint64_t i = 0; i < n_done; ++i) {
     const RequestId id = r.u64();
     MemResponse response;
     response.data = r.u32();
     response.poisoned = r.b();
-    completed_[(id - 1) % num_requesters_].emplace_back(id, response);
+    deliver(port_of(id), id, response);
   }
 
   const std::uint64_t n_seq = r.u64();
@@ -1160,6 +1277,16 @@ void MemorySystem::deserialize(sim::StateReader& r) {
   scrub_addr_ = r.u32();
   next_scrub_cycle_ = r.u64();
   stats_.deserialize(r);
+
+  std::fill(queued_.begin(), queued_.end(), 0u);
+  const auto count = [this](const std::vector<Pending>& q) {
+    for (const Pending& p : q) ++queued_[requesterIndex(p.access)];
+  };
+  for (const ChannelState& ch : channels_) count(ch.queue);
+  for (const auto& lane : tile_lanes_) count(lane);
+  count(mmio_queue_);
+  std::fill(mmio_refused_at_.begin(), mmio_refused_at_.end(), sim::kNeverCycle);
+  mmio_fresh_ = !mmio_queue_.empty();
 }
 
 void MemorySystem::finalizeStats() {

@@ -142,12 +142,21 @@ class MemorySystem {
   void drainStagedSubmissions();
   void endStagedSubmission();
 
-  /// If request `id` has completed, consume it and return the response
-  /// (data is zero for writes). Poison-aware consumers (cores, walkers)
-  /// use this. Otherwise std::nullopt. Defined below, inline: every
-  /// consumer polls this once per pending request per cycle, and the
-  /// common miss (empty completed_) must cost a load and a branch.
-  std::optional<MemResponse> takeResponse(RequestId id);
+  /// If request `id`, submitted by requester port `who` (requesterIndex of
+  /// its role and tile), has completed, consume it and return the response.
+  /// Poison-aware consumers (cores, walkers) use this. Otherwise
+  /// std::nullopt. Defined below, inline: every consumer polls this once
+  /// per pending request per cycle, so it is one probe of the port's slot
+  /// table, and the common miss (nothing completed) a load and a branch.
+  /// kInvalidRequest (a walker whose issue faulted) never matches.
+  std::optional<MemResponse> takeResponse(std::uint32_t who, RequestId id);
+
+  /// takeResponse for callers that do not track their port (tests, the
+  /// takeCompleted shim): the port is recovered from the id.
+  std::optional<MemResponse> takeResponse(RequestId id) {
+    return takeResponse(static_cast<std::uint32_t>((id - 1) % num_requesters_),
+                        id);
+  }
 
   /// Legacy convenience: like takeResponse but returns the bare data.
   /// Throws SimError(Memory) if the response was poisoned — callers that
@@ -226,10 +235,10 @@ class MemorySystem {
 
   /// True when no request is queued or in flight (used by run loops to
   /// detect quiescence). Only called from serial loop contexts (never from
-  /// inside a threaded epoch's parallel phase), so scanning the per-
-  /// requester completed lanes is race-free; with <= 2*16 lanes it is also
-  /// a trivial cost. Prefetch fill queues are deliberately excluded —
-  /// abandoned prefetches at quiescence are harmless (timing-only fills).
+  /// inside a threaded epoch's parallel phase), so reading the per-
+  /// requester counters is race-free. Prefetch fill queues are deliberately
+  /// excluded — abandoned prefetches at quiescence are harmless
+  /// (timing-only fills).
   bool idle() const {
     if (!mmio_queue_.empty() || !in_flight_.empty()) return false;
     for (const ChannelState& ch : channels_) {
@@ -238,21 +247,22 @@ class MemorySystem {
     for (const auto& lane : tile_lanes_) {
       if (!lane.empty()) return false;
     }
-    for (const auto& lane : completed_) {
-      if (!lane.empty()) return false;
+    for (const ResponseTable& table : responses_) {
+      if (table.ready != 0) return false;
     }
     return true;
   }
 
-  /// True when tick() must run next cycle regardless of in-flight latency:
-  /// queued SRAM/MMIO/lane work awaits arbitration, or a prefetcher holds
-  /// fill candidates. The event-scheduled loop consults this after the
-  /// device/core phase, because a submit *this* cycle makes the memory
-  /// system due the same cycle (nextEventCycle() snapshots are stale by
-  /// then).
+  /// True when tick() must run this cycle regardless of in-flight latency:
+  /// queued SRAM/lane work awaits arbitration, an MMIO access was submitted
+  /// since the last tick, or a prefetcher holds fill candidates. MMIO
+  /// reads a device refused are not pending here: they sleep until the
+  /// device's mmioReadyCycle(), which nextEventCycle() reports. The
+  /// event-scheduled loop consults this after the device/core phase,
+  /// because a submit *this* cycle makes the memory system due the same
+  /// cycle (nextEventCycle() snapshots are stale by then).
   bool pendingArbitration() const {
-    if (!mmio_queue_.empty() || !prefetch_queue_.empty() ||
-        !hht_pf_queue_.empty()) {
+    if (mmio_fresh_ || !prefetch_queue_.empty() || !hht_pf_queue_.empty()) {
       return true;
     }
     for (const ChannelState& ch : channels_) {
@@ -264,32 +274,50 @@ class MemorySystem {
     return false;
   }
 
-  /// True while any MMIO access is queued (retried every cycle until the
-  /// device window accepts it).
+  /// True while any MMIO access is queued (retried until the device window
+  /// accepts it).
   bool mmioPending() const { return !mmio_queue_.empty(); }
 
-  /// Any completed-but-unclaimed response on `role`/`tile`'s lane? One load
-  /// and a compare: consumers with several outstanding requests check this
-  /// before their per-pending poll scans, collapsing the common quiet-cycle
+  /// Any completed-but-unclaimed response for `role`/`tile`'s port? One
+  /// load and a compare: consumers with several outstanding requests check
+  /// this before their per-pending polls, collapsing the common quiet-cycle
   /// case to a single branch.
   bool hasResponses(Requester role, std::uint32_t tile) const {
-    return !completed_[requesterIndex(role, tile)].empty();
+    return responses_[requesterIndex(role, tile)].ready != 0;
   }
 
+  /// Quiescence protocol (DESIGN.md §11): first cycle (> now) at which the
+  /// `role`/`tile` port's consumer can see anything new from memory: next
+  /// cycle while it has anything queued or completed-but-unclaimed, else
+  /// the cycle after its earliest in-flight read completes, else
+  /// sim::kNeverCycle.
+  Cycle requesterReadyCycle(Requester role, std::uint32_t tile,
+                            Cycle now) const;
+
   /// Quiescence protocol (DESIGN.md §11): first cycle (> now) at which a
-  /// consumer polling takeResponse(id) can succeed. A completed response is
-  /// consumable next cycle; an in-flight one the cycle after its latency
-  /// elapses (components tick before the memory system, so the grant cycle
-  /// itself is never consumable); anything still queued conservatively
-  /// polls next cycle.
-  Cycle responseReadyCycle(RequestId id, Cycle now) const;
+  /// consumer polling takeResponse(who, id) can succeed. A completed
+  /// response is consumable next cycle; an in-flight one the cycle after
+  /// its latency elapses (components tick before the memory system, so the
+  /// grant cycle itself is never consumable); an MMIO read its device
+  /// refused the cycle after the device's mmioReadyCycle(); anything else
+  /// still queued conservatively polls next cycle.
+  Cycle responseReadyCycle(std::uint32_t who, RequestId id, Cycle now) const;
 
   /// Earliest future cycle (> now) at which tick() can change state:
   /// next cycle while anything is queued on any node or lane (arbitration
-  /// runs every tick), else the earliest in-flight completion, else
-  /// sim::kNeverCycle. Pure-stall ticks mutate nothing, so there is no
-  /// skipCycles().
+  /// runs every tick), else the earliest of the in-flight completions, the
+  /// refused MMIO reads' device wake cycles and the next patrol read, else
+  /// sim::kNeverCycle. A tick skipped before then changes nothing but the
+  /// refused reads' retry counts, which creditSkippedRetries() settles.
   Cycle nextEventCycle(Cycle now) const;
+
+  /// Settle every refused MMIO read's skipped retries through cycle
+  /// `upto - 1`: each cycle whose tick the run loop skipped while a read
+  /// sat refused is one retry the device would have refused again
+  /// (MmioDevice::skipRefusedReads). tick() settles the gap before each
+  /// retry itself; run loops call this before anything reads the devices'
+  /// counters without a memory tick (a stop, a dump, a burst).
+  void creditSkippedRetries(Cycle upto);
 
   Sram& sram() { return sram_; }
   const Sram& sram() const { return sram_; }
@@ -331,6 +359,22 @@ class MemorySystem {
     Cycle done_at;
     std::uint32_t data;
     bool poisoned = false;
+    std::uint8_t who = 0;  ///< requester port (host-only, not serialized)
+  };
+  /// One requester's completed-but-unclaimed responses, direct-mapped by
+  /// the id's sequence number. A port's ids are seq*R + who + 1 with
+  /// R = 2^slot_shift_ * m (m odd), so (id - 1) >> slot_shift_ is
+  /// m*seq + const and any 2^k consecutive sequence numbers land in 2^k
+  /// distinct slots of a 2^k-slot table. A retirement that finds its slot
+  /// taken doubles the table, so no response is ever dropped or scanned for.
+  struct ResponseTable {
+    struct Entry {
+      RequestId id = kNoResponse;
+      MemResponse response;
+    };
+    static constexpr RequestId kNoResponse = ~RequestId{0};
+    std::vector<Entry> slots;  ///< power-of-two size
+    std::uint32_t ready = 0;   ///< occupied slots
   };
   /// One topology node: a bank set with its own queue and arbiter state.
   /// The flat topology has exactly one, reproducing the legacy single
@@ -362,6 +406,25 @@ class MemorySystem {
   };
 
   void routeDemand(const Pending& pending);
+  /// File a completed response in port `who`'s slot table.
+  void deliver(std::uint32_t who, RequestId id, const MemResponse& response);
+  void growTable(ResponseTable& table) const;
+  void clearResponses();
+  std::size_t slotOf(const ResponseTable& table, RequestId id) const {
+    return static_cast<std::size_t>((id - 1) >> slot_shift_) &
+           (table.slots.size() - 1);
+  }
+  /// The device behind an MMIO access's window, and the access's offset in
+  /// it.
+  MmioDevice* mmioDevice(const MemAccess& a) const {
+    return mmio_devices_[(a.addr - config_.mmio_base) / config_.mmio_size];
+  }
+  Addr mmioOffset(const MemAccess& a) const {
+    return (a.addr - config_.mmio_base) % config_.mmio_size;
+  }
+  /// First cycle (> now) at which port `who`'s refused MMIO read `head`
+  /// can be accepted: its device's mmioReadyCycle, asked once per refusal.
+  Cycle mmioWake(const Pending& head, Cycle now) const;
   void grant(const Pending& pending, Cycle now, ChannelState& ch,
              std::uint32_t ch_index);
   /// Service the per-tile lanes (hierarchical routed topologies): L1
@@ -423,13 +486,23 @@ class MemorySystem {
   /// bounded): first demand hit counts `useful` and untracks.
   std::vector<std::vector<Addr>> hht_pf_tracked_;
   std::vector<InFlight> in_flight_;
-  /// Unclaimed responses, one lane per requester (lane = (id-1) %
-  /// numRequesters, well-defined because ids are per-requester streams).
-  /// Per-lane storage keeps takeResponse() scanning only the caller's own
-  /// handful of entries — and makes concurrent polls from different tiles
-  /// race-free during the threaded epoch's parallel phase. Each lane stays
-  /// in retirement order.
-  std::vector<std::vector<std::pair<RequestId, MemResponse>>> completed_;
+  /// Unclaimed responses, one slot table per requester port. Per-port
+  /// storage also makes concurrent polls from different tiles race-free
+  /// during the threaded epoch's parallel phase.
+  std::vector<ResponseTable> responses_;
+  std::uint32_t slot_shift_ = 0;  ///< power-of-two factor of R, as a shift
+  /// Accesses each port has in a channel queue, tile lane, MMIO queue or
+  /// staging lane (host-only; rebuilt on restore).
+  std::vector<std::uint32_t> queued_;
+  /// Refused-MMIO-read state per port (host-only, not serialized: a
+  /// restored queue retries every entry on its first tick). refused_at is
+  /// the last cycle the port's head read was refused or credited as
+  /// refused (kNeverCycle: not refused); wake caches its device's answer
+  /// (kWakeStale: not asked since the last refusal).
+  std::vector<Cycle> mmio_refused_at_;
+  mutable std::vector<Cycle> mmio_wake_;
+  static constexpr Cycle kWakeStale = 0;
+  bool mmio_fresh_ = false;  ///< an MMIO access was submitted since tick()
 
   /// Per-requester next sequence numbers (id = seq*R + who + 1); replaces
   /// the old global next_id_ counter (snapshot v6).
@@ -479,16 +552,28 @@ class MemorySystem {
   std::uint64_t* hpf_dropped_ = nullptr;
 };
 
-inline std::optional<MemResponse> MemorySystem::takeResponse(RequestId id) {
-  auto& lane = completed_[(id - 1) % num_requesters_];
-  for (std::size_t i = 0; i < lane.size(); ++i) {
-    if (lane[i].first == id) {
-      const MemResponse response = lane[i].second;
-      lane.erase(lane.begin() + static_cast<std::ptrdiff_t>(i));
-      return response;
-    }
+// Inline, like takeResponse: one per retirement on the busy path.
+inline void MemorySystem::deliver(std::uint32_t who, RequestId id,
+                                  const MemResponse& response) {
+  ResponseTable& table = responses_[who];
+  while (table.slots[slotOf(table, id)].id != ResponseTable::kNoResponse) {
+    growTable(table);
   }
-  return std::nullopt;
+  table.slots[slotOf(table, id)] = {id, response};
+  ++table.ready;
+}
+
+inline std::optional<MemResponse> MemorySystem::takeResponse(std::uint32_t who,
+                                                             RequestId id) {
+  ResponseTable& table = responses_[who];
+  if (table.ready == 0) return std::nullopt;
+  // An empty slot holds kNoResponse, which no issued id (kInvalidRequest
+  // included) ever equals.
+  ResponseTable::Entry& entry = table.slots[slotOf(table, id)];
+  if (entry.id != id) return std::nullopt;
+  entry.id = ResponseTable::kNoResponse;
+  --table.ready;
+  return entry.response;
 }
 
 }  // namespace hht::mem

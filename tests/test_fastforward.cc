@@ -1,10 +1,11 @@
 // Run-loop equivalence verification (DESIGN.md §11): the run loop's
 // event-scheduled mode must be invisible in every simulated result. Same
 // cycle counts, same merged stats map, same output bits, same snapshot
-// bytes as its every-cycle (naive) mode — for every engine, with and
-// without fault injection, with the patrol scrubber, under an oracle
-// stream tap, across a checkpoint/restore, and for every SweepRunner jobs
-// value.
+// bytes as its every-cycle (naive) mode — for every engine, on fast and
+// slow SRAM, with and without fault injection, with the patrol scrubber,
+// under an oracle stream tap, across a checkpoint/restore (also one taken
+// inside a jumped FIFO wait), at a watchdog firing, and for every
+// SweepRunner jobs value.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -12,7 +13,9 @@
 #include <vector>
 
 #include "harness/experiment.h"
+#include "core/mmr.h"
 #include "harness/sweep.h"
+#include "kernels/kernels.h"
 #include "obs/trace.h"
 #include "sparse/bitvector.h"
 #include "sparse/hier_bitmap.h"
@@ -364,6 +367,240 @@ TEST(FastForward, RestoreIsRunLoopAgnostic) {
                                                  w2.layout.num_rows, start);
     expectIdentical(base, resumed, name);
   }
+}
+
+// ---- slow SRAM: sleeping engines and sleeping FIFO reads ----
+
+/// The ASIC back-end modes, each driven by its HHT kernel on tile 0.
+enum class Asic { GatherScalar, GatherVector, MergeV1, MergeV2, Hier, Flat };
+constexpr Asic kAsics[] = {Asic::GatherScalar, Asic::GatherVector,
+                           Asic::MergeV1,      Asic::MergeV2,
+                           Asic::Hier,         Asic::Flat};
+const char* asicName(Asic a) {
+  static constexpr const char* kNames[] = {"gather-scalar", "gather-vector",
+                                           "merge-v1",      "merge-v2",
+                                           "hier-bitmap",   "flat-bitmap"};
+  return kNames[static_cast<int>(a)];
+}
+
+/// One engine's kernel, its y address and length, on a loaded System.
+struct AsicProgram {
+  isa::Program program;
+  Addr y = 0;
+  std::uint32_t y_len = 0;
+};
+
+AsicProgram loadAsic(System& sys, Asic a, const Operands& ops) {
+  const Addr mmio = sys.config().memory.mmio_base;
+  switch (a) {
+    case Asic::GatherScalar:
+    case Asic::GatherVector: {
+      const kernels::SpmvLayout l = loadSpmv(sys, ops.m, ops.v);
+      return {a == Asic::GatherScalar ? kernels::spmvScalarHht(l, mmio)
+                                      : kernels::spmvVectorHht(l, mmio),
+              l.y, l.num_rows};
+    }
+    case Asic::MergeV1:
+    case Asic::MergeV2: {
+      const kernels::SpmspvLayout l = loadSpmspv(sys, ops.m, ops.sv);
+      return {a == Asic::MergeV1 ? kernels::spmspvHhtV1(l, mmio)
+                                 : kernels::spmspvHhtV2(l, mmio),
+              l.y, l.num_rows};
+    }
+    case Asic::Hier: {
+      const kernels::HierLayout l = loadHier(
+          sys, sparse::HierBitmapMatrix::fromDense(ops.m.toDense()), ops.v);
+      return {kernels::hierBitmapHht(l, mmio), l.y, l.num_rows};
+    }
+    case Asic::Flat: {
+      const kernels::HierLayout l = loadFlatBitmap(
+          sys, sparse::BitVectorMatrix::fromDense(ops.m.toDense()), ops.v);
+      return {kernels::flatBitmapHht(l, mmio), l.y, l.num_rows};
+    }
+  }
+  return {};
+}
+
+struct AsicRun {
+  RunResult result;
+  std::vector<std::uint8_t> snapshot;  ///< end-of-run checkpoint() bytes
+  std::uint64_t skipped = 0;
+};
+
+AsicRun runAsic(const SystemConfig& cfg, Asic a, const Operands& ops) {
+  System sys(cfg);
+  const AsicProgram p = loadAsic(sys, a, ops);
+  AsicRun out;
+  out.result = sys.run(p.program, p.y, p.y_len);
+  out.snapshot = sys.checkpoint(p.program, out.result.cycles);
+  out.skipped = sys.hostSkippedCycles();
+  return out;
+}
+
+Operands smallOperands(std::uint64_t seed, sim::Index n) {
+  sim::Rng rng(seed);
+  Operands ops;
+  ops.m = workload::randomCsr(rng, n, n, 0.5);
+  ops.v = workload::randomDenseVector(rng, n);
+  ops.sv = workload::randomSparseVector(rng, n, 0.5);
+  return ops;
+}
+
+TEST(FastForward, EveryEngineOnSlowSramIsBitIdenticalAcrossRunLoops) {
+  // On a slow SRAM a live engine sleeps until its next response lands and
+  // the CPU's refused BUF_DATA/VALID reads sleep until the device's next
+  // event. Every engine, with and without delayed/dropped responses (which
+  // complete reads out of order), must leave the machine byte-identical to
+  // the every-cycle loop: y, every stat (hht.active_cycles and
+  // hht.cpu_wait_cycles are credited for the slept cycles) and the
+  // end-of-run snapshot.
+  for (const Cycle latency : {Cycle{64}, Cycle{2048}}) {
+    const Operands ops =
+        smallOperands(0xFF'20 + latency, latency > 64 ? 10 : 16);
+    for (const bool faults : {false, true}) {
+      SystemConfig cfg = defaultConfig();
+      cfg.memory.sram_latency = latency;
+      if (faults) {
+        cfg.faults.enabled = true;
+        cfg.faults.seed = 0xD0D0;
+        cfg.faults.drop_rate = 0.05;
+        cfg.faults.delay_rate = 0.1;
+      }
+      for (const Asic a : kAsics) {
+        const std::string label = std::string(asicName(a)) + " lat=" +
+                                  std::to_string(latency) +
+                                  (faults ? " delay/drop" : "");
+        cfg.host_fastforward = false;
+        const AsicRun naive = runAsic(cfg, a, ops);
+        cfg.host_fastforward = true;
+        const AsicRun event = runAsic(cfg, a, ops);
+        expectIdentical(event.result, naive.result, label.c_str());
+        EXPECT_EQ(event.snapshot, naive.snapshot) << label;
+        EXPECT_EQ(naive.skipped, 0u) << label;
+        EXPECT_GT(event.skipped, 0u) << label;
+      }
+    }
+  }
+}
+
+TEST(FastForward, DeepStallSkipsMostCyclesOnEveryEngine) {
+  // A 2048-cycle SRAM leaves every engine and the CPU waiting on memory
+  // almost all the time: the loop must jump at least 90% of the run.
+  const Operands ops = smallOperands(0xFF'21, 10);
+  SystemConfig cfg = defaultConfig();
+  cfg.memory.sram_latency = 2048;
+  for (const Asic a : kAsics) {
+    const AsicRun run = runAsic(cfg, a, ops);
+    EXPECT_GE(run.skipped * 10, run.result.cycles * 9)
+        << asicName(a) << ": jumped " << run.skipped << " of "
+        << run.result.cycles << " cycles";
+  }
+}
+
+TEST(FastForward, CheckpointInsideASkippedFifoWaitResumesByteIdentical) {
+  // Stop a run (max_cycles) while the CPU's BUF_DATA read sits refused and
+  // the loop is jumping the wait: the stop settles the skipped retries, so
+  // the snapshot equals the every-cycle loop's at the same cycle, and
+  // restoring it and resuming finishes exactly like the uninterrupted run.
+  const Operands ops = smallOperands(0xFF'22, 10);
+  SystemConfig cfg = defaultConfig();
+  cfg.memory.sram_latency = 2048;
+  constexpr Cycle kStop = 5000;  // inside the first FIFO wait
+
+  const auto stopAt = [&](bool fastforward, std::uint64_t& skipped) {
+    SystemConfig c = cfg;
+    c.host_fastforward = fastforward;
+    System sys(c);
+    const AsicProgram p = loadAsic(sys, Asic::GatherVector, ops);
+    EXPECT_THROW(sys.run(p.program, p.y, p.y_len, kStop), sim::SimError);
+    EXPECT_TRUE(sys.memory().mmioPending()) << "not inside a FIFO wait";
+    EXPECT_GT(sys.hht().cpuWaitCycles(), 0u);
+    skipped = sys.hostSkippedCycles();
+    return sys.checkpoint(p.program, kStop);
+  };
+  std::uint64_t naive_skipped = 0;
+  std::uint64_t event_skipped = 0;
+  const std::vector<std::uint8_t> naive_snap = stopAt(false, naive_skipped);
+  const std::vector<std::uint8_t> event_snap = stopAt(true, event_skipped);
+  EXPECT_EQ(naive_skipped, 0u);
+  EXPECT_GT(event_skipped, kStop / 2) << "the wait was not jumped";
+  EXPECT_EQ(event_snap, naive_snap);
+
+  cfg.host_fastforward = true;
+  const AsicRun whole = runAsic(cfg, Asic::GatherVector, ops);
+  System resumed(cfg);
+  const AsicProgram p = loadAsic(resumed, Asic::GatherVector, ops);
+  const Cycle start = resumed.restore(event_snap, p.program);
+  EXPECT_EQ(start, kStop);
+  const RunResult r = resumed.resume(p.program, p.y, p.y_len, start);
+  expectIdentical(r, whole.result, "resumed");
+  EXPECT_EQ(resumed.checkpoint(p.program, r.cycles), whole.snapshot);
+  EXPECT_GT(resumed.hostSkippedCycles(), 0u);
+}
+
+/// Program the gather engine over `l`, start it and pop BUF_DATA once.
+isa::Program startAndPop(const kernels::SpmvLayout& l, Addr mmio) {
+  using namespace isa::reg;
+  namespace mmr = core::mmr;
+  isa::ProgramBuilder b("start_and_pop");
+  b.li(s11, static_cast<std::int32_t>(mmio));
+  const auto write = [&](Addr offset, std::uint32_t value) {
+    b.li(t1, static_cast<std::int32_t>(value));
+    b.sw(t1, s11, static_cast<std::int32_t>(offset));
+  };
+  write(mmr::kMNumRows, l.num_rows);
+  write(mmr::kMRowsBase, l.rows);
+  write(mmr::kMColsBase, l.cols);
+  write(mmr::kVBase, l.v);
+  write(mmr::kElementSize, 4);
+  write(mmr::kMode, static_cast<std::uint32_t>(core::Mode::SpmvGather));
+  write(mmr::kStart, 1);
+  b.lw(t0, s11, static_cast<std::int32_t>(mmr::kBufData));
+  b.ecall();
+  return b.build();
+}
+
+TEST(FastForward, WedgedLiveHhtFiresTheWatchdogAtTheNaiveCycle) {
+  // A live engine waiting on a 100k-cycle response and the CPU's refused
+  // BUF_DATA read both sleep, with nothing retiring or granted: the loop
+  // jumps, but only to the watchdog's firing sample, where it must throw
+  // what the every-cycle loop throws, with the same counters settled.
+  const Operands ops = smallOperands(0xFF'23, 8);
+  const auto wedge = [&](bool fastforward, std::uint64_t& skipped,
+                         std::uint64_t& cpu_wait, std::uint64_t& active) {
+    SystemConfig cfg = defaultConfig();
+    cfg.watchdog_cycles = 2000;
+    cfg.memory.sram_latency = 100'000;
+    cfg.host_fastforward = fastforward;
+    System sys(cfg);
+    const kernels::SpmvLayout l = loadSpmv(sys, ops.m, ops.v);
+    const isa::Program p = startAndPop(l, cfg.memory.mmio_base);
+    sim::SimError error(sim::ErrorKind::Config, "test", "no error");
+    try {
+      sys.run(p, l.y, l.num_rows);
+      ADD_FAILURE() << "the watchdog did not fire";
+    } catch (const sim::SimError& e) {
+      error = e;
+    }
+    skipped = sys.hostSkippedCycles();
+    cpu_wait = sys.hht().cpuWaitCycles();
+    active = sys.hht().stats().value("hht.active_cycles");
+    return error;
+  };
+  std::uint64_t skipped[2], cpu_wait[2], active[2];
+  const sim::SimError n = wedge(false, skipped[0], cpu_wait[0], active[0]);
+  const sim::SimError e = wedge(true, skipped[1], cpu_wait[1], active[1]);
+  EXPECT_EQ(skipped[0], 0u);
+  EXPECT_GT(skipped[1], 1000u) << "the wedge was not jumped";
+  EXPECT_EQ(n.kind(), sim::ErrorKind::Watchdog);
+  EXPECT_EQ(n.component(), "watchdog");
+  EXPECT_EQ(e.component(), n.component());
+  EXPECT_EQ(e.message(), n.message());
+  EXPECT_EQ(e.diagnostic(), n.diagnostic());
+  EXPECT_GT(cpu_wait[0], 0u);
+  EXPECT_EQ(cpu_wait[1], cpu_wait[0]);
+  EXPECT_GT(active[0], 0u);
+  EXPECT_EQ(active[1], active[0]);
 }
 
 TEST(FastForward, SweepRunnerResultsAreJobsInvariant) {

@@ -421,6 +421,39 @@ TEST(MemorySystem, PerRequesterFifoOrder) {
   EXPECT_TRUE(a_done);
 }
 
+TEST(MemorySystem, ManyUnclaimedResponsesStayClaimableInAnyOrder) {
+  // Completed responses wait in a per-port slot table indexed by the id's
+  // sequence number. Far more unclaimed responses than its initial size
+  // (on a 3-tile machine, whose 6 ports make the id stride not a power of
+  // two) must all stay claimable, newest first, with the right data —
+  // and kInvalidRequest, the id a faulted walker holds, never matches.
+  MemorySystemConfig cfg = smallConfig();
+  cfg.num_tiles = 3;
+  cfg.grants_per_cycle = 4;
+  MemorySystem mem(cfg);
+  for (Addr a = 0; a < 4 * 100; a += 4) mem.sram().write(a, 4, a * 7 + 1);
+  std::vector<RequestId> ids;
+  for (Addr a = 0; a < 4 * 100; a += 4) {
+    ids.push_back(mem.submit({a, 4, false, 0, Requester::Hht, 2}));
+  }
+  sim::Cycle now = 0;
+  while (!mem.hasResponses(Requester::Hht, 2) || mem.nextEventCycle(now) !=
+                                                     sim::kNeverCycle) {
+    mem.tick(now++);
+  }
+  EXPECT_FALSE(mem.takeResponse(kInvalidRequest).has_value());
+  EXPECT_FALSE(mem.takeResponse(requesterIndex(Requester::Hht, 2),
+                                kInvalidRequest)
+                   .has_value());
+  for (std::size_t i = ids.size(); i-- > 0;) {
+    const auto r = mem.takeResponse(requesterIndex(Requester::Hht, 2), ids[i]);
+    ASSERT_TRUE(r.has_value()) << "response " << i << " lost";
+    EXPECT_EQ(r->data, static_cast<std::uint32_t>(i * 4 * 7 + 1));
+    EXPECT_FALSE(mem.takeResponse(ids[i]).has_value()) << "claimed twice";
+  }
+  EXPECT_TRUE(mem.idle());
+}
+
 TEST(MemorySystem, IdleTracksOutstandingWork) {
   MemorySystem mem(smallConfig());
   EXPECT_TRUE(mem.idle());

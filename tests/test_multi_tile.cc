@@ -423,7 +423,8 @@ struct DiffCase {
   bool chunk_queue = false;
   sim::Cycle sram_latency = 1;
   std::uint32_t workers = 1;
-  bool faults = false;
+  bool faults = false;  ///< read bit flips + FIFO corruption
+  bool delays = false;  ///< delayed/dropped responses (out-of-order reads)
   /// SpMV: 0 scalar HHT, 1 vector HHT, 2 CPU-only scalar baseline (static
   /// shards only: with no engine streaming, every tile can idle at once
   /// and the loop jumps). SpMSpV: 3 merge v1, 4 merge v2.
@@ -437,7 +438,8 @@ struct DiffCase {
            (chunk_queue ? " queue" : " shards") +
            " lat=" + std::to_string(sram_latency) +
            " workers=" + std::to_string(workers) +
-           (faults ? " faults " : " ") + kKernel[kernel];
+           (faults ? " faults" : "") + (delays ? " delays " : " ") +
+           kKernel[kernel];
   }
 };
 
@@ -461,15 +463,21 @@ DiffOutcome runDiffCase(const DiffCase& c, bool fastforward) {
   cfg.memory.work_queue_enabled = c.chunk_queue;
   cfg.tile_workers = c.workers;
   cfg.host_fastforward = fastforward;
-  if (c.faults) {
+  if (c.faults || c.delays) {
     cfg.faults.enabled = true;
     cfg.faults.seed = 0xD1FF;
+  }
+  if (c.faults) {
     cfg.faults.sram_read_flip_rate = 2e-3;
     cfg.faults.fifo_corrupt_rate = 2e-3;
   }
+  if (c.delays) {
+    cfg.faults.drop_rate = 0.05;
+    cfg.faults.delay_rate = 0.1;
+  }
   System sys(cfg);
-  // Deep stalls get a smaller matrix: every load costs 512 cycles.
-  const sim::Index n = c.sram_latency >= 512 ? 16 : 40;
+  // Slow memory gets a smaller matrix: every load costs sram_latency.
+  const sim::Index n = c.sram_latency >= 64 ? 16 : 40;
   sim::Rng rng(0xD1FF'0000 + c.tiles);
   const sparse::CsrMatrix m = workload::randomCsr(rng, n, n, 0.7);
   const sparse::DenseVector v = workload::randomDenseVector(rng, n);
@@ -543,19 +551,44 @@ TEST(MultiTile, RandomizedRunLoopDifferential) {
   // stats, the end-of-run snapshot, or the exact same SimError.
   sim::Rng rng(0xD1FF'2022);
   constexpr std::uint32_t kTiles[] = {1, 2, 4, 16};
-  constexpr sim::Cycle kLatency[] = {1, 6, 512};
+  constexpr sim::Cycle kLatency[] = {1, 6, 64, 512, 2048};
   std::vector<DiffCase> cases;
   for (int i = 0; i < 30; ++i) {
     DiffCase c;
     c.tiles = kTiles[rng.nextBelow(4)];
     c.topology = static_cast<int>(rng.nextBelow(3));
     c.chunk_queue = rng.nextBool(0.5);
-    c.sram_latency = kLatency[rng.nextBelow(3)];
+    c.sram_latency = kLatency[rng.nextBelow(5)];
     c.workers = c.tiles > 1 && rng.nextBool(0.5) ? 2 : 1;
     c.faults = rng.nextBool(0.3);
     c.kernel = static_cast<int>(rng.nextBelow(5));
     if (c.kernel == 2) c.chunk_queue = false;
     cases.push_back(c);
+  }
+  // Pinned: slow SRAM (64 and 2048 cycles), where live engines and the
+  // cores' refused FIFO reads sleep, on 1 and 4 tiles, under static shards
+  // and the chunk queue, with and without delayed/dropped responses; two
+  // of the four HHT kernels per point, rotating, so each kernel meets
+  // every value of every dimension.
+  constexpr int kHhtKernels[] = {0, 1, 3, 4};
+  int point = 0;
+  for (const sim::Cycle latency : {sim::Cycle{64}, sim::Cycle{2048}}) {
+    for (const std::uint32_t tiles : {1u, 4u}) {
+      for (const bool queue : {false, true}) {
+        for (const bool delays : {false, true}) {
+          for (int k = 0; k < 2; ++k) {
+            DiffCase c;
+            c.tiles = tiles;
+            c.chunk_queue = queue;
+            c.sram_latency = latency;
+            c.delays = delays;
+            c.kernel = kHhtKernels[(point + k) % 4];
+            cases.push_back(c);
+          }
+          ++point;
+        }
+      }
+    }
   }
   // Pinned: a deep-stall 16-tile machine, where the loop must actually
   // jump (every core waits on 512-cycle loads at once).

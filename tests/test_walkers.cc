@@ -57,7 +57,7 @@ TEST(RowPtrWalker, WalksRowExtentsInOrder) {
     for (int guard = 0; guard < 50 && !walker.haveRow(); ++guard) {
       if (walker.wantIssue()) walker.issue(f.engine, f.mem);
       f.tick();
-      walker.poll(f.mem);
+      walker.poll(f.engine);
     }
     ASSERT_TRUE(walker.haveRow());
     EXPECT_EQ(walker.rowStart(), start);
@@ -80,7 +80,7 @@ TEST(RowPtrWalker, ReusesRowEndAsNextStart) {
       ++issues;
     }
     f.tick();
-    walker.poll(f.mem);
+    walker.poll(f.engine);
     if (walker.haveRow()) walker.advance();
   }
   // rows+1 = 3 fetches, not 2 per row: the shared boundary is not re-read.
@@ -98,7 +98,7 @@ TEST(IndexStream, DeliversInOrderWithMetadata) {
   while (!stream.exhausted()) {
     if (stream.wantIssue()) stream.issue(f.engine, f.mem);
     f.tick();
-    stream.poll(f.mem);
+    stream.poll(f.engine);
     while (stream.headAvailable()) {
       seen.push_back(stream.head());
       EXPECT_EQ(stream.headGlobal(), 7u + stream.headIndex());
@@ -140,7 +140,7 @@ TEST(IndexStream, RestartDropsStaleInFlightResponses) {
   std::vector<sim::Index> seen;
   for (int guard = 0; guard < 100 && !stream.exhausted(); ++guard) {
     f.tick();
-    stream.poll(f.mem);
+    stream.poll(f.engine);
     while (stream.headAvailable()) {
       seen.push_back(stream.head());
       stream.pop();
@@ -167,7 +167,7 @@ TEST(ValueFetchQueue, FillsReservedTicketsInStreamOrder) {
   while (q.wantIssue()) q.issue(f.engine, f.mem);
   for (int guard = 0; guard < 50 && !q.drained(); ++guard) {
     f.tick();
-    q.poll(f.mem, f.emit);
+    q.poll(f.engine, f.emit);
   }
   ASSERT_TRUE(q.drained());
   f.emit.drainTo(f.buffers, 8);
