@@ -16,7 +16,7 @@
 #include "harness/report.h"
 #include "harness/sweep.h"
 #include "sparse/bitvector.h"
-#include "sparse/convert.h"
+#include "sparse/hier_bitmap.h"
 #include "workload/synthetic.h"
 
 int main(int argc, char** argv) {
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
         harness::fmt(harness::speedup(base, hht_csr)),
         harness::fmt(harness::speedup(base, hht_hb)),
         harness::fmt(harness::speedup(base, hht_bv)),
-        std::to_string(sparse::csrStorageBytes(csr)),
+        std::to_string(csr.storageBytes()),
         std::to_string(hb.storageBytes()),
         std::to_string(bv.storageBytes())};
   });

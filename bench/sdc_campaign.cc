@@ -46,17 +46,6 @@ constexpr EngineMode kModes[] = {EngineMode::kSpmv, EngineMode::kSpmspvV1,
                                  EngineMode::kSpmspvV2, EngineMode::kHier,
                                  EngineMode::kFlat};
 
-const char* modeName(EngineMode m) {
-  switch (m) {
-    case EngineMode::kSpmv: return "spmv";
-    case EngineMode::kSpmspvV1: return "spmspv_v1";
-    case EngineMode::kSpmspvV2: return "spmspv_v2";
-    case EngineMode::kHier: return "hier";
-    case EngineMode::kFlat: return "flat";
-  }
-  return "?";
-}
-
 /// Where the flip is planted.
 enum class Site {
   kFifoFlip,      ///< buffer SRAM cell, parity left GOOD (sdc_fifo_ordinal)

@@ -1,7 +1,7 @@
 // Format explorer: take one matrix through every sparse representation in
-// the library (§1's survey list) and compare storage footprints, then run
-// the three HHT-offloadable representations (CSR, SMASH-style hierarchical
-// bitmap, flat bit-vector) end-to-end on the simulator.
+// the library and compare storage footprints, then run the three
+// HHT-offloadable representations (CSR, SMASH-style hierarchical bitmap,
+// flat bit-vector) end-to-end on the simulator.
 //
 //   ./build/examples/format_explorer [sparsity%]   (default 90)
 #include <cstdlib>
@@ -9,7 +9,8 @@
 
 #include "harness/experiment.h"
 #include "harness/report.h"
-#include "sparse/convert.h"
+#include "sparse/bitvector.h"
+#include "sparse/hier_bitmap.h"
 #include "sparse/reference.h"
 #include "workload/synthetic.h"
 
@@ -34,43 +35,14 @@ int main(int argc, char** argv) {
                     harness::pct(static_cast<double>(bytes) / dense_bytes),
                     notes});
   };
+  const sparse::BitVectorMatrix bv = sparse::BitVectorMatrix::fromDense(dense);
+  const sparse::HierBitmapMatrix hb =
+      sparse::HierBitmapMatrix::fromDense(dense);
   row("dense", dense_bytes, "baseline");
-  row("CSR", sparse::csrStorageBytes(csr), "rowPtr + cols + vals");
-  {
-    const auto csc = sparse::csrToCsc(csr);
-    row("CSC", (csc.colPtr().size() + csc.rows().size()) * 4 +
-                   csc.vals().size() * 4,
-        "column dual");
-  }
+  row("CSR", csr.storageBytes(), "rowPtr + cols + vals");
   row("COO", csr.nnz() * 12, "12 B per triplet");
-  {
-    const auto bv = sparse::csrToBitVector(csr);
-    row("bit-vector", bv.storageBytes(), "1 bit/position + packed vals");
-  }
-  {
-    const auto hb = sparse::csrToHierBitmap(csr);
-    row("hier bitmap (SMASH)", hb.storageBytes(), "level-1 skips empty leaves");
-  }
-  {
-    const auto rle = sparse::csrToRle(csr);
-    row("RLE", rle.storageBytes(), "zero-run deltas");
-  }
-  {
-    const auto ell = sparse::csrToEll(csr);
-    row("ELL", ell.storageBytes(),
-        "width " + std::to_string(ell.width()) + ", " +
-            harness::pct(ell.paddingWaste()) + " padding");
-  }
-  {
-    const auto dia = sparse::csrToDia(csr);
-    row("DIA", dia.storageBytes(),
-        std::to_string(dia.numDiagonals()) + " diagonals (poor fit: random)");
-  }
-  {
-    const auto bcsr = sparse::csrToBcsr(csr, 4, 4);
-    row("BCSR 4x4", bcsr.storageBytes(),
-        harness::pct(bcsr.fillWaste()) + " block fill waste");
-  }
+  row("bit-vector", bv.storageBytes(), "1 bit/position + packed vals");
+  row("hier bitmap (SMASH)", hb.storageBytes(), "level-1 skips empty leaves");
   storage.print(std::cout);
 
   // --- HHT offload across the walkable representations ---
@@ -79,10 +51,8 @@ int main(int argc, char** argv) {
   const harness::SystemConfig cfg = harness::defaultConfig(2);
   const auto base = harness::runSpmvBaseline(cfg, csr, v, true);
   const auto hht_csr = harness::runSpmvHht(cfg, csr, v, true);
-  const auto hht_hb =
-      harness::runHierHht(cfg, sparse::csrToHierBitmap(csr), v);
-  const auto hht_bv =
-      harness::runFlatHht(cfg, sparse::csrToBitVector(csr), v);
+  const auto hht_hb = harness::runHierHht(cfg, hb, v);
+  const auto hht_bv = harness::runFlatHht(cfg, bv, v);
 
   harness::Table runs({"engine", "cycles", "speedup vs CPU baseline"});
   runs.addRow({"CPU only (vector gather)", std::to_string(base.cycles), "1.00"});

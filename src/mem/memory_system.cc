@@ -304,17 +304,6 @@ void MemorySystem::endStagedSubmission() {
   staging_ = false;
 }
 
-std::optional<std::uint32_t> MemorySystem::takeCompleted(RequestId id) {
-  auto response = takeResponse(id);
-  if (!response) return std::nullopt;
-  if (response->poisoned) {
-    throw sim::SimError(sim::ErrorKind::Memory, "mem",
-                        "poisoned response consumed through takeCompleted "
-                        "(caller has no fault-handling path)");
-  }
-  return response->data;
-}
-
 void MemorySystem::applySecded(const MemAccess& a, std::uint32_t& data,
                                bool& poisoned) {
   if (sram_.latentCount() == 0) return;

@@ -108,7 +108,7 @@ struct MemorySystemConfig {
 /// Usage per cycle (strict order): requesters call submit() during their
 /// tick; MemorySystem::tick() then arbitrates, applies latencies and marks
 /// completions; requesters observe completion the following cycle via
-/// takeCompleted(). MMIO does not consume SRAM grant slots (the FE sits on
+/// takeResponse(). MMIO does not consume SRAM grant slots (the FE sits on
 /// the CPU's port, §3.1).
 class MemorySystem {
  public:
@@ -144,24 +144,13 @@ class MemorySystem {
 
   /// If request `id`, submitted by requester port `who` (requesterIndex of
   /// its role and tile), has completed, consume it and return the response.
-  /// Poison-aware consumers (cores, walkers) use this. Otherwise
-  /// std::nullopt. Defined below, inline: every consumer polls this once
-  /// per pending request per cycle, so it is one probe of the port's slot
-  /// table, and the common miss (nothing completed) a load and a branch.
+  /// Otherwise std::nullopt. This is the only way to claim a response;
+  /// the consumer handles its poison flag. Defined below, inline: every
+  /// consumer polls this once per pending request per cycle, so it is one
+  /// probe of the port's slot table, and the common miss (nothing
+  /// completed) a load and a branch.
   /// kInvalidRequest (a walker whose issue faulted) never matches.
   std::optional<MemResponse> takeResponse(std::uint32_t who, RequestId id);
-
-  /// takeResponse for callers that do not track their port (tests, the
-  /// takeCompleted shim): the port is recovered from the id.
-  std::optional<MemResponse> takeResponse(RequestId id) {
-    return takeResponse(static_cast<std::uint32_t>((id - 1) % num_requesters_),
-                        id);
-  }
-
-  /// Legacy convenience: like takeResponse but returns the bare data.
-  /// Throws SimError(Memory) if the response was poisoned — callers that
-  /// can recover must use takeResponse instead.
-  std::optional<std::uint32_t> takeCompleted(RequestId id);
 
   /// Advance one cycle: service tile lanes (L1 lookups, link-bandwidth
   /// metering), arbitrate each channel's grants, retry MMIO reads, retire

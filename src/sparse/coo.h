@@ -17,10 +17,9 @@ struct Triplet {
 
 /// Coordinate-list (COO) sparse matrix.
 ///
-/// COO is the interchange format: every other compressed representation
-/// converts through it. Entries may be held unsorted; `canonicalize()`
-/// sorts row-major and sums duplicates, which is the normal form the
-/// conversions require.
+/// COO is the interchange format: Matrix Market I/O reads and writes it,
+/// and CSR is built from it. Entries may be held unsorted; `canonicalize()`
+/// sorts row-major and sums duplicates.
 class CooMatrix {
  public:
   CooMatrix() = default;

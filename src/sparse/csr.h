@@ -60,6 +60,13 @@ class CsrMatrix {
   /// Fraction of zero entries relative to the dense n_rows*n_cols size.
   double sparsity() const;
 
+  /// Storage footprint in bytes (rowPtr + cols + vals); compared against
+  /// the bitmap formats in abl_smash and the format-comparison example.
+  std::size_t storageBytes() const {
+    return (row_ptr_.size() + cols_.size()) * sizeof(Index) +
+           vals_.size() * sizeof(Value);
+  }
+
   /// Extract the sub-matrix rows [r0,r0+h) x cols [c0,c0+w) as CSR.
   /// Used by the §5.5 energy study, which tiles matrices into 16x16 blocks.
   CsrMatrix extractTile(Index r0, Index c0, Index h, Index w) const;

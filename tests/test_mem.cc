@@ -126,12 +126,17 @@ MemorySystemConfig smallConfig() {
   return cfg;
 }
 
-/// Tick until request `id` completes; returns (data, cycles waited).
+/// Ports of tile 0's requesters, the tile a MemAccess names by default.
+const std::uint32_t kCpuPort = requesterIndex(Requester::Cpu, 0);
+const std::uint32_t kHhtPort = requesterIndex(Requester::Hht, 0);
+
+/// Tick until tile 0's CPU request `id` completes; returns (data, cycles
+/// waited).
 std::pair<std::uint32_t, int> waitFor(MemorySystem& mem, RequestId id,
                                       sim::Cycle& now) {
   for (int waited = 0; waited < 100; ++waited) {
     mem.tick(now++);
-    if (auto data = mem.takeCompleted(id)) return {*data, waited};
+    if (auto r = mem.takeResponse(kCpuPort, id)) return {r->data, waited};
   }
   ADD_FAILURE() << "request never completed";
   return {0, -1};
@@ -174,7 +179,7 @@ TEST(MemorySystem, BandwidthLimitSpreadsGrants) {
   for (int cycle = 0; cycle < 10; ++cycle) {
     mem.tick(now++);
     for (int i = 0; i < 4; ++i) {
-      if (completion_cycle[i] < 0 && mem.takeCompleted(ids[i])) {
+      if (completion_cycle[i] < 0 && mem.takeResponse(kCpuPort, ids[i])) {
         completion_cycle[i] = cycle;
       }
     }
@@ -197,8 +202,8 @@ TEST(MemorySystem, CpuPriorityStarvesHhtUnderContention) {
   int cpu_done = -1, hht_done = -1;
   for (int cycle = 0; cycle < 10; ++cycle) {
     mem.tick(now++);
-    if (cpu_done < 0 && mem.takeCompleted(cpu)) cpu_done = cycle;
-    if (hht_done < 0 && mem.takeCompleted(hht)) hht_done = cycle;
+    if (cpu_done < 0 && mem.takeResponse(kCpuPort, cpu)) cpu_done = cycle;
+    if (hht_done < 0 && mem.takeResponse(kHhtPort, hht)) hht_done = cycle;
   }
   EXPECT_LT(cpu_done, hht_done);
   EXPECT_GT(mem.stats().value("mem.hht.conflict_cycles"), 0u);
@@ -224,8 +229,8 @@ TEST(MemorySystem, CpuPriorityStarvationIsBounded) {
         mem.submit({static_cast<Addr>(4 + 4 * (cycle % 64)), 4, false, 0,
                     Requester::Cpu});
     mem.tick(now++);
-    mem.takeCompleted(cpu);  // drain whatever completed; id reuse-free
-    if (hht_done < 0 && mem.takeCompleted(hht)) hht_done = cycle;
+    mem.takeResponse(kCpuPort, cpu);  // drain whatever completed; id reuse-free
+    if (hht_done < 0 && mem.takeResponse(kHhtPort, hht)) hht_done = cycle;
   }
   ASSERT_GE(hht_done, 0) << "HHT request starved past the bound";
   // Granted after at most cpu_starvation_limit CPU grants, plus latency.
@@ -248,8 +253,8 @@ TEST(MemorySystem, CpuPriorityLimitZeroIsUnbounded) {
         mem.submit({static_cast<Addr>(4 + 4 * (cycle % 64)), 4, false, 0,
                     Requester::Cpu});
     mem.tick(now++);
-    mem.takeCompleted(cpu);
-    EXPECT_FALSE(mem.takeCompleted(hht))
+    mem.takeResponse(kCpuPort, cpu);
+    EXPECT_FALSE(mem.takeResponse(kHhtPort, hht))
         << "limit 0 must reproduce the unbounded pre-fix arbiter";
   }
   EXPECT_EQ(mem.stats().value("mem.arb.forced_rotations"), 0u);
@@ -310,7 +315,7 @@ TEST(MemorySystem, MultiRequesterArbitrationProperties) {
 
       const auto drainCompleted = [&] {
         for (std::size_t i = 0; i < pending.size();) {
-          if (mem.takeCompleted(pending[i].id)) {
+          if (mem.takeResponse(pending[i].port, pending[i].id)) {
             max_wait = std::max<std::uint64_t>(max_wait,
                                                now - pending[i].submitted);
             --in_flight[pending[i].port];
@@ -393,8 +398,10 @@ TEST(MemorySystem, RoundRobinAlternates) {
   std::vector<RequestId> completion_order;
   for (int cycle = 0; cycle < 12 && completion_order.size() < 4; ++cycle) {
     mem.tick(now++);
-    for (RequestId id : {h1, h2, c1, c2}) {
-      if (mem.takeCompleted(id)) completion_order.push_back(id);
+    for (const auto& [who, id] :
+         {std::pair{kHhtPort, h1}, {kHhtPort, h2}, {kCpuPort, c1},
+          {kCpuPort, c2}}) {
+      if (mem.takeResponse(who, id)) completion_order.push_back(id);
     }
   }
   ASSERT_EQ(completion_order.size(), 4u);
@@ -412,11 +419,11 @@ TEST(MemorySystem, PerRequesterFifoOrder) {
   bool a_done = false;
   for (int cycle = 0; cycle < 10; ++cycle) {
     mem.tick(now++);
-    if (mem.takeCompleted(b)) {
+    if (mem.takeResponse(kCpuPort, b)) {
       EXPECT_TRUE(a_done) << "younger same-requester read completed first";
       break;
     }
-    if (mem.takeCompleted(a)) a_done = true;
+    if (mem.takeResponse(kCpuPort, a)) a_done = true;
   }
   EXPECT_TRUE(a_done);
 }
@@ -441,15 +448,15 @@ TEST(MemorySystem, ManyUnclaimedResponsesStayClaimableInAnyOrder) {
                                                      sim::kNeverCycle) {
     mem.tick(now++);
   }
-  EXPECT_FALSE(mem.takeResponse(kInvalidRequest).has_value());
-  EXPECT_FALSE(mem.takeResponse(requesterIndex(Requester::Hht, 2),
-                                kInvalidRequest)
-                   .has_value());
+  const std::uint32_t who = requesterIndex(Requester::Hht, 2);
+  for (std::uint32_t port = 0; port < cfg.numRequesters(); ++port) {
+    EXPECT_FALSE(mem.takeResponse(port, kInvalidRequest).has_value()) << port;
+  }
   for (std::size_t i = ids.size(); i-- > 0;) {
-    const auto r = mem.takeResponse(requesterIndex(Requester::Hht, 2), ids[i]);
+    const auto r = mem.takeResponse(who, ids[i]);
     ASSERT_TRUE(r.has_value()) << "response " << i << " lost";
     EXPECT_EQ(r->data, static_cast<std::uint32_t>(i * 4 * 7 + 1));
-    EXPECT_FALSE(mem.takeResponse(ids[i]).has_value()) << "claimed twice";
+    EXPECT_FALSE(mem.takeResponse(who, ids[i]).has_value()) << "claimed twice";
   }
   EXPECT_TRUE(mem.idle());
 }
@@ -462,7 +469,7 @@ TEST(MemorySystem, IdleTracksOutstandingWork) {
   sim::Cycle now = 0;
   waitFor(mem, id, now);
   EXPECT_TRUE(mem.idle());
-  // Posted writes drain without any takeCompleted call.
+  // Posted writes drain without any takeResponse call.
   mem.submit({0, 4, true, 1, Requester::Cpu});
   EXPECT_FALSE(mem.idle());
   mem.tick(now++);

@@ -53,13 +53,24 @@ std::vector<std::uint8_t> snapshotOf(const MemorySystem& mem) {
   return w.data();
 }
 
+/// A submitted read and the requester port that polls for it.
+struct Ticket {
+  std::uint32_t port;
+  RequestId id;
+};
+
+/// Claim `t`'s response if it has arrived.
+bool claim(MemorySystem& mem, const Ticket& t) {
+  return mem.takeResponse(t.port, t.id).has_value();
+}
+
 /// Drive `mem` with a deterministic random read/write stream and drain it;
-/// returns ids of every *read* submitted (writes are posted).
-std::vector<RequestId> driveRandomStream(MemorySystem& mem, sim::Rng& rng,
-                                         int cycles, sim::Cycle& now,
-                                         std::vector<RequestId>* open) {
+/// returns every *read* submitted (writes are posted).
+std::vector<Ticket> driveRandomStream(MemorySystem& mem, sim::Rng& rng,
+                                      int cycles, sim::Cycle& now,
+                                      std::vector<Ticket>* open) {
   const std::uint32_t ports = mem.config().numRequesters();
-  std::vector<RequestId> reads;
+  std::vector<Ticket> reads;
   for (int c = 0; c < cycles; ++c) {
     for (std::uint32_t port = 0; port < ports; ++port) {
       if (!rng.nextBool(0.4)) continue;
@@ -75,14 +86,13 @@ std::vector<RequestId> driveRandomStream(MemorySystem& mem, sim::Rng& rng,
                              static_cast<std::uint8_t>(requesterTile(port))};
       const RequestId id = mem.submit(access);
       if (!is_write) {
-        reads.push_back(id);
-        if (open != nullptr) open->push_back(id);
+        reads.push_back({port, id});
+        if (open != nullptr) open->push_back({port, id});
       }
     }
     mem.tick(now++);
     if (open != nullptr) {
-      std::erase_if(*open,
-                    [&](RequestId id) { return mem.takeResponse(id).has_value(); });
+      std::erase_if(*open, [&](const Ticket& t) { return claim(mem, t); });
     }
   }
   return reads;
@@ -146,14 +156,12 @@ TEST(MemTopology, RandomizedTopologiesConserveEveryRequest) {
     MemorySystem mem(cfg);
 
     sim::Cycle now = 0;
-    std::vector<RequestId> open;
-    const std::vector<RequestId> reads =
+    std::vector<Ticket> open;
+    const std::vector<Ticket> reads =
         driveRandomStream(mem, rng, 96, now, &open);
     for (int guard = 0; !mem.idle() && guard < 4096; ++guard) {
       mem.tick(now++);
-      std::erase_if(open, [&](RequestId id) {
-        return mem.takeResponse(id).has_value();
-      });
+      std::erase_if(open, [&](const Ticket& t) { return claim(mem, t); });
     }
     EXPECT_TRUE(mem.idle()) << "trial " << trial << " never drained:\n"
                             << mem.describeState();
@@ -161,9 +169,9 @@ TEST(MemTopology, RandomizedTopologiesConserveEveryRequest) {
         << "trial " << trial << ": " << open.size()
         << " accepted reads never answered";
     // Exactly once: every id was consumed above; a second poll must miss.
-    for (const RequestId id : reads) {
-      EXPECT_FALSE(mem.takeResponse(id).has_value())
-          << "trial " << trial << " duplicated response id=" << id;
+    for (const Ticket& t : reads) {
+      EXPECT_FALSE(claim(mem, t))
+          << "trial " << trial << " duplicated response id=" << t.id;
     }
   }
 }
@@ -193,13 +201,11 @@ TEST(MemTopology, PerChannelGrantBudgetIsExclusive) {
     mem.setTraceSink(&sink);
 
     sim::Cycle now = 0;
-    std::vector<RequestId> open;
+    std::vector<Ticket> open;
     driveRandomStream(mem, rng, 128, now, &open);
     for (int guard = 0; !mem.idle() && guard < 2048; ++guard) {
       mem.tick(now++);
-      std::erase_if(open, [&](RequestId id) {
-        return mem.takeResponse(id).has_value();
-      });
+      std::erase_if(open, [&](const Ticket& t) { return claim(mem, t); });
     }
 
     std::map<std::pair<sim::Cycle, std::uint32_t>, std::uint32_t> per_ch;
@@ -235,12 +241,11 @@ TEST(MemTopology, InterleaveRoutesByAddress) {
 
   sim::Cycle now = 0;
   sim::Rng rng(0x70'41);
-  std::vector<RequestId> open;
+  std::vector<Ticket> open;
   driveRandomStream(mem, rng, 64, now, &open);
   for (int guard = 0; !mem.idle() && guard < 1024; ++guard) {
     mem.tick(now++);
-    std::erase_if(open,
-                  [&](RequestId id) { return mem.takeResponse(id).has_value(); });
+    std::erase_if(open, [&](const Ticket& t) { return claim(mem, t); });
   }
 
   std::uint64_t grants_seen[4] = {0, 0, 0, 0};
@@ -285,7 +290,7 @@ TEST(MemTopology, RoundRobinWaitStaysBoundedAcrossChannels) {
   sim::Cycle now = 0;
   const auto drain = [&] {
     for (std::size_t i = 0; i < pending.size();) {
-      if (mem.takeResponse(pending[i].id)) {
+      if (mem.takeResponse(pending[i].port, pending[i].id)) {
         max_wait = std::max<std::uint64_t>(max_wait, now - pending[i].submitted);
         --in_flight[pending[i].port];
         pending[i] = pending.back();
@@ -333,7 +338,9 @@ TEST(MemTopology, TileL1HitCompletesWithoutSharedGrant) {
     const RequestId id = mem.submit({0x40, 4, false, 0, Requester::Cpu, tile});
     for (int i = 0; i < 64; ++i) {
       mem.tick(now++);
-      if (auto r = mem.takeResponse(id)) return r->data;
+      if (auto r = mem.takeResponse(requesterIndex(Requester::Cpu, tile), id)) {
+        return r->data;
+      }
     }
     ADD_FAILURE() << "read never completed";
     return 0u;
@@ -373,7 +380,7 @@ TEST(MemTopology, LinkBandwidthMetersTheTileEdge) {
     while (done < ids.size() && now < 64) {
       mem.tick(now++);
       for (const RequestId id : ids) {
-        if (mem.takeResponse(id)) {
+        if (mem.takeResponse(requesterIndex(Requester::Cpu, 0), id)) {
           ++done;
           last_done = now;
         }
@@ -406,7 +413,7 @@ TEST(MemTopology, HierarchicalSnapshotRoundTripsMidBurst) {
 
   sim::Cycle now = 0;
   sim::Rng rng(0x70'71);
-  std::vector<RequestId> open;
+  std::vector<Ticket> open;
   driveRandomStream(a, rng, 40, now, &open);
   // Mid-burst: requests are parked in lanes/queues and in flight.
   EXPECT_FALSE(a.idle());
@@ -447,7 +454,9 @@ TEST(MemTopology, SecdedAppliesOnTileL1LocalHits) {
     const RequestId id = mem.submit({0x80, 4, false, 0, Requester::Hht, 0});
     for (int i = 0; i < 64; ++i) {
       mem.tick(now++);
-      if (auto r = mem.takeResponse(id)) return *r;
+      if (auto r = mem.takeResponse(requesterIndex(Requester::Hht, 0), id)) {
+        return *r;
+      }
     }
     ADD_FAILURE() << "read never completed";
     return MemResponse{};

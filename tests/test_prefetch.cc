@@ -24,6 +24,10 @@
 namespace hht {
 namespace {
 
+/// Ports of tile 0's requesters, the tile a MemAccess names by default.
+const std::uint32_t kCpuPort = mem::requesterIndex(mem::Requester::Cpu, 0);
+const std::uint32_t kHhtPort = mem::requesterIndex(mem::Requester::Hht, 0);
+
 TEST(CacheInstall, FillsWithoutTouchingDemandStats) {
   mem::CacheConfig cfg;
   cfg.size_bytes = 256;
@@ -66,12 +70,14 @@ TEST(MemorySystem, PrefetchUsesSpareSlotsOnly) {
   // One demand miss -> two next lines queued and filled from spare slots.
   const mem::RequestId id = mem.submit({0x100, 4, false, 0, mem::Requester::Cpu});
   sim::Cycle now = 0;
-  for (int i = 0; i < 50 && !mem.takeCompleted(id); ++i) mem.tick(now++);
+  for (int i = 0; i < 50 && !mem.takeResponse(kCpuPort, id); ++i) {
+    mem.tick(now++);
+  }
   for (int i = 0; i < 4; ++i) mem.tick(now++);  // drain the prefetch queue
   EXPECT_EQ(mem.stats().value("mem.cpu.prefetch_fills"), 2u);
   // The prefetched lines now hit.
   const mem::RequestId id2 = mem.submit({0x120, 4, false, 0, mem::Requester::Cpu});
-  while (!mem.takeCompleted(id2)) mem.tick(now++);
+  while (!mem.takeResponse(kCpuPort, id2)) mem.tick(now++);
   mem.finalizeStats();
   EXPECT_EQ(mem.stats().value("mem.cpu.cache_hits"), 1u);
 }
@@ -173,7 +179,7 @@ TEST(HhtPrefetcher, MispredictedPrefetchesNeverFault) {
     const mem::RequestId id =
         mem.submit({addr, 4, false, 0, mem::Requester::Hht});
     std::optional<mem::MemResponse> r;
-    for (int i = 0; i < 200 && !(r = mem.takeResponse(id)); ++i) {
+    for (int i = 0; i < 200 && !(r = mem.takeResponse(kHhtPort, id)); ++i) {
       mem.tick(now++);
     }
     ASSERT_TRUE(r.has_value());
@@ -256,7 +262,7 @@ mem::MemResponse readThrough(mem::MemorySystem& mem, sim::Cycle& now,
   const mem::RequestId id =
       mem.submit({addr, 4, false, 0, mem::Requester::Cpu});
   for (int i = 0; i < 500; ++i) {
-    if (const auto r = mem.takeResponse(id)) return *r;
+    if (const auto r = mem.takeResponse(kCpuPort, id)) return *r;
     mem.tick(now++);
   }
   ADD_FAILURE() << "read of " << addr << " never completed";

@@ -44,7 +44,7 @@ ProfiledRun profiled(SystemConfig cfg, Body&& body) {
 /// twice or lost.
 void expectBucketsCoverHorizon(const ProfiledRun& run, const char* label) {
   EXPECT_EQ(run.report.horizon, run.result.cycles) << label;
-  for (int c = 0; c < obs::kNumComponents; ++c) {
+  for (std::size_t c = 0; c < obs::kNumComponents; ++c) {
     EXPECT_EQ(run.report.componentTotal(static_cast<obs::Component>(c)),
               run.report.horizon)
         << label << " component " << obs::componentName(
@@ -75,7 +75,7 @@ void expectCountersReconcile(const ProfiledRun& run, const char* label) {
 /// (component, bucket) histogram's sum equals the cycles attributed to
 /// that bucket (the explicitly-closed spans; drained fill has no spans).
 void expectHistogramsFold(const ProfiledRun& run, const char* label) {
-  for (int c = 0; c < obs::kNumComponents; ++c) {
+  for (std::size_t c = 0; c < obs::kNumComponents; ++c) {
     for (int b = 0; b < obs::kNumBuckets; ++b) {
       const std::string name =
           std::string(obs::componentName(static_cast<obs::Component>(c))) +
@@ -254,7 +254,7 @@ TEST(Profile, EmptySinkProfilesToEmptyReport) {
   obs::TraceSink sink;
   const obs::ProfileReport rep = obs::profile(sink);
   EXPECT_EQ(rep.horizon, 0u);
-  for (int c = 0; c < obs::kNumComponents; ++c) {
+  for (std::size_t c = 0; c < obs::kNumComponents; ++c) {
     EXPECT_EQ(rep.componentTotal(static_cast<obs::Component>(c)), 0u);
   }
 }

@@ -2,15 +2,10 @@
 // structural validation, accessors, and malformed-structure detection.
 #include <gtest/gtest.h>
 
-#include "sparse/bcsr.h"
 #include "sparse/bitvector.h"
 #include "sparse/coo.h"
-#include "sparse/csc.h"
 #include "sparse/csr.h"
-#include "sparse/dia.h"
-#include "sparse/ell.h"
 #include "sparse/hier_bitmap.h"
-#include "sparse/rle.h"
 #include "sparse/sparse_vector.h"
 #include "workload/synthetic.h"
 
@@ -41,14 +36,6 @@ TEST_P(FormatRoundTrip, Csr) {
   EXPECT_EQ(m.toDense(), dense);
 }
 
-TEST_P(FormatRoundTrip, Csc) {
-  const DenseMatrix dense = makeDense();
-  const CscMatrix m = CscMatrix::fromDense(dense);
-  EXPECT_TRUE(m.validate());
-  EXPECT_EQ(m.nnz(), dense.countNonZeros());
-  EXPECT_EQ(m.toDense(), dense);
-}
-
 TEST_P(FormatRoundTrip, Coo) {
   const DenseMatrix dense = makeDense();
   CooMatrix m = CooMatrix::fromDense(dense);
@@ -65,48 +52,12 @@ TEST_P(FormatRoundTrip, BitVector) {
   EXPECT_EQ(m.toDense(), dense);
 }
 
-TEST_P(FormatRoundTrip, Rle) {
-  const DenseMatrix dense = makeDense();
-  const RleMatrix m = RleMatrix::fromDense(dense);
-  EXPECT_TRUE(m.validate());
-  EXPECT_EQ(m.nnz(), dense.countNonZeros());
-  EXPECT_EQ(m.toDense(), dense);
-}
-
 TEST_P(FormatRoundTrip, HierBitmap) {
   const DenseMatrix dense = makeDense();
   const HierBitmapMatrix m = HierBitmapMatrix::fromDense(dense);
   EXPECT_TRUE(m.validate());
   EXPECT_EQ(m.nnz(), dense.countNonZeros());
   EXPECT_EQ(m.toDense(), dense);
-}
-
-TEST_P(FormatRoundTrip, Ell) {
-  const DenseMatrix dense = makeDense();
-  const EllMatrix m = EllMatrix::fromDense(dense);
-  EXPECT_TRUE(m.validate());
-  EXPECT_EQ(m.nnz(), dense.countNonZeros());
-  EXPECT_EQ(m.toDense(), dense);
-}
-
-TEST_P(FormatRoundTrip, Dia) {
-  const DenseMatrix dense = makeDense();
-  const DiaMatrix m = DiaMatrix::fromDense(dense);
-  EXPECT_TRUE(m.validate());
-  EXPECT_EQ(m.nnz(), dense.countNonZeros());
-  EXPECT_EQ(m.toDense(), dense);
-}
-
-TEST_P(FormatRoundTrip, Bcsr) {
-  const DenseMatrix dense = makeDense();
-  for (const auto& [br, bc] : {std::pair<sim::Index, sim::Index>{2, 2},
-                               {4, 4},
-                               {3, 5}}) {
-    const BcsrMatrix m = BcsrMatrix::fromDense(dense, br, bc);
-    EXPECT_TRUE(m.validate()) << br << "x" << bc;
-    EXPECT_EQ(m.nnz(), dense.countNonZeros());
-    EXPECT_EQ(m.toDense(), dense);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -212,6 +163,30 @@ TEST(CsrMatrix, ValidateRejectsTamperedStructures) {
   }
 }
 
+TEST(CsrMatrix, FromUnsortedCooWithDuplicates) {
+  CooMatrix coo(3, 3);
+  coo.add(2, 2, 1.0f);
+  coo.add(0, 0, 2.0f);
+  coo.add(2, 2, 3.0f);  // duplicate -> summed
+  coo.add(1, 0, 4.0f);
+  const CsrMatrix csr = CsrMatrix::fromCoo(coo);
+  EXPECT_TRUE(csr.validate());
+  EXPECT_EQ(csr.nnz(), 3u);
+  EXPECT_EQ(csr.toDense().at(2, 2), 4.0f);
+  EXPECT_EQ(csr.toDense().at(1, 0), 4.0f);
+}
+
+TEST(CsrMatrix, StorageBytesAgainstHierBitmap) {
+  sim::Rng rng(0xF00);
+  const CsrMatrix csr = workload::randomCsr(rng, 64, 64, 0.9);
+  const std::size_t csr_bytes = csr.storageBytes();
+  EXPECT_EQ(csr_bytes, (64 + 1) * 4 + csr.nnz() * 8);
+
+  // At 90% sparsity the bitmap format should beat CSR on metadata bytes.
+  const HierBitmapMatrix hb = HierBitmapMatrix::fromDense(csr.toDense());
+  EXPECT_LT(hb.storageBytes(), csr_bytes);
+}
+
 TEST(CooMatrix, CanonicalizeSortsMergesAndDropsZeros) {
   CooMatrix coo(4, 4);
   coo.add(2, 1, 5.0f);
@@ -247,14 +222,6 @@ TEST(BitVectorMatrix, RankMatchesNaiveCount) {
       ASSERT_EQ(bv.at(r, c), dense.at(r, c));
     }
   }
-}
-
-TEST(BcsrMatrix, FillWasteReflectsBlockPadding) {
-  DenseMatrix dense(4, 4);
-  dense.at(0, 0) = 1.0f;  // one NZ -> one 2x2 block with 3 padded zeros
-  const BcsrMatrix m = BcsrMatrix::fromDense(dense, 2, 2);
-  EXPECT_EQ(m.numBlocks(), 1u);
-  EXPECT_DOUBLE_EQ(m.fillWaste(), 0.75);
 }
 
 TEST(HierBitmapMatrix, EnumerateIsRowMajorAndComplete) {
@@ -307,71 +274,6 @@ TEST(SparseVector, ValidateRejectsBadStructures) {
   EXPECT_FALSE(SparseVector(4, {5}, {1.0f}).validate());            // range
   EXPECT_FALSE(SparseVector(4, {1}, {0.0f}).validate());            // stored 0
   EXPECT_TRUE(SparseVector(4, {0, 3}, {1.0f, 2.0f}).validate());
-}
-
-TEST(EllMatrix, WidthIsMaxRowNnzAndPaddingAccounted) {
-  DenseMatrix dense(3, 5);
-  dense.at(0, 1) = 1.0f;
-  dense.at(0, 4) = 2.0f;
-  dense.at(0, 2) = 7.0f;
-  dense.at(2, 0) = 3.0f;
-  const EllMatrix m = EllMatrix::fromDense(dense);
-  EXPECT_EQ(m.width(), 3u);
-  EXPECT_EQ(m.nnz(), 4u);
-  EXPECT_DOUBLE_EQ(m.paddingWaste(), 1.0 - 4.0 / 9.0);
-  EXPECT_EQ(m.colAt(0, 0), 1u);  // packed left, ascending
-  EXPECT_EQ(m.colAt(0, 1), 2u);
-  EXPECT_EQ(m.colAt(0, 2), 4u);
-  EXPECT_EQ(m.colAt(1, 0), EllMatrix::kPad);
-  EXPECT_EQ(m.valAt(2, 0), 3.0f);
-}
-
-TEST(DiaMatrix, TridiagonalStencil) {
-  // Classic -1/2/-1 stencil: exactly three diagonals.
-  DenseMatrix dense(5, 5);
-  for (sim::Index i = 0; i < 5; ++i) {
-    dense.at(i, i) = 2.0f;
-    if (i > 0) dense.at(i, i - 1) = -1.0f;
-    if (i < 4) dense.at(i, i + 1) = -1.0f;
-  }
-  const DiaMatrix m = DiaMatrix::fromDense(dense);
-  EXPECT_TRUE(m.validate());
-  ASSERT_EQ(m.numDiagonals(), 3u);
-  EXPECT_EQ(m.offsets()[0], -1);
-  EXPECT_EQ(m.offsets()[1], 0);
-  EXPECT_EQ(m.offsets()[2], 1);
-  EXPECT_EQ(m.nnz(), dense.countNonZeros());
-  EXPECT_EQ(m.at(2, 1), -1.0f);
-  EXPECT_EQ(m.at(2, 2), 2.0f);
-  EXPECT_EQ(m.at(2, 4), 0.0f);
-  // For a banded matrix, DIA is far smaller than dense.
-  EXPECT_EQ(m.data().size(), 15u);
-}
-
-TEST(DiaMatrix, ValidateRejectsZeroDiagonalAndOutOfMatrixValues) {
-  DenseMatrix dense(3, 3);
-  dense.at(0, 0) = 1.0f;
-  DiaMatrix good = DiaMatrix::fromDense(dense);
-  ASSERT_TRUE(good.validate());
-  // Rectangular case exercises offset bounds.
-  DenseMatrix rect(2, 6);
-  rect.at(0, 5) = 4.0f;
-  const DiaMatrix m = DiaMatrix::fromDense(rect);
-  EXPECT_TRUE(m.validate());
-  EXPECT_EQ(m.offsets()[0], 5);
-  EXPECT_EQ(m.toDense(), rect);
-}
-
-TEST(RleMatrix, StorageAndValidation) {
-  DenseMatrix dense(2, 4);
-  dense.at(0, 2) = 3.0f;
-  dense.at(1, 3) = 4.0f;
-  const RleMatrix m = RleMatrix::fromDense(dense);
-  ASSERT_EQ(m.nnz(), 2u);
-  EXPECT_EQ(m.runs()[0].zeros_before, 2u);
-  EXPECT_EQ(m.runs()[1].zeros_before, 4u);
-  EXPECT_EQ(m.storageBytes(), 2 * 8u);
-  EXPECT_TRUE(m.validate());
 }
 
 }  // namespace
