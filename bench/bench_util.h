@@ -1,6 +1,6 @@
 #pragma once
 
-// Shared helpers for the figure/table bench binaries.
+// Shared helpers for the bench binaries.
 //
 // Every bench accepts:
 //   --csv              emit CSV instead of the aligned table
@@ -20,12 +20,15 @@
 //                      gate event >= 1.0x naive)
 //   --repeat=N         sample each pass N times and report the minimum
 //                      wall time (min-of-N; default 1)
-// Benches that wire a representative traced run (parse(..., true)) also
-// accept:
-//   --trace=FILE       after the sweep, re-run one representative point
-//                      with a TraceSink attached and write FILE (.json =
-//                      Perfetto/Chrome trace-event JSON, else CSV), plus a
-//                      stall-attribution table on stdout
+// A driver of several figures (bench/paper: parse(..., figures)) also
+// accepts:
+//   --only=LIST        comma-separated figure names to run (default all)
+//   --trace=FILE       after the sweep, re-run the one selected figure's
+//                      representative point with a TraceSink attached and
+//                      write FILE (.json = Perfetto/Chrome trace-event
+//                      JSON, else CSV), plus a stall-attribution table on
+//                      stdout; needs --only=NAME of a figure that wires a
+//                      traced run
 //   --trace-categories=LIST
 //                      comma-separated subset of cpu,mem,fifo,pipe,mmr,
 //                      system (or "all"; default all)
@@ -34,6 +37,7 @@
 // expected values next to the measured ones so a reader can check the
 // reproduced *shape* directly from the output.
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -41,15 +45,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <iostream>
+#include <limits>
 #include <mutex>
-#include <ostream>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "obs/export.h"
-#include "obs/profile.h"
+#include "harness/report.h"
 #include "obs/trace.h"
 
 namespace hht::benchutil {
@@ -74,13 +79,24 @@ struct Options {
   unsigned repeat = 1;        ///< --repeat: min-of-N wall-time sampling
   std::string trace_file;     ///< empty = no tracing
   std::uint32_t trace_categories = obs::kAllCategories;
+  std::vector<std::string> only;  ///< --only: figure names; empty = all
 
   bool traceRequested() const { return !trace_file.empty(); }
+  bool selected(std::string_view figure) const {
+    return only.empty() ||
+           std::find(only.begin(), only.end(), figure) != only.end();
+  }
+};
+
+/// A figure that a multi-figure driver lets --only select.
+struct Figure {
+  const char* name;
+  bool traced;  ///< wires a representative --trace run
 };
 
 [[noreturn]] inline void usage(const char* prog, const char* error,
-                               bool with_trace = false,
-                               bool with_mode = false) {
+                               bool with_mode = false,
+                               std::span<const Figure> figures = {}) {
   if (error != nullptr) {
     std::fprintf(stderr, "%s: %s\n", prog, error);
   }
@@ -89,7 +105,14 @@ struct Options {
                " [--no-fastforward] [--timeout-ms=N]%s%s\n",
                prog,
                with_mode ? " [--mode=naive|event] [--repeat=N]" : "",
-               with_trace ? " [--trace=FILE] [--trace-categories=LIST]" : "");
+               figures.empty() ? ""
+                               : " [--only=LIST] [--trace=FILE]"
+                                 " [--trace-categories=LIST]");
+  if (!figures.empty()) {
+    std::fprintf(stderr, "figures:");
+    for (const Figure& f : figures) std::fprintf(stderr, " %s", f.name);
+    std::fprintf(stderr, "\n");
+  }
   std::exit(error == nullptr ? 0 : 2);
 }
 
@@ -116,6 +139,8 @@ enum class ParseStatus { kOk, kHelp, kError };
 ///
 /// Strictness (each historic hole produced a silent wrong-experiment run):
 ///  - unknown flags are errors, not ignored;
+///  - a number above the range of its option is an error, not wrapped
+///    ("--size=4294967296" used to run the default size);
 ///  - every flag may appear at most once ("--seed=1 --seed=2" used to
 ///    silently keep the last one — ambiguous in scripted sweeps);
 ///  - "--jobs=0" is rejected: 0 is the *absence* default meaning "all
@@ -125,13 +150,17 @@ enum class ParseStatus { kOk, kHelp, kError };
 /// instead of treating them as errors — for benches that layer their own
 /// flags on top of the shared set (serve_campaign). The caller is then
 /// responsible for rejecting anything left over, so a typo still fails.
-inline ParseStatus tryParse(int argc, char** argv, bool with_trace,
-                            Options& opt, std::string& error,
+/// `figures`, when non-empty, enables --only and the trace flags: every
+/// --only name must be one of them and appear once, and --trace needs
+/// exactly one selected figure that wires a traced run.
+inline ParseStatus tryParse(int argc, char** argv, Options& opt,
+                            std::string& error,
                             std::vector<std::string>* extra = nullptr,
-                            bool with_mode = false) {
+                            bool with_mode = false,
+                            std::span<const Figure> figures = {}) {
   enum Flag {
     kCsv, kSize, kSeed, kJobs, kNoFf, kTimeout, kMode, kRepeat, kTrace,
-    kTraceCat, kNumFlags
+    kTraceCat, kOnly, kNumFlags
   };
   bool seen[kNumFlags] = {};
   const auto once = [&](Flag f, const char* name) {
@@ -142,31 +171,36 @@ inline ParseStatus tryParse(int argc, char** argv, bool with_trace,
     seen[f] = true;
     return true;
   };
-  const auto number = [&](const char* value, const char* name,
-                          std::uint64_t& out) {
-    if (parseU64(value, out)) return true;
+  const auto number = [&]<typename T>(const char* value, const char* name,
+                                      T& out) {
+    std::uint64_t v = 0;
+    if (parseU64(value, v) && v <= std::numeric_limits<T>::max()) {
+      out = static_cast<T>(v);
+      return true;
+    }
     error = std::string("bad value '") + value + "' for --" + name +
-            " (want a base-10 integer)";
+            " (want a base-10 integer <= " +
+            std::to_string(std::numeric_limits<T>::max()) + ")";
     return false;
+  };
+  const auto figure = [&](std::string_view name) {
+    return std::find_if(figures.begin(), figures.end(),
+                        [&](const Figure& f) { return name == f.name; });
   };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    std::uint64_t value = 0;
     if (std::strcmp(arg, "--csv") == 0) {
       if (!once(kCsv, "csv")) return ParseStatus::kError;
       opt.csv = true;
     } else if (std::strncmp(arg, "--size=", 7) == 0) {
       if (!once(kSize, "size")) return ParseStatus::kError;
-      if (!number(arg + 7, "size", value)) return ParseStatus::kError;
-      opt.size = static_cast<std::uint32_t>(value);
+      if (!number(arg + 7, "size", opt.size)) return ParseStatus::kError;
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       if (!once(kSeed, "seed")) return ParseStatus::kError;
-      if (!number(arg + 7, "seed", value)) return ParseStatus::kError;
-      opt.seed = value;
+      if (!number(arg + 7, "seed", opt.seed)) return ParseStatus::kError;
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
       if (!once(kJobs, "jobs")) return ParseStatus::kError;
-      if (!number(arg + 7, "jobs", value)) return ParseStatus::kError;
-      opt.jobs = static_cast<unsigned>(value);
+      if (!number(arg + 7, "jobs", opt.jobs)) return ParseStatus::kError;
       if (opt.jobs == 0) {
         error = "--jobs must be >= 1 (omit the flag to use all hardware "
                 "threads)";
@@ -177,8 +211,9 @@ inline ParseStatus tryParse(int argc, char** argv, bool with_trace,
       opt.fastforward = false;
     } else if (std::strncmp(arg, "--timeout-ms=", 13) == 0) {
       if (!once(kTimeout, "timeout-ms")) return ParseStatus::kError;
-      if (!number(arg + 13, "timeout-ms", value)) return ParseStatus::kError;
-      opt.timeout_ms = static_cast<std::uint32_t>(value);
+      if (!number(arg + 13, "timeout-ms", opt.timeout_ms)) {
+        return ParseStatus::kError;
+      }
       if (opt.timeout_ms == 0) {
         error = "--timeout-ms must be >= 1 (omit the flag to run without a "
                 "host watchdog)";
@@ -198,20 +233,19 @@ inline ParseStatus tryParse(int argc, char** argv, bool with_trace,
       }
     } else if (with_mode && std::strncmp(arg, "--repeat=", 9) == 0) {
       if (!once(kRepeat, "repeat")) return ParseStatus::kError;
-      if (!number(arg + 9, "repeat", value)) return ParseStatus::kError;
-      opt.repeat = static_cast<unsigned>(value);
+      if (!number(arg + 9, "repeat", opt.repeat)) return ParseStatus::kError;
       if (opt.repeat == 0) {
         error = "--repeat must be >= 1 (omit the flag for a single sample)";
         return ParseStatus::kError;
       }
-    } else if (with_trace && std::strncmp(arg, "--trace=", 8) == 0) {
+    } else if (!figures.empty() && std::strncmp(arg, "--trace=", 8) == 0) {
       if (!once(kTrace, "trace")) return ParseStatus::kError;
       opt.trace_file = arg + 8;
       if (opt.trace_file.empty()) {
         error = "--trace needs a file name";
         return ParseStatus::kError;
       }
-    } else if (with_trace &&
+    } else if (!figures.empty() &&
                std::strncmp(arg, "--trace-categories=", 19) == 0) {
       if (!once(kTraceCat, "trace-categories")) return ParseStatus::kError;
       const auto mask = obs::parseCategoryList(arg + 19);
@@ -220,6 +254,25 @@ inline ParseStatus tryParse(int argc, char** argv, bool with_trace,
         return ParseStatus::kError;
       }
       opt.trace_categories = *mask;
+    } else if (!figures.empty() && std::strncmp(arg, "--only=", 7) == 0) {
+      if (!once(kOnly, "only")) return ParseStatus::kError;
+      std::string_view list = arg + 7;
+      for (;;) {
+        const std::size_t comma = list.find(',');
+        const std::string_view name = list.substr(0, comma);
+        if (figure(name) == figures.end()) {
+          error = "unknown figure '" + std::string(name) + "' in --only";
+          return ParseStatus::kError;
+        }
+        if (std::find(opt.only.begin(), opt.only.end(), name) !=
+            opt.only.end()) {
+          error = "duplicate figure '" + std::string(name) + "' in --only";
+          return ParseStatus::kError;
+        }
+        opt.only.emplace_back(name);
+        if (comma == std::string_view::npos) break;
+        list.remove_prefix(comma + 1);
+      }
     } else if (std::strcmp(arg, "--help") == 0) {
       return ParseStatus::kHelp;
     } else if (extra != nullptr) {
@@ -229,54 +282,37 @@ inline ParseStatus tryParse(int argc, char** argv, bool with_trace,
       return ParseStatus::kError;
     }
   }
+  if (!figures.empty() && opt.traceRequested()) {
+    if (opt.only.size() != 1) {
+      error = "--trace needs exactly one figure (--only=NAME)";
+      return ParseStatus::kError;
+    }
+    if (!figure(opt.only.front())->traced) {
+      error = "figure '" + opt.only.front() + "' has no traced run";
+      return ParseStatus::kError;
+    }
+  }
   return ParseStatus::kOk;
 }
 
-inline Options parse(int argc, char** argv, bool with_trace = false,
-                     bool with_mode = false) {
+inline Options parse(int argc, char** argv, bool with_mode = false,
+                     std::span<const Figure> figures = {}) {
   Options opt;
   std::string error;
-  switch (tryParse(argc, argv, with_trace, opt, error, nullptr, with_mode)) {
+  switch (tryParse(argc, argv, opt, error, nullptr, with_mode, figures)) {
     case ParseStatus::kOk:
       return opt;
     case ParseStatus::kHelp:
-      usage(argv[0], nullptr, with_trace, with_mode);
+      usage(argv[0], nullptr, with_mode, figures);
     case ParseStatus::kError:
     default:
-      usage(argv[0], error.c_str(), with_trace, with_mode);
+      usage(argv[0], error.c_str(), with_mode, figures);
   }
 }
 
-/// Run `traced_run` (a callable taking obs::TraceSink&; it should execute
-/// one representative workload with the sink installed in its
-/// SystemConfig) and write the requested trace file. The format follows
-/// the extension: ".json" emits Perfetto/Chrome trace-event JSON, anything
-/// else the flat CSV golden format. A stall-attribution summary goes to
-/// `os`. No-op when --trace was not given.
-template <typename Fn>
-inline void writeTraceIfRequested(const Options& opt, std::ostream& os,
-                                  Fn&& traced_run) {
-  if (!opt.traceRequested()) return;
-  obs::TraceSink sink(obs::TraceSink::kDefaultCapacity, opt.trace_categories);
-  traced_run(sink);
-  std::ofstream out(opt.trace_file, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot open trace file '%s'\n",
-                 opt.trace_file.c_str());
-    std::exit(2);
-  }
-  const std::string& f = opt.trace_file;
-  const bool json =
-      f.size() >= 5 && f.compare(f.size() - 5, 5, ".json") == 0;
-  if (json) {
-    obs::writePerfettoTrace(out, sink);
-  } else {
-    obs::writeCsvTrace(out, sink);
-  }
-  const obs::ProfileReport rep = obs::profile(sink);
-  os << "trace: " << sink.size() << " events (" << sink.dropped()
-     << " dropped) -> " << f << " [" << (json ? "perfetto" : "csv") << "]\n"
-     << rep.table();
+/// Print `table` as CSV under --csv, aligned otherwise.
+inline void printTable(const Options& opt, const harness::Table& table) {
+  opt.csv ? table.printCsv(std::cout) : table.print(std::cout);
 }
 
 /// Host wall-clock watchdog (--timeout-ms). The *simulated* watchdog bounds

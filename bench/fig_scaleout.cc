@@ -178,11 +178,7 @@ int main(int argc, char** argv) {
     hier_gate = hier_gate && hier16_speedup >= 1.5;
   }
 
-  if (opt.csv) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  benchutil::printTable(opt, table);
   std::cout << "bit-identity vs 1 tile: " << (all_identical ? "PASS" : "FAIL")
             << "; flat cycles monotonically non-increasing 1->4 tiles: "
             << (monotonic ? "PASS" : "FAIL")

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   benchutil::Options opt;
   std::string error;
   std::vector<std::string> extra;
-  switch (benchutil::tryParse(argc, argv, false, opt, error, &extra)) {
+  switch (benchutil::tryParse(argc, argv, opt, error, &extra)) {
     case benchutil::ParseStatus::kOk:
       break;
     case benchutil::ParseStatus::kHelp:
@@ -193,11 +193,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (opt.csv) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  benchutil::printTable(opt, table);
   std::cout << "bit-identity vs 1 tile (static and dynamic): "
             << (all_identical ? "PASS" : "FAIL")
             << "; dynamic >= " << harness::fmt(kGateSpeedup)

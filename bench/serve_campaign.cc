@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
   benchutil::Options opt;
   std::string error;
   std::vector<std::string> extra;
-  switch (benchutil::tryParse(argc, argv, false, opt, error, &extra)) {
+  switch (benchutil::tryParse(argc, argv, opt, error, &extra)) {
     case benchutil::ParseStatus::kOk: break;
     case benchutil::ParseStatus::kHelp:
       benchutil::usage(argv[0], nullptr);

@@ -110,12 +110,12 @@ int main(int argc, char** argv) {
   using namespace hht;
   using Clock = std::chrono::steady_clock;
   const benchutil::Options opt =
-      benchutil::parse(argc, argv, /*with_trace=*/false, /*with_mode=*/true);
+      benchutil::parse(argc, argv, /*with_mode=*/true);
   if (!opt.fastforward) {
     benchutil::usage(argv[0],
                      "--no-fastforward is not meaningful here; use "
                      "--mode=naive for the per-cycle reference pass",
-                     false, true);
+                     /*with_mode=*/true);
   }
   const benchutil::HostTimeout host_watchdog(opt.timeout_ms, "sim_throughput");
   const sim::Index n = opt.size ? opt.size : 512;
@@ -238,11 +238,7 @@ int main(int argc, char** argv) {
                   prev_mcps > 0.0 ? harness::fmt(ratio) : std::string("-")});
     prev_mcps = cur;
   }
-  if (opt.csv) {
-    table.printCsv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  benchutil::printTable(opt, table);
   std::cout << "simulated " << total_cycles << " cycles per pass ("
             << works.size() << " matrices, " << jobs << " jobs, min of "
             << opt.repeat << " sample" << (opt.repeat == 1 ? "" : "s") << ")"
@@ -265,11 +261,7 @@ int main(int argc, char** argv) {
       regimes.addRow({reg, std::to_string(c), harness::fmt(w[kNaive], 3),
                       harness::fmt(w[kEvent], 3)});
     }
-    if (opt.csv) {
-      regimes.printCsv(std::cout);
-    } else {
-      regimes.print(std::cout);
-    }
+    benchutil::printTable(opt, regimes);
   }
 
   // Per-item gate: the event loop must sleep through the deep-stall HHT

@@ -49,6 +49,6 @@ int main() {
             << " of the core's area (paper: 38.9%).\n"
             << "Wider BE ports / faster merge would grow the comparator and\n"
             << "address-generator entries of the area breakdown in\n"
-            << "bench/tab_energy_area.\n";
+            << "bench/paper --only=tab_energy_area.\n";
   return 0;
 }

@@ -1,5 +1,5 @@
 // Strict bench CLI parser tests (benchutil::tryParse — the exit-free core
-// of every fig/abl binary's parse()). Regression coverage for two silent
+// of every bench binary's parse()). Regression coverage for two silent
 // wrong-experiment holes: "--jobs=0" (a typo or empty-variable expansion in
 // CI, previously accepted as "serial-ish") and duplicate flags (previously
 // last-one-wins, ambiguous in scripted sweeps).
@@ -27,9 +27,20 @@ struct Argv {
 };
 
 ParseStatus tryParseArgs(std::vector<std::string> args, Options& opt,
-                         std::string& error, bool with_trace = false) {
+                         std::string& error) {
   Argv a(std::move(args));
-  return tryParse(a.argc(), a.argv(), with_trace, opt, error);
+  return tryParse(a.argc(), a.argv(), opt, error);
+}
+
+/// A multi-figure driver's figures (bench/paper-style --only parsing).
+constexpr Figure kFigures[] = {
+    {"fig4", true}, {"fig5", true}, {"abl_buffers", false}};
+
+ParseStatus tryParseFigureArgs(std::vector<std::string> args, Options& opt,
+                               std::string& error) {
+  Argv a(std::move(args));
+  return tryParse(a.argc(), a.argv(), opt, error, /*extra=*/nullptr,
+                  /*with_mode=*/false, kFigures);
 }
 
 TEST(BenchUtil, ParsesEveryFlagOnce) {
@@ -77,6 +88,16 @@ TEST(BenchUtil, RejectsDuplicateFlags) {
   EXPECT_EQ(tryParseArgs({"--csv", "--csv"}, opt2, error),
             ParseStatus::kError);
   EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
+
+  // A figure named twice in --only, and --only given twice.
+  for (const auto& args : std::vector<std::vector<std::string>>{
+           {"--only=fig4,fig4"}, {"--only=fig4", "--only=fig5"}}) {
+    Options opt3;
+    error.clear();
+    EXPECT_EQ(tryParseFigureArgs(args, opt3, error), ParseStatus::kError)
+        << args.back();
+    EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
+  }
 }
 
 TEST(BenchUtil, RejectsUnknownArguments) {
@@ -85,6 +106,35 @@ TEST(BenchUtil, RejectsUnknownArguments) {
   // The historic hole: a typo silently ran the wrong experiment.
   EXPECT_EQ(tryParseArgs({"--sizes=512"}, opt, error), ParseStatus::kError);
   EXPECT_NE(error.find("--sizes=512"), std::string::npos) << error;
+
+  // Unknown, empty and missing figure names in --only.
+  for (const char* arg : {"--only=fig10", "--only=fig4,", "--only="}) {
+    Options opt2;
+    error.clear();
+    EXPECT_EQ(tryParseFigureArgs({arg}, opt2, error), ParseStatus::kError)
+        << arg;
+    EXPECT_NE(error.find("unknown figure"), std::string::npos) << error;
+  }
+  // A bench without figures does not know --only.
+  Options opt3;
+  EXPECT_EQ(tryParseArgs({"--only=fig4"}, opt3, error), ParseStatus::kError);
+  EXPECT_NE(error.find("--only=fig4"), std::string::npos) << error;
+}
+
+TEST(BenchUtil, OnlySelectsFigures) {
+  Options all;
+  std::string error;
+  ASSERT_EQ(tryParseFigureArgs({}, all, error), ParseStatus::kOk) << error;
+  EXPECT_TRUE(all.selected("fig5"));
+
+  Options opt;
+  ASSERT_EQ(tryParseFigureArgs({"--only=abl_buffers,fig4"}, opt, error),
+            ParseStatus::kOk)
+      << error;
+  EXPECT_EQ(opt.only, (std::vector<std::string>{"abl_buffers", "fig4"}));
+  EXPECT_TRUE(opt.selected("fig4"));
+  EXPECT_TRUE(opt.selected("abl_buffers"));
+  EXPECT_FALSE(opt.selected("fig5"));
 }
 
 TEST(BenchUtil, ParsesTimeoutAndRejectsZero) {
@@ -114,7 +164,7 @@ TEST(BenchUtil, ExtraArgsCollectUnknownsForLayeredParsers) {
   Options opt;
   std::string error;
   std::vector<std::string> extra;
-  ASSERT_EQ(tryParse(a.argc(), a.argv(), false, opt, error, &extra),
+  ASSERT_EQ(tryParse(a.argc(), a.argv(), opt, error, &extra),
             ParseStatus::kOk)
       << error;
   EXPECT_EQ(opt.seed, 9u);
@@ -127,15 +177,15 @@ TEST(BenchUtil, ExtraArgsCollectUnknownsForLayeredParsers) {
   Argv b({"--jobs=0", "--whatever"});
   Options opt2;
   std::vector<std::string> extra2;
-  EXPECT_EQ(tryParse(b.argc(), b.argv(), false, opt2, error, &extra2),
+  EXPECT_EQ(tryParse(b.argc(), b.argv(), opt2, error, &extra2),
             ParseStatus::kError);
 }
 
 ParseStatus tryParseModeArgs(std::vector<std::string> args, Options& opt,
                              std::string& error) {
   Argv a(std::move(args));
-  return tryParse(a.argc(), a.argv(), /*with_trace=*/false, opt, error,
-                  /*extra=*/nullptr, /*with_mode=*/true);
+  return tryParse(a.argc(), a.argv(), opt, error, /*extra=*/nullptr,
+                  /*with_mode=*/true);
 }
 
 TEST(BenchUtil, ParsesModeAndRepeat) {
@@ -206,16 +256,31 @@ TEST(BenchUtil, RejectsMalformedNumbers) {
   // Every numeric flag goes through the strict base-10 parser: trailing
   // garbage, signs, empty values and overflow are errors, never silent
   // truncation (strtoull would happily accept "12abc" and "-1").
+  // The last five fit a uint64 but not the option's type; a narrowing
+  // cast used to wrap them into another valid-looking run (the default
+  // size, size 512, a 1 ms watchdog, one job, one sample).
   const std::vector<std::string> bad = {
       "--size=12abc", "--seed=-3", "--jobs=", "--repeat=+2",
-      "--size=99999999999999999999999999"};
+      "--size=99999999999999999999999999", "--size=4294967296",
+      "--size=4294967808", "--timeout-ms=4294967297", "--jobs=4294967297",
+      "--repeat=4294967296"};
   for (const std::string& arg : bad) {
     Options opt;
     std::string error;
     EXPECT_EQ(tryParseModeArgs({arg}, opt, error), ParseStatus::kError)
         << arg << " was accepted";
-    EXPECT_FALSE(error.empty()) << arg;
+    EXPECT_NE(error.find("bad value"), std::string::npos) << error;
   }
+  // Each type's largest value still parses.
+  Options opt;
+  std::string error;
+  ASSERT_EQ(tryParseModeArgs({"--size=4294967295",
+                              "--seed=18446744073709551615"},
+                             opt, error),
+            ParseStatus::kOk)
+      << error;
+  EXPECT_EQ(opt.size, 4294967295u);
+  EXPECT_EQ(opt.seed, 18446744073709551615u);
 }
 
 TEST(BenchUtil, HelpShortCircuits) {
@@ -226,33 +291,46 @@ TEST(BenchUtil, HelpShortCircuits) {
 }
 
 TEST(BenchUtil, TraceFlagsOnlyExistWhenWired) {
-  {  // Bench without a traced run: --trace is an unknown argument.
+  {  // Bench without figures (no traced run): --trace is unknown.
     Options opt;
     std::string error;
-    EXPECT_EQ(tryParseArgs({"--trace=out.json"}, opt, error,
-                           /*with_trace=*/false),
+    EXPECT_EQ(tryParseArgs({"--trace=out.json"}, opt, error),
               ParseStatus::kError);
   }
   {  // Wired: accepted, and an empty file name is rejected.
     Options opt;
     std::string error;
-    EXPECT_EQ(tryParseArgs({"--trace=out.json"}, opt, error,
-                           /*with_trace=*/true),
-              ParseStatus::kOk);
+    EXPECT_EQ(tryParseFigureArgs({"--only=fig5", "--trace=out.json"}, opt,
+                                 error),
+              ParseStatus::kOk)
+        << error;
     EXPECT_EQ(opt.trace_file, "out.json");
 
     Options opt2;
-    EXPECT_EQ(tryParseArgs({"--trace="}, opt2, error, /*with_trace=*/true),
+    EXPECT_EQ(tryParseFigureArgs({"--only=fig5", "--trace="}, opt2, error),
               ParseStatus::kError);
     EXPECT_NE(error.find("--trace"), std::string::npos) << error;
   }
   {  // Bad category list.
     Options opt;
     std::string error;
-    EXPECT_EQ(tryParseArgs({"--trace-categories=cpu,bogus"}, opt, error,
-                           /*with_trace=*/true),
+    EXPECT_EQ(tryParseFigureArgs({"--trace-categories=cpu,bogus"}, opt, error),
               ParseStatus::kError);
     EXPECT_NE(error.find("bogus"), std::string::npos) << error;
+  }
+  {  // A multi-figure driver traces exactly one selected, traced figure.
+    std::string error;
+    for (const auto& args : std::vector<std::vector<std::string>>{
+             {"--trace=f.json"},                        // every figure
+             {"--only=fig4,fig5", "--trace=f.json"},    // two figures
+             {"--only=abl_buffers", "--trace=f.json"},  // no traced run
+         }) {
+      Options opt2;
+      error.clear();
+      EXPECT_EQ(tryParseFigureArgs(args, opt2, error), ParseStatus::kError)
+          << args.front();
+      EXPECT_NE(error.find("trace"), std::string::npos) << error;
+    }
   }
 }
 
