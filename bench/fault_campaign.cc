@@ -127,12 +127,17 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(i);
       const harness::SystemConfig cfg = faultyConfig(rate, inj_seed);
 
+      const harness::Operands ops{.m = &m, .v = &v, .sv = &sv};
       campaignRun(b, sparse::spmvCsr(m, v), [&] {
-        return harness::runSpmvHhtResilient(cfg, m, v, /*vectorized=*/false);
+        return harness::run(
+            cfg, {.kernel = harness::Kernel::kSpmvScalarHht, .fallback = true},
+            ops);
       });
       campaignRun(b, sparse::spmspvMerge(m, sv), [&] {
-        return harness::runSpmspvHhtResilient(cfg, m, sv, /*variant=*/2,
-                                              /*vectorized=*/false);
+        return harness::run(cfg,
+                            {.kernel = harness::Kernel::kSpmspvHhtV2Scalar,
+                             .fallback = true},
+                            ops);
       });
     }
     total_injected += b.injected;

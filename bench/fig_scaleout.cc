@@ -104,9 +104,12 @@ int main(int argc, char** argv) {
     std::vector<float> ref_y;
     for (std::size_t p = 0; p < kGridPoints; ++p) {
       const GridPoint g = grid[p];
-      const harness::RunResult r = harness::runSpmvHhtSharded(
-          config(g.topo), g.tiles, harness::Partition::NnzBalanced, m, v,
-          true);
+      const harness::RunResult r = harness::run(
+          config(g.topo),
+          {.kernel = harness::Kernel::kSpmvVectorHht,
+           .tiles = g.tiles,
+           .distribution = harness::Distribution::kNnzBalanced},
+          {.m = &m, .v = &v});
       Point& pt = row.points[p];
       pt.topo = g.topo;
       pt.tiles = g.tiles;

@@ -140,11 +140,15 @@ int main(int argc, char** argv) {
     const sparse::DenseVector v = workload::randomDenseVector(rng, n);
     pt.gini = workload::rowNnzGini(m);
 
-    const harness::RunResult ref = harness::runSpmvHht(config(), m, v, true);
-    const harness::RunResult st = harness::runSpmvHhtSharded(
-        config(), kTiles, harness::Partition::NnzBalanced, m, v, true);
-    const harness::RunResult dyn = harness::runSpmvHhtChunkQueue(
-        config(), kTiles, m, v, true, kChunkRows);
+    const harness::Operands ops{.m = &m, .v = &v};
+    harness::RunSpec spec{.kernel = harness::Kernel::kSpmvVectorHht};
+    const harness::RunResult ref = harness::run(config(), spec, ops);
+    spec.tiles = kTiles;
+    spec.distribution = harness::Distribution::kNnzBalanced;
+    const harness::RunResult st = harness::run(config(), spec, ops);
+    spec.distribution = harness::Distribution::kChunkQueue;
+    spec.chunk_rows = kChunkRows;
+    const harness::RunResult dyn = harness::run(config(), spec, ops);
 
     pt.ref_cycles = ref.cycles;
     pt.static_cycles = st.cycles;

@@ -38,7 +38,13 @@
 namespace {
 
 using namespace hht;
+using harness::Kernel;
 using Cells = std::vector<std::string>;
+
+/// The SpMV kernels by consumer: [0] scalar, [1] vector.
+constexpr Kernel kSpmvBase[] = {Kernel::kSpmvScalarBaseline,
+                                Kernel::kSpmvVectorBaseline};
+constexpr Kernel kSpmvHht[] = {Kernel::kSpmvScalarHht, Kernel::kSpmvVectorHht};
 
 /// Sparsity of point i of the 10%..90% sweeps, in percent.
 int sweepSparsity(std::size_t i) { return 10 + static_cast<int>(i) * 10; }
@@ -158,16 +164,17 @@ class Paper {
       SpmvPoint pt;
       pt.s = sweepSparsity(i);
       const auto [m, v] = spmvOperands(pt.s);
-      if (base) pt.base = harness::runSpmvBaseline(config(2), m, v, true);
-      if (hht1) pt.hht1 = harness::runSpmvHht(config(1), m, v, true);
-      pt.hht2 = harness::runSpmvHht(config(2), m, v, true);
+      const harness::Operands ops{&m, &v};
+      if (base) pt.base = harness::run(config(2), {kSpmvBase[1]}, ops);
+      if (hht1) pt.hht1 = harness::run(config(1), {kSpmvHht[1]}, ops);
+      pt.hht2 = harness::run(config(2), {kSpmvHht[1]}, ops);
       if (narrow) {
         // Fig. 8: baseline and HHT kernels both use the same width.
         for (int w : {1, 4}) {
           const harness::SystemConfig cfg = config(2, w);
           pt.narrow[w / 4] =
-              harness::speedup(harness::runSpmvBaseline(cfg, m, v, w > 1),
-                               harness::runSpmvHht(cfg, m, v, w > 1));
+              harness::speedup(harness::run(cfg, {kSpmvBase[w > 1]}, ops),
+                               harness::run(cfg, {kSpmvHht[w > 1]}, ops));
         }
       }
       return pt;
@@ -183,14 +190,16 @@ class Paper {
       SpmspvPoint pt;
       pt.s = sweepSparsity(i);
       const auto [m, v] = spmspvOperands(pt.s);
+      const harness::Operands ops{.m = &m, .sv = &v};
       for (int k = 0; k < 4; ++k) {
-        pt.hht[k] = harness::runSpmspvHht(config(1 + k % 2), m, v, 1 + k / 2);
+        pt.hht[k] = harness::run(config(1 + k % 2),
+                                 {harness::spmspvHht(1 + k / 2)}, ops);
       }
       if (fig5) {
-        pt.base = harness::runSpmspvBaseline(config(2), m, v);
+        pt.base = harness::run(config(2), {Kernel::kSpmspvScalarBaseline}, ops);
         // v2 with a scalar consumer: how much of v2's win is vectorization.
-        pt.v2_scalar = harness::runSpmspvHht(config(2), m, v, 2,
-                                             /*vectorized=*/false);
+        pt.v2_scalar =
+            harness::run(config(2), {Kernel::kSpmspvHhtV2Scalar}, ops);
       }
       return pt;
     });
@@ -242,7 +251,7 @@ void fig4(Paper& p) {
   p.trace("2-buffer HHT run at sparsity " + std::to_string(worst) + "%",
           p.config(2), [&](const harness::SystemConfig& cfg) {
             const auto [m, v] = p.spmvOperands(worst);
-            harness::runSpmvHht(cfg, m, v, true);
+            harness::run(cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
           });
 }
 
@@ -281,6 +290,15 @@ void fig5(Paper& p) {
   p.measure("v1 avg speedup 2 buffers", sums[1] / count);
   p.measure("v2 avg speedup 2 buffers", sums[3] / count);
   p.measure("v2 minus v1 avg speedup 2 buffers", (sums[3] - sums[1]) / count);
+  // The paper's crossover (v1 overtakes v2 above ~80%) and v1's monotone
+  // rise, at the two sparsest points of the sweep (80% and 90%).
+  const auto sp = [](const SpmspvPoint& r, int k) {
+    return harness::speedup(r.base, r.hht[k]);
+  };
+  const SpmspvPoint& s80 = rows[rows.size() - 2];
+  const SpmspvPoint& s90 = rows.back();
+  p.measure("v1 minus v2 speedup 2 buffers at 90%", sp(s90, 1) - sp(s90, 3));
+  p.measure("v1 2-buffer speedup 90% minus 80%", sp(s90, 1) - sp(s80, 1));
 
   // --trace: variant-1 at the lowest sparsity — the configuration where
   // "HHT is performing more work than the CPU" (§5.1) and the CPU-wait
@@ -289,7 +307,7 @@ void fig5(Paper& p) {
   p.trace("variant-1 2-buffer run at sparsity " + std::to_string(s) + "%",
           p.config(2), [&](const harness::SystemConfig& cfg) {
             const auto [m, v] = p.spmspvOperands(s);
-            harness::runSpmspvHht(cfg, m, v, 1);
+            harness::run(cfg, {Kernel::kSpmspvHhtV1}, {.m = &m, .sv = &v});
           });
 }
 
@@ -332,7 +350,7 @@ void fig6(Paper& p) {
   p.trace("1-buffer HHT run at sparsity " + std::to_string(worst) + "%",
           p.config(1), [&](const harness::SystemConfig& cfg) {
             const auto [m, v] = p.spmvOperands(worst);
-            harness::runSpmvHht(cfg, m, v, true);
+            harness::run(cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
           });
 }
 
@@ -378,7 +396,7 @@ void fig7(Paper& p) {
   p.trace("variant-1 1-buffer run at sparsity " + std::to_string(worst) + "%",
           p.config(1), [&](const harness::SystemConfig& cfg) {
             const auto [m, v] = p.spmspvOperands(worst);
-            harness::runSpmspvHht(cfg, m, v, 1);
+            harness::run(cfg, {Kernel::kSpmspvHhtV1}, {.m = &m, .sv = &v});
           });
 }
 
@@ -418,7 +436,7 @@ void fig8(Paper& p) {
   p.trace("VL=1 HHT run at sparsity " + std::to_string(s) + "%", p.config(2, 1),
           [&](const harness::SystemConfig& cfg) {
             const auto [m, v] = p.spmvOperands(s);
-            harness::runSpmvHht(cfg, m, v, false);
+            harness::run(cfg, {Kernel::kSpmvScalarHht}, {&m, &v});
           });
 }
 
@@ -447,9 +465,10 @@ void fig9(Paper& p) {
   };
   const auto rows = p.sweep.run(catalog.size(), [&](std::size_t i) {
     const auto [m, v] = operands(catalog[i]);
+    const harness::Operands ops{&m, &v};
     return Row{std::to_string(m.numRows()) + "x" + std::to_string(m.numCols()),
-               harness::runSpmvBaseline(p.config(2), m, v, true),
-               harness::runSpmvHht(p.config(2), m, v, true)};
+               harness::run(p.config(2), {Kernel::kSpmvVectorBaseline}, ops),
+               harness::run(p.config(2), {Kernel::kSpmvVectorHht}, ops)};
   });
 
   harness::Table table({"network", "shape", "sparsity", "base_cycles",
@@ -475,7 +494,7 @@ void fig9(Paper& p) {
           p.config(2),
           [&](const harness::SystemConfig& cfg) {
             const auto [m, v] = operands(worst);
-            harness::runSpmvHht(cfg, m, v, true);
+            harness::run(cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
           });
 }
 
@@ -552,12 +571,15 @@ void tabEnergyArea(Paper& p) {
 
     harness::SystemConfig cfg = p.config(2);
     cfg.timing.clock_hz = 50e6;  // §5.5 synthesis clock
-    const auto base = harness::runSpmvBaseline(cfg, m, v, true);
-    const auto hht = harness::runSpmvHht(cfg, m, v, true);
+    const harness::Operands ops{&m, &v};
+    const auto base = harness::run(cfg, {Kernel::kSpmvVectorBaseline}, ops);
+    const auto hht = harness::run(cfg, {Kernel::kSpmvVectorHht}, ops);
     const auto cmp = energy::compareEnergy(base.cycles, hht.cycles,
                                            energy::FeatureSize::Nm16, 50.0);
-    const auto tile_base = harness::runSpmvBaseline(cfg, tile, tile_v, true);
-    const auto tile_hht = harness::runSpmvHht(cfg, tile, tile_v, true);
+    const harness::Operands tile_ops{&tile, &tile_v};
+    const auto tile_base =
+        harness::run(cfg, {Kernel::kSpmvVectorBaseline}, tile_ops);
+    const auto tile_hht = harness::run(cfg, {Kernel::kSpmvVectorHht}, tile_ops);
     const auto tile_cmp = energy::compareEnergy(
         tile_base.cycles, tile_hht.cycles, energy::FeatureSize::Nm16, 50.0);
     return std::pair(
@@ -601,15 +623,19 @@ void ablBuffers(Paper& p) {
   const sparse::DenseVector dv = workload::randomDenseVector(rng, n);
   const sparse::SparseVector sv = workload::randomSparseVector(rng, n, 0.5);
 
-  const auto spmv_base = harness::runSpmvBaseline(p.config(2), m, dv, true);
-  const auto spmspv_base = harness::runSpmspvBaseline(p.config(2), m, sv);
+  const harness::Operands ops{.m = &m, .v = &dv, .sv = &sv};
+  const auto spmv_base =
+      harness::run(p.config(2), {Kernel::kSpmvVectorBaseline}, ops);
+  const auto spmspv_base =
+      harness::run(p.config(2), {Kernel::kSpmspvScalarBaseline}, ops);
 
   const std::uint32_t nbs[4] = {1u, 2u, 4u, 8u};
   p.print({"buffers", "spmv_speedup", "spmv_cpu_wait", "v1_speedup",
            "v1_cpu_wait"},
           p.sweep.run(4, [&](std::size_t i) {
-            const auto spmv = harness::runSpmvHht(p.config(nbs[i]), m, dv, true);
-            const auto v1 = harness::runSpmspvHht(p.config(nbs[i]), m, sv, 1);
+            const harness::SystemConfig cfg = p.config(nbs[i]);
+            const auto spmv = harness::run(cfg, {Kernel::kSpmvVectorHht}, ops);
+            const auto v1 = harness::run(cfg, {Kernel::kSpmspvHhtV1}, ops);
             return Cells{std::to_string(nbs[i]),
                          harness::fmt(harness::speedup(spmv_base, spmv)),
                          harness::pct(spmv.cpuWaitFraction()),
@@ -632,6 +658,7 @@ void ablMemory(Paper& p) {
   sim::Rng rng(p.opt.seed);
   const sparse::CsrMatrix m = workload::randomCsr(rng, n, n, 0.5);
   const sparse::DenseVector v = workload::randomDenseVector(rng, n);
+  const harness::Operands ops{&m, &v};
 
   // (a) 1, 2 and 4 grants, each under CPU-priority then round-robin.
   p.print({"grants/cycle", "policy", "base_cycles", "hht_cycles", "speedup",
@@ -642,8 +669,9 @@ void ablMemory(Paper& p) {
             cfg.memory.grants_per_cycle = 1u << (i / 2);
             cfg.memory.policy = rr ? mem::ArbiterPolicy::RoundRobin
                                    : mem::ArbiterPolicy::CpuPriority;
-            const auto base = harness::runSpmvBaseline(cfg, m, v, true);
-            const auto hht = harness::runSpmvHht(cfg, m, v, true);
+            const auto base =
+                harness::run(cfg, {Kernel::kSpmvVectorBaseline}, ops);
+            const auto hht = harness::run(cfg, {Kernel::kSpmvVectorHht}, ops);
             return Cells{
                 std::to_string(cfg.memory.grants_per_cycle),
                 rr ? "round-robin" : "cpu-priority",
@@ -667,8 +695,9 @@ void ablMemory(Paper& p) {
             // RAM is felt directly.
             cfg.memory.sram_latency = 24;
             cfg.memory.cache.miss_penalty = 24;
-            const auto base = harness::runSpmvBaseline(cfg, m, v, true);
-            const auto hht = harness::runSpmvHht(cfg, m, v, true);
+            const auto base =
+                harness::run(cfg, {Kernel::kSpmvVectorBaseline}, ops);
+            const auto hht = harness::run(cfg, {Kernel::kSpmvVectorHht}, ops);
             return Cells{names[i], std::to_string(base.cycles),
                          std::to_string(hht.cycles),
                          harness::fmt(harness::speedup(base, hht)),
@@ -706,10 +735,16 @@ void ablSmash(Paper& p) {
             const sparse::DenseVector v = workload::randomDenseVector(rng, n);
 
             const harness::SystemConfig cfg = p.config(2);
-            const auto base = harness::runSpmvBaseline(cfg, csr, v, true);
-            const auto hht_csr = harness::runSpmvHht(cfg, csr, v, true);
-            const auto hht_hb = harness::runHierHht(cfg, hb, v);
-            const auto hht_bv = harness::runFlatHht(cfg, bv, v);
+            const harness::Operands ops{
+                .m = &csr, .v = &v, .hier = &hb, .flat = &bv};
+            const auto base =
+                harness::run(cfg, {Kernel::kSpmvVectorBaseline}, ops);
+            const auto hht_csr =
+                harness::run(cfg, {Kernel::kSpmvVectorHht}, ops);
+            const auto hht_hb =
+                harness::run(cfg, {Kernel::kHierBitmapHht}, ops);
+            const auto hht_bv =
+                harness::run(cfg, {Kernel::kFlatBitmapHht}, ops);
             return Cells{std::to_string(s) + "%", std::to_string(base.cycles),
                          std::to_string(hht_csr.cycles),
                          std::to_string(hht_hb.cycles),
@@ -761,16 +796,16 @@ void ablProgrammable(Paper& p) {
             const int s = sparsities[i / 3];
             const int variant = static_cast<int>(i % 3);  // 0: SpMV
             const auto [m, dv, sv] = operands(s);
-            harness::RunResult base, asic, prog;
-            if (variant == 0) {
-              base = harness::runSpmvBaseline(cfg, m, dv, true);
-              asic = harness::runSpmvHht(cfg, m, dv, true);
-              prog = harness::runSpmvProgHht(cfg, m, dv, true);
-            } else {
-              base = harness::runSpmspvBaseline(cfg, m, sv);
-              asic = harness::runSpmspvHht(cfg, m, sv, variant);
-              prog = harness::runSpmspvProgHht(cfg, m, sv, variant);
-            }
+            const harness::Operands ops{.m = &m, .v = &dv, .sv = &sv};
+            const Kernel base_kernel = variant == 0
+                                           ? Kernel::kSpmvVectorBaseline
+                                           : Kernel::kSpmspvScalarBaseline;
+            const Kernel hht = variant == 0 ? Kernel::kSpmvVectorHht
+                                            : harness::spmspvHht(variant);
+            const auto base = harness::run(cfg, {base_kernel}, ops);
+            const auto asic = harness::run(cfg, {hht}, ops);
+            const auto prog =
+                harness::run(cfg, {.kernel = hht, .programmable = true}, ops);
             return Cells{kernels[variant], std::to_string(s) + "%",
                          std::to_string(base.cycles),
                          std::to_string(asic.cycles),
@@ -794,7 +829,7 @@ void ablProgrammable(Paper& p) {
   p.trace("programmable-HHT SpMV run at sparsity " + std::to_string(s) + "%",
           cfg, [&](const harness::SystemConfig& tcfg) {
             const auto [m, dv, sv] = operands(s);
-            harness::runSpmvProgHht(tcfg, m, dv, true);
+            harness::run(tcfg, {Kernel::kSpmvVectorHht, true}, {&m, &dv});
           });
 }
 
@@ -826,8 +861,10 @@ void ablPrefetch(Paper& p) {
     cfg.memory.hht_cache_enabled = i >= 2;
     cfg.memory.prefetch_enabled = i % 2 == 1;
     cfg.memory.prefetch_degree = 2;
-    return i < 2 ? harness::runSpmvBaseline(cfg, m, v, true)
-                 : harness::runSpmvHht(cfg, m, v, true);
+    return harness::run(cfg,
+                        {i < 2 ? Kernel::kSpmvVectorBaseline
+                               : Kernel::kSpmvVectorHht},
+                        {&m, &v});
   });
 
   std::vector<Cells> rows;
@@ -882,8 +919,11 @@ void ablBatch(Paper& p) {
   p.print({"batch k", "base_cycles", "hht_cycles", "speedup",
            "hht_cycles_per_col"},
           p.sweep.run(ks.size(), [&](std::size_t i) {
-            const auto base = harness::runSpmmBaseline(cfg, m, bs[i]).cycles;
-            const auto hht = harness::runSpmmHht(cfg, m, bs[i]).cycles;
+            const harness::Operands ops{.m = &m, .b = &bs[i]};
+            const auto base =
+                harness::run(cfg, {Kernel::kSpmmVectorBaseline}, ops).cycles;
+            const auto hht =
+                harness::run(cfg, {Kernel::kSpmmVectorHht}, ops).cycles;
             const double sp = hht == 0 ? 0.0 : static_cast<double>(base) / hht;
             return Cells{std::to_string(ks[i]), std::to_string(base),
                          std::to_string(hht), harness::fmt(sp),
@@ -942,6 +982,10 @@ constexpr Claim kClaims[] = {
      Check::kAbove, 0.0, 0.0},
     {"fig5", "v1 avg speedup 2 buffers", "2.47", Check::kDiverges, 4.19, 4.29},
     {"fig5", "v2 avg speedup 2 buffers", "3.05", Check::kDiverges, 7.52, 7.62},
+    {"fig5", "v1 minus v2 speedup 2 buffers at 90%",
+     "> 0 (v1 overtakes v2 above ~80%)", Check::kDiverges, -0.013, -0.003},
+    {"fig5", "v1 2-buffer speedup 90% minus 80%",
+     "> 0 (v1 rises monotonically)", Check::kDiverges, -0.33, -0.31},
     {"fig6", "max CPU wait 1 and 2 buffers", "~0 (CPU rarely waits)",
      Check::kWithin, 0.0, 0.01},
     {"fig7", "min rise of v1 1-buffer wait per step", "v1 idles significantly",

@@ -31,7 +31,6 @@
 #include "bench_util.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
-#include "kernels/kernels.h"
 #include "serve/server.h"
 #include "sparse/reference.h"
 #include "workload/synthetic.h"
@@ -41,10 +40,11 @@ namespace {
 using namespace hht;
 using sim::Addr;
 
-enum class EngineMode { kSpmv, kSpmspvV1, kSpmspvV2, kHier, kFlat };
-constexpr EngineMode kModes[] = {EngineMode::kSpmv, EngineMode::kSpmspvV1,
-                                 EngineMode::kSpmspvV2, EngineMode::kHier,
-                                 EngineMode::kFlat};
+/// The five engine modes, each driven by its scalar-consumer HHT kernel.
+constexpr harness::Kernel kModes[] = {
+    harness::Kernel::kSpmvScalarHht, harness::Kernel::kSpmspvHhtV1,
+    harness::Kernel::kSpmspvHhtV2Scalar, harness::Kernel::kHierBitmapHht,
+    harness::Kernel::kFlatBitmapHht};
 
 /// Where the flip is planted.
 enum class Site {
@@ -91,7 +91,7 @@ bool sameVector(const sparse::DenseVector& got,
 }
 
 struct Trial {
-  EngineMode mode;
+  harness::Kernel mode;
   Site site;
   std::uint64_t ordinal;  ///< slot/element/word index, per site family
   std::uint32_t bit;      ///< which bit to flip
@@ -123,52 +123,18 @@ TrialOutcome runTrial(const Workload& w, const Trial& t, bool fastforward) {
   }
 
   harness::System sys(cfg);
-  const Addr mmio = cfg.memory.mmio_base;
-
-  // Per-mode program plus the operand region the HHT's value fetches read
-  // (the latent-flip target: these words flow through the BE pipelines).
-  struct Prepared {
-    isa::Program prog;
-    Addr y;
-    std::uint32_t y_len;
-    Addr vals;
-    std::uint32_t val_words;
-    const sparse::DenseVector* ref;
-  };
-  const Prepared p = [&]() -> Prepared {
-    switch (t.mode) {
-      case EngineMode::kSpmv: {
-        const kernels::SpmvLayout l = harness::loadSpmv(sys, w.csr, w.v);
-        return {kernels::spmvScalarHht(l, mmio), l.y, l.num_rows, l.v,
-                static_cast<std::uint32_t>(w.v.size()), &w.ref_spmv};
-      }
-      case EngineMode::kSpmspvV1: {
-        const kernels::SpmspvLayout l = harness::loadSpmspv(sys, w.csr, w.sv);
-        return {kernels::spmspvHhtV1(l, mmio), l.y, l.num_rows, l.vvals,
-                static_cast<std::uint32_t>(w.sv.nnz()), &w.ref_spmspv};
-      }
-      case EngineMode::kSpmspvV2: {
-        const kernels::SpmspvLayout l = harness::loadSpmspv(sys, w.csr, w.sv);
-        return {kernels::spmspvHhtV2Scalar(l, mmio), l.y, l.num_rows, l.vvals,
-                static_cast<std::uint32_t>(w.sv.nnz()), &w.ref_spmspv};
-      }
-      case EngineMode::kHier: {
-        const kernels::HierLayout l = harness::loadHier(sys, w.hb, w.v);
-        return {kernels::hierBitmapHht(l, mmio), l.y, l.num_rows, l.v,
-                static_cast<std::uint32_t>(w.v.size()), &w.ref_spmv};
-      }
-      case EngineMode::kFlat: {
-        const kernels::HierLayout l = harness::loadFlatBitmap(sys, w.bv, w.v);
-        return {kernels::flatBitmapHht(l, mmio), l.y, l.num_rows, l.v,
-                static_cast<std::uint32_t>(w.v.size()), &w.ref_spmv};
-      }
-    }
-    throw std::logic_error("unreachable");
-  }();
+  const harness::Prepared p = harness::prepare(
+      sys, {.kernel = t.mode},
+      {.m = &w.csr, .v = &w.v, .sv = &w.sv, .hier = &w.hb, .flat = &w.bv});
+  const bool spmspv = t.mode == harness::Kernel::kSpmspvHhtV1 ||
+                      t.mode == harness::Kernel::kSpmspvHhtV2Scalar;
+  const sparse::DenseVector& ref = spmspv ? w.ref_spmspv : w.ref_spmv;
 
   if (t.site == Site::kLatentSingle || t.site == Site::kLatentDouble) {
-    // Plant after load (stores scrub latent state, as real writes do).
-    const Addr word = p.vals + 4u * static_cast<Addr>(t.ordinal % p.val_words);
+    // Plant after load (stores scrub latent state, as real writes do), in
+    // the operand region the HHT's value fetches read: these words flow
+    // through the BE pipelines.
+    const Addr word = p.x + 4u * static_cast<Addr>(t.ordinal % p.x_len);
     std::uint32_t mask = 1u << (t.bit & 31u);
     if (t.site == Site::kLatentDouble) mask |= 1u << ((t.bit + 11u) & 31u);
     sys.memory().sram().injectLatentFlip(word, mask);
@@ -176,10 +142,10 @@ TrialOutcome runTrial(const Workload& w, const Trial& t, bool fastforward) {
 
   TrialOutcome out;
   try {
-    const harness::RunResult r = sys.run(p.prog, p.y, p.y_len);
+    const harness::RunResult r = sys.run(p.program, p.y, p.y_len);
     out.corrected_events = r.stats.value("mem.secded.demand_corrected") +
                            r.stats.value("mem.scrub.corrected");
-    if (!sameVector(r.y, *p.ref)) {
+    if (!sameVector(r.y, ref)) {
       out.verdict = Verdict::kEscaped;
     } else if (out.corrected_events > 0) {
       out.verdict = Verdict::kCorrected;
@@ -306,7 +272,7 @@ int main(int argc, char** argv) {
   }
 
   Bucket on, off;
-  for (const EngineMode mode : kModes) {
+  for (const harness::Kernel mode : kModes) {
     for (const PlannedSite& ps : plan) {
       const Trial base{mode, ps.site, ps.ordinal, ps.bit, false};
       Trial protected_trial = base;

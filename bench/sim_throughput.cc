@@ -49,11 +49,12 @@ using namespace hht;
 enum ModeIdx { kNaive = 0, kEvent = 1, kNumModes = 2 };
 constexpr const char* kModeNames[kNumModes] = {"naive", "event"};
 
-/// One matrix x kernel point. `kind` selects the runner; `cfg` carries the
-/// regime's memory latency (mode knobs are overwritten per pass).
+/// One matrix x kernel point; `cfg` carries the regime's memory latency
+/// (mode knobs are overwritten per pass).
 struct Work {
   const char* regime;
   const char* kind;
+  harness::Kernel kernel;
   int s = 0;  ///< fill percentage
   harness::SystemConfig cfg;
   sparse::CsrMatrix m;
@@ -63,13 +64,7 @@ struct Work {
 harness::RunResult runWork(const Work& w, ModeIdx mode) {
   harness::SystemConfig cfg = w.cfg;
   cfg.host_fastforward = mode == kEvent;
-  if (std::strcmp(w.kind, "baseline_scalar") == 0) {
-    return harness::runSpmvBaseline(cfg, w.m, w.v, /*vectorized=*/false);
-  }
-  if (std::strcmp(w.kind, "baseline_vec") == 0) {
-    return harness::runSpmvBaseline(cfg, w.m, w.v, /*vectorized=*/true);
-  }
-  return harness::runSpmvHht(cfg, w.m, w.v, /*vectorized=*/true);
+  return harness::run(cfg, {.kernel = w.kernel}, {.m = &w.m, .v = &w.v});
 }
 
 bool sameResult(const harness::RunResult& a, const harness::RunResult& b,
@@ -126,12 +121,13 @@ int main(int argc, char** argv) {
       "host simulation rate: busy / short-stall / deep-stall SpMV regimes");
 
   std::vector<Work> works;
-  const auto add = [&](const char* regime, const char* kind, int s,
-                       sim::Index dim, sim::Cycle sram_latency,
-                       std::uint32_t buffers) {
+  const auto add = [&](const char* regime, const char* kind,
+                       harness::Kernel kernel, int s, sim::Index dim,
+                       sim::Cycle sram_latency, std::uint32_t buffers) {
     Work w;
     w.regime = regime;
     w.kind = kind;
+    w.kernel = kernel;
     w.s = s;
     w.cfg = harness::defaultConfig(buffers);
     w.cfg.memory.sram_latency = sram_latency;
@@ -141,22 +137,25 @@ int main(int argc, char** argv) {
     w.v = workload::randomDenseVector(rng, dim);
     works.push_back(std::move(w));
   };
+  using K = harness::Kernel;
   // busy: the Fig. 4 set — 9 sparsities x {vector baseline, 1/2-buffer
   // HHT} on the default 1-cycle SRAM.
   for (int s = 10; s <= 90; s += 10) {
-    add("busy", "baseline_vec", s, n, 1, 2);
-    add("busy", "hht_1buf", s, n, 1, 1);
-    add("busy", "hht_2buf", s, n, 1, 2);
+    add("busy", "baseline_vec", K::kSpmvVectorBaseline, s, n, 1, 2);
+    add("busy", "hht_1buf", K::kSpmvVectorHht, s, n, 1, 1);
+    add("busy", "hht_2buf", K::kSpmvVectorHht, s, n, 1, 2);
   }
   // short-stall: every scalar load opens a 4-6 cycle hole.
   for (int s = 10; s <= 90; s += 10) {
-    add("short_stall", "baseline_scalar", s, n, 6, 2);
+    add("short_stall", "baseline_scalar", K::kSpmvScalarBaseline, s, n, 6, 2);
   }
   // deep-stall: 2048-cycle loads; the event schedule must jump the holes
   // or drown.
-  add("deep_stall", "baseline_scalar", 30, n_stall, 2048, 2);
-  add("deep_stall", "baseline_scalar", 70, n_stall, 2048, 2);
-  add("deep_stall", "hht_2buf", 50, n_stall, 2048, 2);
+  for (const int s : {30, 70}) {
+    add("deep_stall", "baseline_scalar", K::kSpmvScalarBaseline, s, n_stall,
+        2048, 2);
+  }
+  add("deep_stall", "hht_2buf", K::kSpmvVectorHht, 50, n_stall, 2048, 2);
 
   const unsigned jobs =
       opt.jobs == 0 ? harness::SweepRunner::defaultJobs() : opt.jobs;

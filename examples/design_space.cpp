@@ -19,7 +19,10 @@ int main() {
   const sparse::CsrMatrix m = workload::randomCsr(rng, 128, 128, 0.6);
   const sparse::SparseVector sv = workload::randomSparseVector(rng, 128, 0.6);
 
-  const auto base = harness::runSpmspvBaseline(harness::defaultConfig(2), m, sv);
+  const harness::Operands ops{.m = &m, .sv = &sv};
+  const auto base = harness::run(
+      harness::defaultConfig(2),
+      {.kernel = harness::Kernel::kSpmspvScalarBaseline}, ops);
   std::cout << "workload: 128x128 SpMSpV variant-1, 60% sparsity, baseline "
             << base.cycles << " cycles\n\n";
 
@@ -31,7 +34,8 @@ int main() {
         harness::SystemConfig cfg = harness::defaultConfig(buffers);
         cfg.hht.be_issue_per_cycle = ports;
         cfg.hht.cmp_recurrence = rec;
-        const auto run = harness::runSpmspvHht(cfg, m, sv, 1);
+        const auto run =
+            harness::run(cfg, {.kernel = harness::Kernel::kSpmspvHhtV1}, ops);
         table.addRow({std::to_string(buffers), std::to_string(ports),
                       std::to_string(rec), std::to_string(run.cycles),
                       harness::fmt(harness::speedup(base, run)),

@@ -42,8 +42,11 @@ int main(int argc, char** argv) {
             << harness::pct(layer->sparsity, 0) << "\n";
 
   const harness::SystemConfig cfg = harness::defaultConfig(2);
-  const auto base = harness::runSpmvBaseline(cfg, weights, activations, true);
-  const auto hht = harness::runSpmvHht(cfg, weights, activations, true);
+  const harness::Operands ops{.m = &weights, .v = &activations};
+  const auto base = harness::run(
+      cfg, {.kernel = harness::Kernel::kSpmvVectorBaseline}, ops);
+  const auto hht =
+      harness::run(cfg, {.kernel = harness::Kernel::kSpmvVectorHht}, ops);
 
   // argmax over the logits computed *inside the simulator*.
   const auto& logits = hht.y.values();

@@ -49,10 +49,13 @@ int main(int argc, char** argv) {
   std::cout << "\nHHT offload comparison (same matrix, dense operand):\n";
   const sparse::DenseVector v = workload::randomDenseVector(rng, n);
   const harness::SystemConfig cfg = harness::defaultConfig(2);
-  const auto base = harness::runSpmvBaseline(cfg, csr, v, true);
-  const auto hht_csr = harness::runSpmvHht(cfg, csr, v, true);
-  const auto hht_hb = harness::runHierHht(cfg, hb, v);
-  const auto hht_bv = harness::runFlatHht(cfg, bv, v);
+  // One view of every format; each kernel reads the operands it needs.
+  const harness::Operands ops{.m = &csr, .v = &v, .hier = &hb, .flat = &bv};
+  using harness::Kernel;
+  const auto base = harness::run(cfg, {Kernel::kSpmvVectorBaseline}, ops);
+  const auto hht_csr = harness::run(cfg, {Kernel::kSpmvVectorHht}, ops);
+  const auto hht_hb = harness::run(cfg, {Kernel::kHierBitmapHht}, ops);
+  const auto hht_bv = harness::run(cfg, {Kernel::kFlatBitmapHht}, ops);
 
   harness::Table runs({"engine", "cycles", "speedup vs CPU baseline"});
   runs.addRow({"CPU only (vector gather)", std::to_string(base.cycles), "1.00"});

@@ -27,8 +27,11 @@ int main() {
   // 3. Simulate the CPU-only baseline (vector kernel, VL=8, indexed
   //    gathers) and the HHT-assisted kernel on the Table-1 system.
   const harness::SystemConfig cfg = harness::defaultConfig(/*num_buffers=*/2);
-  const harness::RunResult base = harness::runSpmvBaseline(cfg, m, v, true);
-  const harness::RunResult hht = harness::runSpmvHht(cfg, m, v, true);
+  const harness::Operands ops{.m = &m, .v = &v};
+  const harness::RunResult base = harness::run(
+      cfg, {.kernel = harness::Kernel::kSpmvVectorBaseline}, ops);
+  const harness::RunResult hht =
+      harness::run(cfg, {.kernel = harness::Kernel::kSpmvVectorHht}, ops);
 
   std::cout << "baseline: " << base.cycles << " cycles, " << base.retired
             << " instructions\n";

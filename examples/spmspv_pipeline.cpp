@@ -39,8 +39,11 @@ int main() {
     // sparse (little to intersect), variant-2 otherwise.
     const int variant = sv.sparsity() > 0.8 && adj.sparsity() > 0.8 ? 1 : 2;
 
-    const auto base = harness::runSpmspvBaseline(cfg, adj, sv);
-    const auto hht = harness::runSpmspvHht(cfg, adj, sv, variant);
+    const harness::Operands ops{.m = &adj, .sv = &sv};
+    const auto base = harness::run(
+        cfg, {.kernel = harness::Kernel::kSpmspvScalarBaseline}, ops);
+    const auto hht =
+        harness::run(cfg, {.kernel = harness::spmspvHht(variant)}, ops);
 
     // Cross-check the simulated result against the host reference.
     const sparse::DenseVector expected = sparse::spmspvMerge(adj, sv);

@@ -26,8 +26,8 @@ namespace hht::core {
 /// posted write of the element to one of the push offsets.
 ///
 /// The flexibility/performance trade-off the paper anticipates shows up
-/// directly: bench/abl_programmable measures the slowdown of firmware
-/// metadata processing versus the ASIC pipelines.
+/// directly: `bench/paper --only=abl_programmable` measures the slowdown of
+/// firmware metadata processing versus the ASIC pipelines.
 class MicroHht final : public HhtDevice {
  public:
   MicroHht(const HhtConfig& config, mem::MemorySystem& memory,

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace hht::harness {
 
@@ -22,160 +23,137 @@ SystemConfig defaultConfig(std::uint32_t num_buffers, int vlmax) {
   return cfg;
 }
 
-RunResult runSpmvBaseline(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                          const sparse::DenseVector& v, bool vectorized) {
-  System sys(cfg);
-  const kernels::SpmvLayout layout = loadSpmv(sys, m, v);
-  const isa::Program program = vectorized ? kernels::spmvVectorBaseline(layout)
-                                          : kernels::spmvScalarBaseline(layout);
-  return sys.run(program, layout.y, layout.num_rows);
-}
-
-RunResult runSpmvHht(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                     const sparse::DenseVector& v, bool vectorized) {
-  System sys(cfg);
-  const kernels::SpmvLayout layout = loadSpmv(sys, m, v);
-  const Addr mmio = cfg.memory.mmio_base;
-  const isa::Program program = vectorized
-                                   ? kernels::spmvVectorHht(layout, mmio)
-                                   : kernels::spmvScalarHht(layout, mmio);
-  return sys.run(program, layout.y, layout.num_rows);
-}
-
-RunResult runSpmspvBaseline(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                            const sparse::SparseVector& v) {
-  System sys(cfg);
-  const kernels::SpmspvLayout layout = loadSpmspv(sys, m, v);
-  return sys.run(kernels::spmspvScalarBaseline(layout), layout.y,
-                 layout.num_rows);
-}
-
-RunResult runSpmspvHht(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                       const sparse::SparseVector& v, int variant,
-                       bool vectorized) {
-  System sys(cfg);
-  const kernels::SpmspvLayout layout = loadSpmspv(sys, m, v);
-  const Addr mmio = cfg.memory.mmio_base;
-  isa::Program program = [&] {
-    if (variant == 1) return kernels::spmspvHhtV1(layout, mmio);
-    if (variant == 2) {
-      return vectorized ? kernels::spmspvHhtV2(layout, mmio)
-                        : kernels::spmspvHhtV2Scalar(layout, mmio);
-    }
-    throw std::invalid_argument("SpMSpV variant must be 1 or 2");
-  }();
-  return sys.run(program, layout.y, layout.num_rows);
-}
-
-RunResult runSpmmBaseline(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                          const sparse::DenseMatrix& b) {
-  System sys(cfg);
-  const kernels::SpmmLayout layout = loadSpmm(sys, m, b);
-  return sys.run(kernels::spmmVectorBaseline(layout), layout.y,
-                 layout.num_rows * layout.k);
-}
-
-RunResult runSpmmHht(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                     const sparse::DenseMatrix& b) {
-  System sys(cfg);
-  const kernels::SpmmLayout layout = loadSpmm(sys, m, b);
-  return sys.run(kernels::spmmVectorHht(layout, cfg.memory.mmio_base),
-                 layout.y, layout.num_rows * layout.k);
-}
-
-RunResult runFlatHht(const SystemConfig& cfg, const sparse::BitVectorMatrix& m,
-                     const sparse::DenseVector& v) {
-  System sys(cfg);
-  const kernels::HierLayout layout = loadFlatBitmap(sys, m, v);
-  return sys.run(kernels::flatBitmapHht(layout, cfg.memory.mmio_base),
-                 layout.y, layout.num_rows);
-}
-
-RunResult runSpmvProgHht(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                         const sparse::DenseVector& v, bool vectorized) {
-  SystemConfig pcfg = cfg;
-  pcfg.programmable_hht = true;
-  System sys(pcfg);
-  const kernels::SpmvLayout layout = loadSpmv(sys, m, v);
-  const Addr mmio = pcfg.memory.mmio_base;
-  const isa::Program firmware = kernels::firmwareSpmvGather(layout, mmio);
-  sys.microHht()->setFirmware(firmware);
-  const isa::Program program = vectorized
-                                   ? kernels::spmvVectorHht(layout, mmio)
-                                   : kernels::spmvScalarHht(layout, mmio);
-  return sys.run(program, layout.y, layout.num_rows);
-}
-
-RunResult runSpmspvProgHht(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                           const sparse::SparseVector& v, int variant,
-                           bool vectorized) {
-  SystemConfig pcfg = cfg;
-  pcfg.programmable_hht = true;
-  System sys(pcfg);
-  const kernels::SpmspvLayout layout = loadSpmspv(sys, m, v);
-  const Addr mmio = pcfg.memory.mmio_base;
-  const isa::Program firmware = variant == 1
-                                    ? kernels::firmwareSpmspvV1(layout, mmio)
-                                    : kernels::firmwareSpmspvV2(layout, mmio);
-  sys.microHht()->setFirmware(firmware);
-  isa::Program program = [&] {
-    if (variant == 1) return kernels::spmspvHhtV1(layout, mmio);
-    if (variant == 2) {
-      return vectorized ? kernels::spmspvHhtV2(layout, mmio)
-                        : kernels::spmspvHhtV2Scalar(layout, mmio);
-    }
-    throw std::invalid_argument("SpMSpV variant must be 1 or 2");
-  }();
-  return sys.run(program, layout.y, layout.num_rows);
-}
-
-RunResult runSpmvHhtResilient(const SystemConfig& cfg,
-                              const sparse::CsrMatrix& m,
-                              const sparse::DenseVector& v, bool vectorized) {
-  System sys(cfg);
-  const kernels::SpmvLayout layout = loadSpmv(sys, m, v);
-  const Addr mmio = cfg.memory.mmio_base;
-  const isa::Program program = vectorized
-                                   ? kernels::spmvVectorHht(layout, mmio)
-                                   : kernels::spmvScalarHht(layout, mmio);
-  const isa::Program fallback = kernels::spmvScalarBaseline(layout);
-  return sys.run(program, layout.y, layout.num_rows, 500'000'000, &fallback);
-}
-
-RunResult runSpmspvHhtResilient(const SystemConfig& cfg,
-                                const sparse::CsrMatrix& m,
-                                const sparse::SparseVector& v, int variant,
-                                bool vectorized) {
-  System sys(cfg);
-  const kernels::SpmspvLayout layout = loadSpmspv(sys, m, v);
-  const Addr mmio = cfg.memory.mmio_base;
-  isa::Program program = [&] {
-    if (variant == 1) return kernels::spmspvHhtV1(layout, mmio);
-    if (variant == 2) {
-      return vectorized ? kernels::spmspvHhtV2(layout, mmio)
-                        : kernels::spmspvHhtV2Scalar(layout, mmio);
-    }
-    throw std::invalid_argument("SpMSpV variant must be 1 or 2");
-  }();
-  const isa::Program fallback = kernels::spmspvScalarBaseline(layout);
-  return sys.run(program, layout.y, layout.num_rows, 500'000'000, &fallback);
-}
-
-RunResult runHierHht(const SystemConfig& cfg, const sparse::HierBitmapMatrix& m,
-                     const sparse::DenseVector& v) {
-  System sys(cfg);
-  const kernels::HierLayout layout = loadHier(sys, m, v);
-  return sys.run(kernels::hierBitmapHht(layout, cfg.memory.mmio_base),
-                 layout.y, layout.num_rows);
+Kernel spmspvHht(int variant, bool vectorized) {
+  if (variant == 1) return Kernel::kSpmspvHhtV1;
+  if (variant == 2) {
+    return vectorized ? Kernel::kSpmspvHhtV2 : Kernel::kSpmspvHhtV2Scalar;
+  }
+  throw std::invalid_argument("SpMSpV variant must be 1 or 2");
 }
 
 namespace {
-std::vector<kernels::RowShard> partitionRows(const sparse::CsrMatrix& m,
-                                             std::uint32_t num_tiles,
-                                             Partition part) {
-  return part == Partition::Block
-             ? workload::partitionRowsBlock(m, num_tiles)
-             : workload::partitionRowsNnzBalanced(m, num_tiles);
+
+[[noreturn]] void reject(const std::string& why) {
+  throw std::invalid_argument("RunSpec: " + why);
+}
+
+bool isSpmv(Kernel k) { return k <= Kernel::kSpmvVectorHht; }
+bool isSpmspv(Kernel k) {
+  return k >= Kernel::kSpmspvScalarBaseline && k <= Kernel::kSpmspvHhtV2Scalar;
+}
+/// The kernels the HHT serves through its gather/merge engines: the ones
+/// with firmware, a scalar fallback and multi-tile variants.
+bool isHhtStream(Kernel k) {
+  return k == Kernel::kSpmvScalarHht || k == Kernel::kSpmvVectorHht ||
+         (isSpmspv(k) && k != Kernel::kSpmspvScalarBaseline);
+}
+
+void checkSpec(const RunSpec& s) {
+  if (s.kernel > Kernel::kFlatBitmapHht) reject("unknown kernel");
+  const bool stream = isHhtStream(s.kernel);
+  if ((s.programmable || s.fallback) && !stream) {
+    reject("programmable and fallback runs take an HHT SpMV/SpMSpV kernel");
+  }
+  if (s.programmable && s.fallback) reject("no fallback for programmable runs");
+  if (s.distribution == Distribution::kSingle) {
+    if (s.tiles != 1) reject("a single-tile run has tiles == 1");
+    return;
+  }
+  if (s.programmable || s.fallback) {
+    reject("programmable and fallback runs are single-tile");
+  }
+  if (s.kernel == Kernel::kSpmspvHhtV2Scalar) {
+    reject("multi-tile SpMSpV variant 2 has a vectorized consumer only");
+  }
+  if (!stream) reject("only the HHT SpMV and SpMSpV kernels run on tiles > 1");
+}
+
+template <typename T>
+const T& need(const T* operand, const char* name) {
+  if (operand == nullptr) {
+    reject(std::string("the kernel reads operand '") + name +
+           "', which is missing");
+  }
+  return *operand;
+}
+
+/// The rows tile t's program covers.
+struct Rows {
+  Distribution distribution = Distribution::kSingle;
+  kernels::RowShard shard;  ///< kBlock, kNnzBalanced
+  Addr claim = 0;           ///< kChunkQueue: the tile's claim register
+};
+
+isa::Program spmvProgram(Kernel k, const kernels::SpmvLayout& l, Addr mmio,
+                         const Rows& rows) {
+  const bool vec = k == Kernel::kSpmvVectorHht;
+  if (rows.distribution == Distribution::kChunkQueue) {
+    return vec ? kernels::spmvVectorHhtChunkQueue(l, mmio, rows.claim)
+               : kernels::spmvScalarHhtChunkQueue(l, mmio, rows.claim);
+  }
+  if (rows.distribution != Distribution::kSingle) {
+    return vec ? kernels::spmvVectorHhtShard(l, rows.shard, mmio)
+               : kernels::spmvScalarHhtShard(l, rows.shard, mmio);
+  }
+  switch (k) {
+    case Kernel::kSpmvScalarBaseline: return kernels::spmvScalarBaseline(l);
+    case Kernel::kSpmvVectorBaseline: return kernels::spmvVectorBaseline(l);
+    case Kernel::kSpmvScalarHht: return kernels::spmvScalarHht(l, mmio);
+    default: return kernels::spmvVectorHht(l, mmio);
+  }
+}
+
+isa::Program spmspvProgram(Kernel k, const kernels::SpmspvLayout& l,
+                           Addr mmio, const Rows& rows) {
+  const bool v1 = k == Kernel::kSpmspvHhtV1;
+  if (rows.distribution == Distribution::kChunkQueue) {
+    return v1 ? kernels::spmspvHhtV1ChunkQueue(l, mmio, rows.claim)
+              : kernels::spmspvHhtV2ChunkQueue(l, mmio, rows.claim);
+  }
+  if (rows.distribution != Distribution::kSingle) {
+    return v1 ? kernels::spmspvHhtV1Shard(l, rows.shard, mmio)
+              : kernels::spmspvHhtV2Shard(l, rows.shard, mmio);
+  }
+  switch (k) {
+    case Kernel::kSpmspvScalarBaseline:
+      return kernels::spmspvScalarBaseline(l);
+    case Kernel::kSpmspvHhtV1: return kernels::spmspvHhtV1(l, mmio);
+    case Kernel::kSpmspvHhtV2: return kernels::spmspvHhtV2(l, mmio);
+    default: return kernels::spmspvHhtV2Scalar(l, mmio);
+  }
+}
+
+/// Distribute the rows (static shards of `m`, or the seeded chunk queue)
+/// and build tile t's program as `build(mmio, rows)` against its own MMIO
+/// window and claim register.
+template <typename Build>
+void buildTiles(Prepared& p, System& sys, const RunSpec& spec,
+                const sparse::CsrMatrix* m, std::uint32_t num_rows,
+                Build&& build) {
+  switch (spec.distribution) {
+    case Distribution::kSingle: break;
+    case Distribution::kBlock:
+      p.shards = workload::partitionRowsBlock(*m, spec.tiles);
+      break;
+    case Distribution::kNnzBalanced:
+      p.shards = workload::partitionRowsNnzBalanced(*m, spec.tiles);
+      break;
+    case Distribution::kChunkQueue:
+      sys.workQueue()->seed(
+          dealRowChunks(num_rows, spec.tiles, spec.chunk_rows));
+      break;
+  }
+  for (std::uint32_t t = 0; t < spec.tiles; ++t) {
+    const Rows rows{spec.distribution,
+                    p.shards.empty() ? kernels::RowShard{} : p.shards[t],
+                    sys.workQueueBase() + 4 * t};
+    isa::Program program = build(sys.mmioBaseOf(t), rows);
+    if (spec.tiles == 1) {
+      p.program = std::move(program);
+    } else {
+      p.tiles.push_back(std::move(program));
+    }
+  }
 }
 
 /// Surface the static split's quality next to the run's timing counters,
@@ -189,75 +167,100 @@ void recordPartitionStats(RunResult& result, const sparse::CsrMatrix& m,
   result.stats.counter("workload.shard_max_nnz") = st.max_nnz;
 }
 
-void checkVariant(int variant) {
-  if (variant != 1 && variant != 2) {
-    throw std::invalid_argument("SpMSpV variant must be 1 or 2");
-  }
-}
-
-/// The N-tile drivers' common body: an N-tile System over `cfg`, operands
-/// loaded once into the shared SRAM by `load` (every tile reads the same
-/// arrays), then tile t's program from `build(layout, mmio, claim, t)`
-/// against its own MMIO window and chunk-queue claim register. With
-/// `queue`, the chunk queue is enabled and seeded via dealRowChunks.
-template <typename Load, typename Build>
-RunResult runTiles(SystemConfig cfg, std::uint32_t num_tiles, bool queue,
-                   std::uint32_t chunk_rows, Load&& load, Build&& build) {
-  cfg.memory.num_tiles = num_tiles;
-  if (queue) cfg.memory.work_queue_enabled = true;
-  System sys(cfg);
-  const auto layout = load(sys);
-  if (queue) {
-    sys.workQueue()->seed(
-        dealRowChunks(layout.num_rows, num_tiles, chunk_rows));
-  }
-  std::vector<isa::Program> programs;
-  for (std::uint32_t t = 0; t < num_tiles; ++t) {
-    programs.push_back(
-        build(layout, sys.mmioBaseOf(t), sys.workQueueBase() + 4 * t, t));
-  }
-  return sys.run(programs, layout.y, layout.num_rows);
-}
 }  // namespace
 
-RunResult runSpmvHhtSharded(const SystemConfig& cfg, std::uint32_t num_tiles,
-                            Partition part, const sparse::CsrMatrix& m,
-                            const sparse::DenseVector& v, bool vectorized) {
-  const std::vector<kernels::RowShard> shards =
-      partitionRows(m, num_tiles, part);
-  RunResult result = runTiles(
-      cfg, num_tiles, false, 0, [&](System& sys) { return loadSpmv(sys, m, v); },
-      [&](const kernels::SpmvLayout& layout, Addr mmio, Addr,
-          std::uint32_t t) {
-        return vectorized
-                   ? kernels::spmvVectorHhtShard(layout, shards[t], mmio)
-                   : kernels::spmvScalarHhtShard(layout, shards[t], mmio);
-      });
-  recordPartitionStats(result, m, shards);
-  return result;
+SystemConfig configFor(SystemConfig cfg, const RunSpec& spec) {
+  checkSpec(spec);
+  cfg.memory.num_tiles = spec.tiles;
+  if (spec.distribution == Distribution::kChunkQueue) {
+    cfg.memory.work_queue_enabled = true;
+  }
+  if (spec.programmable) cfg.programmable_hht = true;
+  return cfg;
 }
 
-RunResult runSpmspvHhtSharded(const SystemConfig& cfg, std::uint32_t num_tiles,
-                              Partition part, const sparse::CsrMatrix& m,
-                              const sparse::SparseVector& v, int variant,
-                              bool vectorized) {
-  checkVariant(variant);
-  if (variant == 2 && !vectorized) {
-    throw std::invalid_argument(
-        "sharded SpMSpV variant 2 has a vectorized consumer only");
+Prepared prepare(System& sys, const RunSpec& spec, const Operands& ops) {
+  checkSpec(spec);
+  if (sys.numTiles() != spec.tiles ||
+      (spec.programmable && sys.microHht() == nullptr) ||
+      (spec.distribution == Distribution::kChunkQueue &&
+       sys.workQueue() == nullptr)) {
+    throw sim::SimError(sim::ErrorKind::Config, "harness",
+                        "the System does not have the RunSpec's shape "
+                        "(build its config with configFor)");
   }
-  const std::vector<kernels::RowShard> shards =
-      partitionRows(m, num_tiles, part);
-  RunResult result = runTiles(
-      cfg, num_tiles, false, 0,
-      [&](System& sys) { return loadSpmspv(sys, m, v); },
-      [&](const kernels::SpmspvLayout& layout, Addr mmio, Addr,
-          std::uint32_t t) {
-        return variant == 1
-                   ? kernels::spmspvHhtV1Shard(layout, shards[t], mmio)
-                   : kernels::spmspvHhtV2Shard(layout, shards[t], mmio);
-      });
-  recordPartitionStats(result, m, shards);
+  const Kernel k = spec.kernel;
+  const Addr mmio = sys.mmioBaseOf(0);
+  Prepared p;
+  if (isSpmv(k)) {
+    const sparse::DenseVector& v = need(ops.v, "v");
+    const kernels::SpmvLayout l = loadSpmv(sys, need(ops.m, "m"), v);
+    p.y = l.y;
+    p.y_len = l.num_rows;
+    p.x = l.v;
+    p.x_len = static_cast<std::uint32_t>(v.size());
+    if (spec.programmable) p.firmware = kernels::firmwareSpmvGather(l, mmio);
+    if (spec.fallback) p.fallback = kernels::spmvScalarBaseline(l);
+    buildTiles(p, sys, spec, ops.m, l.num_rows,
+               [&](Addr base, const Rows& rows) {
+                 return spmvProgram(k, l, base, rows);
+               });
+  } else if (isSpmspv(k)) {
+    const sparse::SparseVector& sv = need(ops.sv, "sv");
+    const kernels::SpmspvLayout l = loadSpmspv(sys, need(ops.m, "m"), sv);
+    p.y = l.y;
+    p.y_len = l.num_rows;
+    p.x = l.vvals;
+    p.x_len = static_cast<std::uint32_t>(sv.nnz());
+    if (spec.programmable) {
+      p.firmware = k == Kernel::kSpmspvHhtV1
+                       ? kernels::firmwareSpmspvV1(l, mmio)
+                       : kernels::firmwareSpmspvV2(l, mmio);
+    }
+    if (spec.fallback) p.fallback = kernels::spmspvScalarBaseline(l);
+    buildTiles(p, sys, spec, ops.m, l.num_rows,
+               [&](Addr base, const Rows& rows) {
+                 return spmspvProgram(k, l, base, rows);
+               });
+  } else if (k == Kernel::kSpmmVectorBaseline ||
+             k == Kernel::kSpmmVectorHht) {
+    const kernels::SpmmLayout l =
+        loadSpmm(sys, need(ops.m, "m"), need(ops.b, "b"));
+    p.y = l.y;
+    p.y_len = l.num_rows * l.k;
+    p.x = l.b;
+    p.x_len = l.num_cols * l.k;
+    buildTiles(p, sys, spec, ops.m, l.num_rows, [&](Addr base, const Rows&) {
+      return k == Kernel::kSpmmVectorHht ? kernels::spmmVectorHht(l, base)
+                                         : kernels::spmmVectorBaseline(l);
+    });
+  } else {
+    const bool hier = k == Kernel::kHierBitmapHht;
+    const sparse::DenseVector& v = need(ops.v, "v");
+    const kernels::HierLayout l =
+        hier ? loadHier(sys, need(ops.hier, "hier"), v)
+             : loadFlatBitmap(sys, need(ops.flat, "flat"), v);
+    p.y = l.y;
+    p.y_len = l.num_rows;
+    p.x = l.v;
+    p.x_len = static_cast<std::uint32_t>(v.size());
+    buildTiles(p, sys, spec, nullptr, l.num_rows, [&](Addr base, const Rows&) {
+      return hier ? kernels::hierBitmapHht(l, base)
+                  : kernels::flatBitmapHht(l, base);
+    });
+  }
+  if (p.firmware) sys.microHht()->setFirmware(*p.firmware);
+  return p;
+}
+
+RunResult run(const SystemConfig& cfg, const RunSpec& spec,
+              const Operands& ops) {
+  System sys(configFor(cfg, spec));
+  const Prepared p = prepare(sys, spec, ops);
+  RunResult result =
+      sys.run(p.programs(), p.y, p.y_len, 500'000'000,
+              p.fallback ? &*p.fallback : nullptr);
+  if (!p.shards.empty()) recordPartitionStats(result, *ops.m, p.shards);
   return result;
 }
 
@@ -280,38 +283,6 @@ std::vector<std::vector<mem::ChunkQueueDevice::Chunk>> dealRowChunks(
     for (std::size_t i = 0; i < take; ++i) per_tile[t].push_back(chunks[next++]);
   }
   return per_tile;
-}
-
-RunResult runSpmvHhtChunkQueue(const SystemConfig& cfg, std::uint32_t num_tiles,
-                               const sparse::CsrMatrix& m,
-                               const sparse::DenseVector& v, bool vectorized,
-                               std::uint32_t chunk_rows) {
-  return runTiles(
-      cfg, num_tiles, true, chunk_rows,
-      [&](System& sys) { return loadSpmv(sys, m, v); },
-      [&](const kernels::SpmvLayout& layout, Addr mmio, Addr claim,
-          std::uint32_t) {
-        return vectorized
-                   ? kernels::spmvVectorHhtChunkQueue(layout, mmio, claim)
-                   : kernels::spmvScalarHhtChunkQueue(layout, mmio, claim);
-      });
-}
-
-RunResult runSpmspvHhtChunkQueue(const SystemConfig& cfg,
-                                 std::uint32_t num_tiles,
-                                 const sparse::CsrMatrix& m,
-                                 const sparse::SparseVector& v, int variant,
-                                 std::uint32_t chunk_rows) {
-  checkVariant(variant);
-  return runTiles(
-      cfg, num_tiles, true, chunk_rows,
-      [&](System& sys) { return loadSpmspv(sys, m, v); },
-      [&](const kernels::SpmspvLayout& layout, Addr mmio, Addr claim,
-          std::uint32_t) {
-        return variant == 1
-                   ? kernels::spmspvHhtV1ChunkQueue(layout, mmio, claim)
-                   : kernels::spmspvHhtV2ChunkQueue(layout, mmio, claim);
-      });
 }
 
 }  // namespace hht::harness

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <optional>
+#include <vector>
+
 #include "harness/system.h"
 
 namespace hht::harness {
@@ -8,87 +11,109 @@ namespace hht::harness {
 /// unit, 1 MB SRAM, ASIC HHT with N buffers of 8 elements).
 SystemConfig defaultConfig(std::uint32_t num_buffers = 2, int vlmax = 8);
 
-// --- one-shot kernel drivers (fresh System per run; deterministic) ---
+// --- one dispatch surface: RunSpec + Operands in, RunResult out ---
 
-/// CPU-only SpMV. `vectorized` selects Algorithm-1 scalar code vs the
-/// vector kernel with indexed loads (the Fig. 4 baseline).
-RunResult runSpmvBaseline(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                          const sparse::DenseVector& v, bool vectorized);
+/// The consumer program a run executes: one of the single-tile kernels
+/// kernels:: builds, named after its builder.
+enum class Kernel : std::uint8_t {
+  kSpmvScalarBaseline,   ///< Algorithm 1 (Fig. 8's VL=1 baseline)
+  kSpmvVectorBaseline,   ///< indexed-load vector baseline (Fig. 4)
+  kSpmvScalarHht,
+  kSpmvVectorHht,        ///< the Fig. 4 configuration
+  kSpmspvScalarBaseline, ///< two-pointer merge (Fig. 5 baseline)
+  kSpmspvHhtV1,          ///< aligned pairs
+  kSpmspvHhtV2,          ///< value-or-zero stream, vector consumer
+  kSpmspvHhtV2Scalar,    ///< value-or-zero stream, scalar consumer
+  kSpmmVectorBaseline,   ///< column-batched SpMV, y column-major
+  kSpmmVectorHht,
+  kHierBitmapHht,        ///< SMASH-style hierarchical bitmap (§6)
+  kFlatBitmapHht,        ///< flat bit-vector format (Fig. 1)
+};
 
-/// HHT-assisted SpMV (gather mode).
-RunResult runSpmvHht(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                     const sparse::DenseVector& v, bool vectorized);
+/// The HHT SpMSpV consumer for `variant` 1 or 2 (variant 2 with a vector
+/// or scalar consumer); any other variant throws std::invalid_argument.
+Kernel spmspvHht(int variant, bool vectorized = true);
 
-/// CPU-only SpMSpV (scalar two-pointer merge).
-RunResult runSpmspvBaseline(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                            const sparse::SparseVector& v);
+/// How the rows of a run are spread over its tiles (DESIGN.md §13).
+enum class Distribution : std::uint8_t {
+  kSingle,       ///< one tile runs the whole kernel
+  kBlock,        ///< static shards of equal row counts
+  kNnzBalanced,  ///< static shards of balanced nonzero counts
+  kChunkQueue,   ///< dynamic: tiles claim row chunks from the shared queue
+};
 
-/// HHT-assisted SpMSpV. variant: 1 (aligned pairs) or 2 (value-or-zero
-/// stream); variant 2 may use the vectorized consumer.
-RunResult runSpmspvHht(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                       const sparse::SparseVector& v, int variant,
-                       bool vectorized = true);
+/// One run of the simulated machine. Multi-tile runs (kBlock,
+/// kNnzBalanced, kChunkQueue) exist for the HHT SpMV kernels and the
+/// vector-consumer HHT SpMSpV kernels; every tile reads the same operands
+/// from the shared SRAM and the disjoint y slices concatenate in tile
+/// order, so y is bit-identical to the single-tile kernel for any tile
+/// count. A combination outside this set throws std::invalid_argument.
+struct RunSpec {
+  Kernel kernel = Kernel::kSpmvVectorHht;
+  /// The §7 programmable HHT: the metadata walk runs as firmware on the
+  /// device's micro-core (HHT SpMV/SpMSpV kernels, one tile).
+  bool programmable = false;
+  /// Graceful degradation (HHT SpMV/SpMSpV kernels, one tile): the scalar
+  /// software baseline is installed as the fallback program, so an HHT
+  /// fault mid-run yields RunResult{degraded=true} with a correct y
+  /// instead of an error. Pair with SystemConfig::faults.
+  bool fallback = false;
+  std::uint32_t tiles = 1;  ///< overrides the config's memory.num_tiles
+  Distribution distribution = Distribution::kSingle;
+  /// kChunkQueue's chunk size, clamped to [1, kMaxChunkRows].
+  std::uint32_t chunk_rows = 16;
+};
 
-/// HHT-assisted SpMV over the SMASH-style hierarchical bitmap (§6).
-RunResult runHierHht(const SystemConfig& cfg, const sparse::HierBitmapMatrix& m,
-                     const sparse::DenseVector& v);
+/// Non-owning view of a run's operands; the kernel reads
+///   SpMV: m, v   SpMSpV: m, sv   SpMM: m, b (dense, num_cols x k)
+///   hier: hier, v   flat: flat, v
+/// and a missing one throws std::invalid_argument.
+struct Operands {
+  const sparse::CsrMatrix* m = nullptr;
+  const sparse::DenseVector* v = nullptr;
+  const sparse::SparseVector* sv = nullptr;
+  const sparse::DenseMatrix* b = nullptr;
+  const sparse::HierBitmapMatrix* hier = nullptr;
+  const sparse::BitVectorMatrix* flat = nullptr;
+};
 
-/// SpMM Y = M*B (B dense num_cols x k): column-batched SpMV. Returns the
-/// result matrix through RunResult::y, column-major flattened.
-RunResult runSpmmBaseline(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                          const sparse::DenseMatrix& b);
-RunResult runSpmmHht(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                     const sparse::DenseMatrix& b);
+/// `cfg` shaped for `spec`: its tile count, the chunk queue and the
+/// programmable HHT. Throws std::invalid_argument for an unsupported spec.
+SystemConfig configFor(SystemConfig cfg, const RunSpec& spec);
 
-/// HHT-assisted SpMV over the flat bit-vector format (Fig. 1).
-RunResult runFlatHht(const SystemConfig& cfg, const sparse::BitVectorMatrix& m,
-                     const sparse::DenseVector& v);
+/// A System loaded for a run: System::run(programs(), y, y_len, ...,
+/// fallback) executes it. A 1-tile run keeps its program inline, so
+/// preparing it allocates nothing beyond the program itself.
+struct Prepared {
+  std::span<const isa::Program> programs() const {
+    return tiles.empty() ? std::span(&program, 1) : std::span(tiles);
+  }
+  isa::Program program;             ///< the program of a 1-tile run
+  std::vector<isa::Program> tiles;  ///< tile t's program, when tiles > 1
+  Addr y = 0;                       ///< output address
+  std::uint32_t y_len = 0;          ///< output length in floats
+  /// Where the x operand's values sit (v, sv's values, or SpMM's B): the
+  /// words the HHT's value fetches read.
+  Addr x = 0;
+  std::uint32_t x_len = 0;
+  std::optional<isa::Program> fallback;  ///< with RunSpec::fallback
+  /// The micro-core firmware (programmable runs), already installed.
+  std::optional<isa::Program> firmware;
+  /// The static row shards (kBlock, kNnzBalanced).
+  std::vector<kernels::RowShard> shards;
+};
 
-/// SpMV assisted by the *programmable* HHT (§7): same consumer kernel, but
-/// the metadata walk runs as firmware on the device's micro-core.
-RunResult runSpmvProgHht(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                         const sparse::DenseVector& v, bool vectorized);
+/// Load `ops` into `sys` (built from configFor(cfg, spec)), seed the chunk
+/// queue and install the firmware; return the tile programs. Throws
+/// std::invalid_argument for an unsupported spec or a missing operand, and
+/// SimError(Config) for a System of another shape.
+Prepared prepare(System& sys, const RunSpec& spec, const Operands& ops);
 
-/// SpMSpV (variant 1 or 2) assisted by the programmable HHT.
-RunResult runSpmspvProgHht(const SystemConfig& cfg, const sparse::CsrMatrix& m,
-                           const sparse::SparseVector& v, int variant,
-                           bool vectorized = true);
-
-/// HHT-assisted SpMV with graceful degradation: the scalar software
-/// baseline is installed as the fallback program, so an HHT fault mid-run
-/// yields RunResult{degraded=true} with a correct y instead of an error.
-/// Pair with SystemConfig::faults for injection campaigns.
-RunResult runSpmvHhtResilient(const SystemConfig& cfg,
-                              const sparse::CsrMatrix& m,
-                              const sparse::DenseVector& v, bool vectorized);
-
-/// HHT-assisted SpMSpV (variant 1 or 2) with the scalar merge baseline as
-/// the degradation fallback.
-RunResult runSpmspvHhtResilient(const SystemConfig& cfg,
-                                const sparse::CsrMatrix& m,
-                                const sparse::SparseVector& v, int variant,
-                                bool vectorized = true);
-
-// --- multi-tile scale-out drivers (DESIGN.md §13) ---
-
-/// Row partitioner selection for the sharded drivers.
-enum class Partition { Block, NnzBalanced };
-
-/// SpMV sharded across `num_tiles` {CPU+HHT} tiles of a System sharing
-/// one memory system: the matrix is row-partitioned, each tile runs
-/// the single-tile HHT kernel restricted to its shard against its own MMIO
-/// window, and the disjoint y slices concatenate in tile order — making the
-/// result bit-identical to the single-tile kernel for any num_tiles. The
-/// config's memory.num_tiles is overridden with `num_tiles`.
-RunResult runSpmvHhtSharded(const SystemConfig& cfg, std::uint32_t num_tiles,
-                            Partition part, const sparse::CsrMatrix& m,
-                            const sparse::DenseVector& v, bool vectorized);
-
-/// SpMSpV (variant 1 or 2) sharded across tiles; see runSpmvHhtSharded.
-RunResult runSpmspvHhtSharded(const SystemConfig& cfg, std::uint32_t num_tiles,
-                              Partition part, const sparse::CsrMatrix& m,
-                              const sparse::SparseVector& v, int variant,
-                              bool vectorized = true);
+/// One-shot run on a fresh System: configFor, prepare, System::run.
+/// Deterministic. A sharded run also records the split's quality as
+/// workload.shard_{imbalance_pct,empty,max_nnz}.
+RunResult run(const SystemConfig& cfg, const RunSpec& spec,
+              const Operands& ops);
 
 /// Split [0, num_rows) into ceil(num_rows / chunk_rows) fixed-size row
 /// chunks and deal them to `num_tiles` deques in contiguous runs (tile 0
@@ -98,26 +123,6 @@ RunResult runSpmspvHhtSharded(const SystemConfig& cfg, std::uint32_t num_tiles,
 /// clamped to [1, ChunkQueueDevice::kMaxChunkRows].
 std::vector<std::vector<mem::ChunkQueueDevice::Chunk>> dealRowChunks(
     std::uint32_t num_rows, std::uint32_t num_tiles, std::uint32_t chunk_rows);
-
-/// SpMV with dynamic row distribution: an N-tile System with the shared
-/// chunk-queue device enabled (memory.work_queue_enabled), seeded via
-/// dealRowChunks, each tile running the *ChunkQueue kernel against its own
-/// MMIO window and claim register. Output stays bit-identical to the
-/// single-tile kernel for any claim schedule (each y[i] is produced by
-/// exactly one tile in the single-tile FMA order); the queue's arbitration
-/// lands in the run stats as mem.wq.{grants,steals,conflict_cycles}.
-RunResult runSpmvHhtChunkQueue(const SystemConfig& cfg, std::uint32_t num_tiles,
-                               const sparse::CsrMatrix& m,
-                               const sparse::DenseVector& v, bool vectorized,
-                               std::uint32_t chunk_rows = 16);
-
-/// SpMSpV (variant 1 or 2, vectorized consumer for 2) with dynamic row
-/// distribution; see runSpmvHhtChunkQueue.
-RunResult runSpmspvHhtChunkQueue(const SystemConfig& cfg,
-                                 std::uint32_t num_tiles,
-                                 const sparse::CsrMatrix& m,
-                                 const sparse::SparseVector& v, int variant,
-                                 std::uint32_t chunk_rows = 16);
 
 /// speedup = baseline cycles / accelerated cycles.
 inline double speedup(const RunResult& baseline, const RunResult& accel) {

@@ -165,7 +165,7 @@ isa::Program spmspvHhtV1ChunkQueue(const SpmspvLayout& m, Addr mmio_base,
 isa::Program spmspvHhtV2ChunkQueue(const SpmspvLayout& m, Addr mmio_base,
                                    Addr claim_addr);
 
-// ----- Hierarchical bitmap (§6, bench/abl_smash) -----
+// ----- Hierarchical bitmap (§6, bench/paper --only=abl_smash) -----
 
 /// HHT walks the SMASH-style bitmaps and gathers v; the CPU streams the
 /// packed matrix values and consumes via the VALID protocol.

@@ -26,9 +26,9 @@ const char* outcomeName(Outcome o) {
   return "?";
 }
 
-Operands materialize(const Request& r) {
+OperandData materialize(const Request& r) {
   sim::Rng rng(r.seed);
-  Operands ops;
+  OperandData ops;
   // Both operand vectors are always drawn (in a fixed order) so a request's
   // matrix does not depend on its kind — flipping kind for an A/B never
   // perturbs the matrix stream.

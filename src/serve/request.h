@@ -77,13 +77,16 @@ struct Rejected {
 
 /// Deterministic operand materialization: everything derives from
 /// Request::seed via the workload generators (kSmallIntegers values, so
-/// scalar / vector / HHT execution orders agree bit-for-bit).
-struct Operands {
+/// scalar / vector / HHT execution orders agree bit-for-bit). An attempt
+/// runs on a harness::Operands view of this storage.
+struct OperandData {
   sparse::CsrMatrix m;
   sparse::DenseVector v;    ///< SpMV operand
   sparse::SparseVector sv;  ///< SpMSpV operand
 };
-Operands materialize(const Request& r);
+/// The storage's former name, which simbench/simbench.cc still spells.
+using Operands = OperandData;
+OperandData materialize(const Request& r);
 
 /// FNV-1a over the little-endian bit patterns of y — the per-request result
 /// fingerprint recorded in completions and compared across crash recovery.

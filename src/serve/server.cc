@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "harness/experiment.h"
 #include "harness/sweep.h"
 #include "sparse/reference.h"
 
@@ -34,6 +35,13 @@ bool sameVector(const sparse::DenseVector& got,
   }
   return true;
 }
+
+/// The kernel an attempt runs, by [Kind][degraded]: the scalar HHT consumer,
+/// or in CPU-fallback mode the scalar software baseline.
+constexpr harness::Kernel kAttemptKernel[2][2] = {
+    {harness::Kernel::kSpmvScalarHht, harness::Kernel::kSpmvScalarBaseline},
+    {harness::Kernel::kSpmspvHhtV2Scalar,
+     harness::Kernel::kSpmspvScalarBaseline}};
 
 }  // namespace
 
@@ -322,7 +330,7 @@ Server::AttemptResult Server::runAttempt(const Request& r, std::uint32_t tile,
                                          bool degraded) const {
   AttemptResult out;
   try {
-    const Operands ops = materialize(r);
+    const OperandData ops = materialize(r);
     harness::SystemConfig scfg = cfg_.system;
     if (degraded) {
       // CPU-fallback mode mirrors System's graceful degradation: injection
@@ -337,20 +345,11 @@ Server::AttemptResult Server::runAttempt(const Request& r, std::uint32_t tile,
                           kRequestSeedStride * r.id;
     }
     harness::System sys(scfg);
-    harness::RunResult rr = [&] {
-      if (r.kind == Kind::kSpmv) {
-        const kernels::SpmvLayout layout = harness::loadSpmv(sys, ops.m, ops.v);
-        const isa::Program prog =
-            degraded ? kernels::spmvScalarBaseline(layout)
-                     : kernels::spmvScalarHht(layout, scfg.memory.mmio_base);
-        return sys.run(prog, layout.y, layout.num_rows, cfg_.attempt_max_cycles);
-      }
-      const kernels::SpmspvLayout layout = harness::loadSpmspv(sys, ops.m, ops.sv);
-      const isa::Program prog =
-          degraded ? kernels::spmspvScalarBaseline(layout)
-                   : kernels::spmspvHhtV2Scalar(layout, scfg.memory.mmio_base);
-      return sys.run(prog, layout.y, layout.num_rows, cfg_.attempt_max_cycles);
-    }();
+    const harness::Prepared p = harness::prepare(
+        sys, {kAttemptKernel[static_cast<int>(r.kind)][degraded]},
+        {.m = &ops.m, .v = &ops.v, .sv = &ops.sv});
+    const harness::RunResult rr =
+        sys.run(p.programs(), p.y, p.y_len, cfg_.attempt_max_cycles);
     out.cycles = std::max<Cycle>(rr.cycles, 1);
     // Acceptance check: every served result is verified against the
     // software reference before it leaves the server, so an undetected

@@ -61,7 +61,8 @@ class CsrMatrix {
   double sparsity() const;
 
   /// Storage footprint in bytes (rowPtr + cols + vals); compared against
-  /// the bitmap formats in abl_smash and the format-comparison example.
+  /// the bitmap formats by `bench/paper --only=abl_smash` and the
+  /// format-comparison example.
   std::size_t storageBytes() const {
     return (row_ptr_.size() + cols_.size()) * sizeof(Index) +
            vals_.size() * sizeof(Value);

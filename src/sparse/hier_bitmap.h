@@ -10,7 +10,7 @@ namespace hht::sparse {
 /// Hierarchical bitmap representation in the style of SMASH [21]
 /// (Kanellopoulos et al., MICRO'19), which the paper programs the HHT to
 /// traverse (§6, results omitted there; we reproduce the mechanism and
-/// benchmark it in bench/abl_smash).
+/// benchmark it with `bench/paper --only=abl_smash`).
 ///
 /// Two levels over the row-major position space, 64 positions per leaf:
 ///   level-1: one bit per 64-position leaf block; set iff the block holds

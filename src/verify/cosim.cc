@@ -2,9 +2,20 @@
 
 #include <sstream>
 
+#include "harness/experiment.h"
 #include "sparse/reference.h"
 
 namespace hht::verify {
+
+namespace {
+
+/// The scalar-consumer kernel each engine kind's case runs, by wire value.
+constexpr harness::Kernel kKernelOf[] = {
+    harness::Kernel::kSpmvScalarHht, harness::Kernel::kSpmspvHhtV1,
+    harness::Kernel::kSpmspvHhtV2Scalar, harness::Kernel::kHierBitmapHht,
+    harness::Kernel::kFlatBitmapHht};
+
+}  // namespace
 
 const char* engineKindName(EngineKind kind) {
   switch (kind) {
@@ -39,69 +50,48 @@ CosimReport runCosim(const CosimCase& c, const CosimOptions& opts) {
   CosimReport rep;
   try {
     harness::System sys(c.cfg);
-    const sim::Addr mmio = c.cfg.memory.mmio_base;
-
-    // Operand placement + consumer program + functional model, per kind.
-    // Scalar consumers throughout: the oracle verifies the device, not the
-    // vector unit, and scalar kernels cover every engine type.
-    isa::Program program = isa::ProgramBuilder("cosim-empty").ecall().build();
-    sim::Addr y_addr = 0;
-    std::uint32_t y_len = 0;
+    // Operand placement + consumer program via the harness, functional
+    // model per kind. Scalar consumers throughout: the oracle verifies the
+    // device, not the vector unit, and scalar kernels cover every engine
+    // type.
+    std::optional<sparse::HierBitmapMatrix> hm;
+    std::optional<sparse::BitVectorMatrix> bm;
+    if (c.kind == EngineKind::Hier) {
+      hm = sparse::HierBitmapMatrix::fromDense(c.m.toDense());
+    } else if (c.kind == EngineKind::Flat) {
+      bm = sparse::BitVectorMatrix::fromDense(c.m.toDense());
+    }
+    const harness::Prepared p = harness::prepare(
+        sys, {.kernel = kKernelOf[static_cast<std::size_t>(c.kind)]},
+        {.m = &c.m,
+         .v = &c.v,
+         .sv = &c.sv,
+         .hier = hm ? &*hm : nullptr,
+         .flat = bm ? &*bm : nullptr});
+    const isa::Program& program = p.program;
     std::vector<StreamEvent> expected;
     sparse::DenseVector expected_y;
     switch (c.kind) {
-      case EngineKind::Gather: {
-        const kernels::SpmvLayout layout = harness::loadSpmv(sys, c.m, c.v);
-        program = kernels::spmvScalarHht(layout, mmio);
-        y_addr = layout.y;
-        y_len = layout.num_rows;
+      case EngineKind::Gather:
         expected = expectedGatherStream(c.m, c.v);
         expected_y = sparse::spmvCsr(c.m, c.v);
         break;
-      }
-      case EngineKind::MergeV1: {
-        const kernels::SpmspvLayout layout =
-            harness::loadSpmspv(sys, c.m, c.sv);
-        program = kernels::spmspvHhtV1(layout, mmio);
-        y_addr = layout.y;
-        y_len = layout.num_rows;
+      case EngineKind::MergeV1:
         expected = expectedMergeV1Stream(c.m, c.sv);
         expected_y = sparse::spmspvMerge(c.m, c.sv);
         break;
-      }
-      case EngineKind::StreamV2: {
-        const kernels::SpmspvLayout layout =
-            harness::loadSpmspv(sys, c.m, c.sv);
-        program = kernels::spmspvHhtV2Scalar(layout, mmio);
-        y_addr = layout.y;
-        y_len = layout.num_rows;
+      case EngineKind::StreamV2:
         expected = expectedStreamV2Stream(c.m, c.sv);
         expected_y = sparse::spmspvValueStream(c.m, c.sv);
         break;
-      }
-      case EngineKind::Hier: {
-        const sparse::HierBitmapMatrix hm =
-            sparse::HierBitmapMatrix::fromDense(c.m.toDense());
-        const kernels::HierLayout layout = harness::loadHier(sys, hm, c.v);
-        program = kernels::hierBitmapHht(layout, mmio);
-        y_addr = layout.y;
-        y_len = layout.num_rows;
-        expected = expectedHierStream(hm, c.v);
+      case EngineKind::Hier:
+        expected = expectedHierStream(*hm, c.v);
         expected_y = sparse::spmvCsr(c.m, c.v);
         break;
-      }
-      case EngineKind::Flat: {
-        const sparse::BitVectorMatrix bm =
-            sparse::BitVectorMatrix::fromDense(c.m.toDense());
-        const kernels::HierLayout layout =
-            harness::loadFlatBitmap(sys, bm, c.v);
-        program = kernels::flatBitmapHht(layout, mmio);
-        y_addr = layout.y;
-        y_len = layout.num_rows;
-        expected = expectedFlatStream(bm, c.v);
+      case EngineKind::Flat:
+        expected = expectedFlatStream(*bm, c.v);
         expected_y = sparse::spmvCsr(c.m, c.v);
         break;
-      }
     }
 
     DifferentialOracle oracle(std::move(expected), opts.invariant_interval);
@@ -110,7 +100,7 @@ CosimReport runCosim(const CosimCase& c, const CosimOptions& opts) {
     harness::RunResult res;
     if (opts.restore_snapshot != nullptr) {
       const sim::Cycle start = sys.restore(*opts.restore_snapshot, program);
-      res = sys.resume(program, y_addr, y_len, start, opts.max_cycles,
+      res = sys.resume(program, p.y, p.y_len, start, opts.max_cycles,
                        nullptr, &oracle);
     } else {
       if (opts.capture_snapshot) {
@@ -119,7 +109,7 @@ CosimReport runCosim(const CosimCase& c, const CosimOptions& opts) {
         sys.cpu().loadProgram(program);
         rep.cycle0_snapshot = sys.checkpoint(program, 0);
       }
-      res = sys.run(program, y_addr, y_len, opts.max_cycles, nullptr,
+      res = sys.run(program, p.y, p.y_len, opts.max_cycles, nullptr,
                     &oracle);
     }
     oracle.checkFinal(res.y, expected_y);

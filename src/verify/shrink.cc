@@ -12,7 +12,7 @@ using sim::Index;
 
 /// Mutable decomposition of a case's operands; rebuilt into a CosimCase
 /// for every candidate evaluation.
-struct Operands {
+struct Decomposed {
   std::vector<sparse::Triplet> triplets;
   Index num_rows = 0;
   Index num_cols = 0;
@@ -21,8 +21,8 @@ struct Operands {
   std::vector<sparse::Value> sv_vals;
 };
 
-Operands decompose(const CosimCase& c) {
-  Operands ops;
+Decomposed decompose(const CosimCase& c) {
+  Decomposed ops;
   ops.triplets = c.m.toCoo().entries();
   ops.num_rows = c.m.numRows();
   ops.num_cols = c.m.numCols();
@@ -32,7 +32,7 @@ Operands decompose(const CosimCase& c) {
   return ops;
 }
 
-CosimCase rebuild(const CosimCase& base, const Operands& ops) {
+CosimCase rebuild(const CosimCase& base, const Decomposed& ops) {
   CosimCase c = base;
   c.m = sparse::CsrMatrix::fromCoo(
       sparse::CooMatrix(ops.num_rows, ops.num_cols, ops.triplets));
@@ -56,7 +56,7 @@ class Shrinker {
   Shrinker(const CosimCase& base, int max_evals)
       : base_(base), max_evals_(max_evals) {}
 
-  bool fails(const Operands& ops) {
+  bool fails(const Decomposed& ops) {
     if (evals_ >= max_evals_) return false;  // budget exhausted: reject
     ++evals_;
     return !runCosim(rebuild(base_, ops)).ok;
@@ -65,14 +65,14 @@ class Shrinker {
   int evals() const { return evals_; }
 
   /// ddmin-style chunk removal over the triplet list.
-  bool shrinkTriplets(Operands& ops) {
+  bool shrinkTriplets(Decomposed& ops) {
     bool any = false;
     std::size_t chunk = std::max<std::size_t>(1, ops.triplets.size() / 2);
     while (chunk >= 1 && evals_ < max_evals_) {
       bool removed = false;
       for (std::size_t at = 0;
            at < ops.triplets.size() && evals_ < max_evals_;) {
-        Operands cand = ops;
+        Decomposed cand = ops;
         const std::size_t n =
             std::min(chunk, cand.triplets.size() - at);
         cand.triplets.erase(
@@ -93,11 +93,11 @@ class Shrinker {
 
   /// Drop one row at a time, remapping rows above it down; also truncates
   /// trailing rows past the last occupied one.
-  bool shrinkRows(Operands& ops) {
+  bool shrinkRows(Decomposed& ops) {
     bool any = false;
     for (Index r = 0; r < ops.num_rows && ops.num_rows > 1 &&
                       evals_ < max_evals_;) {
-      Operands cand = ops;
+      Decomposed cand = ops;
       cand.num_rows -= 1;
       std::vector<sparse::Triplet> kept;
       for (const sparse::Triplet& t : cand.triplets) {
@@ -119,7 +119,7 @@ class Shrinker {
 
   /// Truncate columns past the last one referenced by the matrix or the
   /// sparse vector (shrinks v and the sv domain with it).
-  bool truncateCols(Operands& ops) {
+  bool truncateCols(Decomposed& ops) {
     Index max_col = 0;
     bool seen = false;
     for (const sparse::Triplet& t : ops.triplets) {
@@ -132,7 +132,7 @@ class Shrinker {
     }
     const Index want = seen ? max_col + 1 : 1;
     if (want >= ops.num_cols) return false;
-    Operands cand = ops;
+    Decomposed cand = ops;
     cand.num_cols = want;
     cand.v.resize(want);
     if (!fails(cand)) return false;
@@ -141,10 +141,10 @@ class Shrinker {
   }
 
   /// Thin the sparse vector one entry at a time.
-  bool shrinkSv(Operands& ops) {
+  bool shrinkSv(Decomposed& ops) {
     bool any = false;
     for (std::size_t i = 0; i < ops.sv_idx.size() && evals_ < max_evals_;) {
-      Operands cand = ops;
+      Decomposed cand = ops;
       cand.sv_idx.erase(cand.sv_idx.begin() + static_cast<std::ptrdiff_t>(i));
       cand.sv_vals.erase(cand.sv_vals.begin() +
                          static_cast<std::ptrdiff_t>(i));
@@ -171,7 +171,7 @@ ShrinkResult shrinkCase(const CosimCase& failing, int max_evals) {
   result.initial_nnz = failing.m.nnz();
   result.initial_rows = failing.m.numRows();
 
-  Operands ops = decompose(failing);
+  Decomposed ops = decompose(failing);
   Shrinker shrinker(failing, max_evals);
   bool progress = true;
   while (progress) {

@@ -55,6 +55,10 @@ void expectIdentical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.stats.all(), b.stats.all());
 }
 
+/// Scalar HHT SpMV with the scalar baseline as its degradation fallback.
+constexpr RunSpec kResilient{.kernel = Kernel::kSpmvScalarHht,
+                             .fallback = true};
+
 /// The figure-bench workload every test below runs: HHT-assisted SpMV with
 /// the scalar consumer, deterministic operands.
 struct Workload {
@@ -64,7 +68,7 @@ struct Workload {
   kernels::SpmvLayout layout;
 };
 
-Workload prepare(System& sys, std::uint64_t seed) {
+Workload loadWorkload(System& sys, std::uint64_t seed) {
   sim::Rng rng(seed);
   Workload w;
   w.m = workload::randomCsr(rng, 24, 24, 0.4);
@@ -79,14 +83,14 @@ TEST(Checkpoint, MidRunRestoreIsBitIdenticalToUninterruptedRun) {
   const SystemConfig cfg = defaultConfig();
 
   System uninterrupted(cfg);
-  const Workload w = prepare(uninterrupted, 0xC4EC);
+  const Workload w = loadWorkload(uninterrupted, 0xC4EC);
   const RunResult base =
       uninterrupted.run(w.program, w.layout.y, w.layout.num_rows);
   ASSERT_GT(base.cycles, 200u) << "workload too small to checkpoint mid-run";
 
   // Same run again, snapshotting midway through.
   System observed(cfg);
-  const Workload w2 = prepare(observed, 0xC4EC);
+  const Workload w2 = loadWorkload(observed, 0xC4EC);
   CheckpointAt observer(w2.program, base.cycles / 2);
   const RunResult watched = observed.run(w2.program, w2.layout.y,
                                          w2.layout.num_rows, 500'000'000,
@@ -111,7 +115,7 @@ TEST(Checkpoint, MidRunRestoreIsBitIdenticalToUninterruptedRun) {
 TEST(Checkpoint, Cycle0SnapshotReplaysTheWholeRun) {
   const SystemConfig cfg = defaultConfig();
   System sys(cfg);
-  const Workload w = prepare(sys, 0xC4ED);
+  const Workload w = loadWorkload(sys, 0xC4ED);
   // Arm the architectural state, snapshot before the first cycle.
   sys.cpu().loadProgram(w.program);
   const std::vector<std::uint8_t> snap = sys.checkpoint(w.program, 0);
@@ -128,10 +132,10 @@ TEST(Checkpoint, Cycle0SnapshotReplaysTheWholeRun) {
 TEST(Checkpoint, SnapshotBytesAreDeterministic) {
   const SystemConfig cfg = defaultConfig();
   System a(cfg);
-  const Workload wa = prepare(a, 0xC4EE);
+  const Workload wa = loadWorkload(a, 0xC4EE);
   a.cpu().loadProgram(wa.program);
   System b(cfg);
-  const Workload wb = prepare(b, 0xC4EE);
+  const Workload wb = loadWorkload(b, 0xC4EE);
   b.cpu().loadProgram(wb.program);
   EXPECT_EQ(a.checkpoint(wa.program, 0), b.checkpoint(wb.program, 0));
   // Idempotent: checkpointing is read-only.
@@ -141,7 +145,7 @@ TEST(Checkpoint, SnapshotBytesAreDeterministic) {
 TEST(Checkpoint, RestoreRejectsMismatchesAndCorruption) {
   const SystemConfig cfg = defaultConfig();
   System sys(cfg);
-  const Workload w = prepare(sys, 0xC4EF);
+  const Workload w = loadWorkload(sys, 0xC4EF);
   sys.cpu().loadProgram(w.program);
   const std::vector<std::uint8_t> snap = sys.checkpoint(w.program, 0);
 
@@ -195,7 +199,7 @@ TEST(Checkpoint, RestoreRejectsMismatchesAndCorruption) {
 TEST(Checkpoint, RestoreRejectsSnapshotFromNewerVersion) {
   const SystemConfig cfg = defaultConfig();
   System sys(cfg);
-  const Workload w = prepare(sys, 0xC4F0);
+  const Workload w = loadWorkload(sys, 0xC4F0);
   sys.cpu().loadProgram(w.program);
   std::vector<std::uint8_t> snap = sys.checkpoint(w.program, 0);
 
@@ -255,22 +259,15 @@ TEST(Checkpoint, MidDegradedFallbackSnapshotResumesBitIdentically) {
   const CsrMatrix m = workload::randomCsr(rng, 24, 24, 0.4);
   const DenseVector v = workload::randomDenseVector(rng, 24);
 
-  System base_sys(cfg);
-  const kernels::SpmvLayout layout = loadSpmv(base_sys, m, v);
-  const isa::Program program =
-      kernels::spmvScalarHht(layout, cfg.memory.mmio_base);
-  const isa::Program fallback = kernels::spmvScalarBaseline(layout);
-  const RunResult base = base_sys.run(program, layout.y, layout.num_rows,
-                                      500'000'000, &fallback);
+  const RunResult base = run(cfg, kResilient, {&m, &v});
   ASSERT_TRUE(base.degraded);
 
   // Same run, snapshotting 100 cycles into the fallback rerun.
   System watched_sys(cfg);
-  const kernels::SpmvLayout l2 = loadSpmv(watched_sys, m, v);
-  const isa::Program p2 = kernels::spmvScalarHht(l2, cfg.memory.mmio_base);
-  const isa::Program f2 = kernels::spmvScalarBaseline(l2);
+  const Prepared p = prepare(watched_sys, kResilient, {&m, &v});
+  const isa::Program& f2 = *p.fallback;
   CheckpointInDegraded observer(f2, 100);
-  const RunResult watched = watched_sys.run(p2, l2.y, l2.num_rows,
+  const RunResult watched = watched_sys.run(p.program, p.y, p.y_len,
                                             500'000'000, &f2, &observer);
   ASSERT_TRUE(watched.degraded);
   ASSERT_FALSE(observer.snapshot().empty())
@@ -284,7 +281,7 @@ TEST(Checkpoint, MidDegradedFallbackSnapshotResumesBitIdentically) {
   const Cycle start = fresh.restore(observer.snapshot(), f2);
   EXPECT_EQ(start, observer.resumeAt());
   EXPECT_TRUE(fresh.degradedActive());
-  const RunResult resumed = fresh.resume(f2, l2.y, l2.num_rows, start);
+  const RunResult resumed = fresh.resume(f2, p.y, p.y_len, start);
   EXPECT_TRUE(resumed.degraded);
   EXPECT_EQ(resumed.fault_cause, base.fault_cause);
   EXPECT_EQ(resumed.fault_detail, base.fault_detail);
@@ -313,33 +310,28 @@ TEST(Checkpoint, DegradedResumeReportsOnlyItsOwnSkippedCycles) {
 
   // A snapshot 100 cycles into the degraded rerun.
   System watched_sys(cfg);
-  const kernels::SpmvLayout layout = loadSpmv(watched_sys, m, v);
-  const isa::Program program =
-      kernels::spmvScalarHht(layout, cfg.memory.mmio_base);
-  const isa::Program fallback = kernels::spmvScalarBaseline(layout);
+  const Prepared p = prepare(watched_sys, kResilient, {&m, &v});
+  const isa::Program& fallback = *p.fallback;
   CheckpointInDegraded observer(fallback, 100);
-  watched_sys.run(program, layout.y, layout.num_rows, 500'000'000, &fallback,
-                  &observer);
+  watched_sys.run(p.program, p.y, p.y_len, 500'000'000, &fallback, &observer);
   ASSERT_FALSE(observer.snapshot().empty());
 
   // The reference: the same resume on a fresh System.
   System fresh(cfg);
   const Cycle start = fresh.restore(observer.snapshot(), fallback);
-  const RunResult want = fresh.resume(fallback, layout.y, layout.num_rows,
-                                      start);
+  const RunResult want = fresh.resume(fallback, p.y, p.y_len, start);
 
   // A System whose previous, uninterrupted faulty run skipped more.
   System reused(cfg);
-  loadSpmv(reused, m, v);
-  const RunResult first = reused.run(program, layout.y, layout.num_rows,
-                                     500'000'000, &fallback);
+  prepare(reused, kResilient, {&m, &v});
+  const RunResult first =
+      reused.run(p.program, p.y, p.y_len, 500'000'000, &fallback);
   ASSERT_TRUE(first.degraded);
   const std::uint64_t first_skipped = reused.hostSkippedCycles();
   ASSERT_GT(first_skipped, fresh.hostSkippedCycles())
       << "the earlier run must skip more, or a stale count goes unseen";
   ASSERT_EQ(reused.restore(observer.snapshot(), fallback), start);
-  const RunResult got = reused.resume(fallback, layout.y, layout.num_rows,
-                                      start);
+  const RunResult got = reused.resume(fallback, p.y, p.y_len, start);
   expectIdentical(want, got);
   EXPECT_EQ(reused.hostSkippedCycles(), fresh.hostSkippedCycles());
 }
@@ -357,19 +349,16 @@ TEST(Checkpoint, MidDegradedSnapshotRejectsTheOriginalProgram) {
   const DenseVector v = workload::randomDenseVector(rng, 24);
 
   System sys(cfg);
-  const kernels::SpmvLayout layout = loadSpmv(sys, m, v);
-  const isa::Program program =
-      kernels::spmvScalarHht(layout, cfg.memory.mmio_base);
-  const isa::Program fallback = kernels::spmvScalarBaseline(layout);
-  CheckpointInDegraded observer(fallback, 100);
-  const RunResult r = sys.run(program, layout.y, layout.num_rows, 500'000'000,
-                              &fallback, &observer);
+  const Prepared p = prepare(sys, kResilient, {&m, &v});
+  CheckpointInDegraded observer(*p.fallback, 100);
+  const RunResult r = sys.run(p.program, p.y, p.y_len, 500'000'000,
+                              &*p.fallback, &observer);
   ASSERT_TRUE(r.degraded);
   ASSERT_FALSE(observer.snapshot().empty());
 
   System fresh(cfg);
   try {
-    fresh.restore(observer.snapshot(), program);
+    fresh.restore(observer.snapshot(), p.program);
     ADD_FAILURE() << "restore accepted the pre-degradation program";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::Checkpoint) << e.what();
@@ -391,13 +380,9 @@ std::vector<std::uint8_t> midDegradedSnapshot(const SystemConfig& cfg,
                                               const CsrMatrix& m,
                                               const DenseVector& v) {
   System sys(cfg);
-  const kernels::SpmvLayout layout = loadSpmv(sys, m, v);
-  const isa::Program program =
-      kernels::spmvScalarHht(layout, cfg.memory.mmio_base);
-  const isa::Program fallback = kernels::spmvScalarBaseline(layout);
-  CheckpointInDegraded observer(fallback, 100);
-  sys.run(program, layout.y, layout.num_rows, 500'000'000, &fallback,
-          &observer);
+  const Prepared p = prepare(sys, kResilient, {&m, &v});
+  CheckpointInDegraded observer(*p.fallback, 100);
+  sys.run(p.program, p.y, p.y_len, 500'000'000, &*p.fallback, &observer);
   return observer.snapshot();
 }
 
@@ -412,11 +397,10 @@ TEST(Checkpoint, RejectedDegradedSnapshotLeavesNoDegradedState) {
   ASSERT_FALSE(snap.empty());
 
   System target(cfg);
-  const kernels::SpmvLayout layout = loadSpmv(target, m, v);
-  const isa::Program fallback = kernels::spmvScalarBaseline(layout);
+  const Prepared p = prepare(target, kResilient, {&m, &v});
   const std::vector<std::uint8_t> cut(snap.begin(), snap.end() - 8);
   try {
-    target.restore(cut, fallback);
+    target.restore(cut, *p.fallback);
     ADD_FAILURE() << "restore accepted a truncated snapshot";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::Checkpoint) << e.what();

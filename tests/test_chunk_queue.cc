@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,14 @@ SystemConfig cqConfig(std::uint32_t num_tiles) {
   cfg.memory.num_tiles = num_tiles;
   cfg.memory.work_queue_enabled = true;
   return cfg;
+}
+
+/// `kernel` on `tiles` tiles claiming `chunk_rows`-row chunks.
+RunSpec queued(Kernel kernel, std::uint32_t tiles, std::uint32_t chunk_rows) {
+  return {.kernel = kernel,
+          .tiles = tiles,
+          .distribution = Distribution::kChunkQueue,
+          .chunk_rows = chunk_rows};
 }
 
 void expectSameY(const sparse::DenseVector& a, const sparse::DenseVector& b) {
@@ -175,13 +184,18 @@ TEST(ChunkQueue, SpmvBitIdenticalToSingleTileOnSkewedMatrix) {
   const sparse::CsrMatrix m = skewedMatrix(0xD1CE);
   sim::Rng rng(0xD1CF);
   const sparse::DenseVector v = workload::randomDenseVector(rng, m.numCols());
-  const RunResult single = runSpmvHht(defaultConfig(), m, v, true);
+  const RunResult single =
+      run(defaultConfig(), {Kernel::kSpmvVectorHht}, {&m, &v});
   expectSameY(sparse::spmvCsr(m, v), single.y);
 
   for (const bool vectorized : {false, true}) {
     for (const std::uint32_t tiles : {1u, 2u, 4u}) {
-      const RunResult dyn = runSpmvHhtChunkQueue(cqConfig(tiles), tiles, m, v,
-                                                 vectorized, /*chunk_rows=*/8);
+      const RunResult dyn =
+          run(cqConfig(tiles),
+              queued(vectorized ? Kernel::kSpmvVectorHht
+                                : Kernel::kSpmvScalarHht,
+                     tiles, /*chunk_rows=*/8),
+              {&m, &v});
       expectSameY(single.y, dyn.y);
       // Every chunk was claimed exactly once.
       const std::uint64_t chunks = (m.numRows() + 7) / 8;
@@ -196,14 +210,14 @@ TEST(ChunkQueue, SkewMakesTilesStealAndUniformDoesNot) {
   const sparse::DenseVector v = workload::randomDenseVector(rng, 96);
   const sparse::CsrMatrix skew = skewedMatrix(0x5EA0);
   const RunResult on_skew =
-      runSpmvHhtChunkQueue(cqConfig(4), 4, skew, v, true, 4);
+      run(cqConfig(4), queued(Kernel::kSpmvVectorHht, 4, 4), {&skew, &v});
   EXPECT_GT(on_skew.stats.value("mem.wq.steals"), 0u)
       << "a power-law matrix must drain some tile's deque early";
 
   // With one chunk per tile there is nothing left to steal by the time any
   // tile finishes its own work.
   const RunResult even =
-      runSpmvHhtChunkQueue(cqConfig(4), 4, skew, v, true, 24);
+      run(cqConfig(4), queued(Kernel::kSpmvVectorHht, 4, 24), {&skew, &v});
   EXPECT_EQ(even.stats.value("mem.wq.steals"), 0u);
 }
 
@@ -212,16 +226,17 @@ TEST(ChunkQueue, SpmspvBothVariantsBitIdentical) {
   sim::Rng rng(0xD1D1);
   const sparse::SparseVector v =
       workload::randomSparseVector(rng, m.numCols(), 0.4);
+  const Operands ops{.m = &m, .sv = &v};
   for (const int variant : {1, 2}) {
-    const RunResult single = runSpmspvHht(defaultConfig(), m, v, variant);
+    const RunResult single = run(defaultConfig(), {spmspvHht(variant)}, ops);
     for (const std::uint32_t tiles : {2u, 4u}) {
       const RunResult dyn =
-          runSpmspvHhtChunkQueue(cqConfig(tiles), tiles, m, v, variant, 8);
+          run(cqConfig(tiles), queued(spmspvHht(variant), tiles, 8), ops);
       expectSameY(single.y, dyn.y);
     }
   }
   expectSameY(sparse::spmspvMerge(m, v),
-              runSpmspvHhtChunkQueue(cqConfig(4), 4, m, v, 1, 8).y);
+              run(cqConfig(4), queued(Kernel::kSpmspvHhtV1, 4, 8), ops).y);
 }
 
 TEST(ChunkQueue, PerRowOracleStaysCleanOnDynamicSchedule) {
@@ -230,15 +245,8 @@ TEST(ChunkQueue, PerRowOracleStaysCleanOnDynamicSchedule) {
   const sparse::CsrMatrix m = skewedMatrix(0xD1D2);
   sim::Rng rng(0xD1D3);
   const sparse::DenseVector v = workload::randomDenseVector(rng, m.numCols());
-  const kernels::SpmvLayout layout =
-      loadSpmv(sys.arena(), sys.memory().sram(), m, v);
-  sys.workQueue()->seed(dealRowChunks(layout.num_rows, 4, 8));
-
-  std::vector<isa::Program> programs;
-  for (std::uint32_t t = 0; t < 4; ++t) {
-    programs.push_back(kernels::spmvVectorHhtChunkQueue(
-        layout, sys.mmioBaseOf(t), sys.workQueueBase() + 4 * t));
-  }
+  const Prepared p =
+      prepare(sys, queued(Kernel::kSpmvVectorHht, 4, 8), {&m, &v});
   // Per-row dynamic mode: expectations follow the claim log, per claimed
   // row window.
   verify::DifferentialOracle oracle(
@@ -247,8 +255,8 @@ TEST(ChunkQueue, PerRowOracleStaysCleanOnDynamicSchedule) {
             m, v, {row_begin, row_begin + row_count, 0});
       });
   oracle.attach(sys);
-  const RunResult r = sys.run(programs, layout.y, layout.num_rows,
-                              500'000'000, nullptr, &oracle);
+  const RunResult r =
+      sys.run(p.programs(), p.y, p.y_len, 500'000'000, nullptr, &oracle);
   oracle.detach(sys);
   oracle.checkFinal(r.y, sparse::spmvCsr(m, v));
   EXPECT_FALSE(oracle.diverged()) << oracle.describe();
@@ -268,14 +276,8 @@ TEST(ChunkQueue, PerRowOracleLocalizesAnInjectedDivergence) {
   const sparse::CsrMatrix m = skewedMatrix(0xD1D4, 48);
   sim::Rng rng(0xD1D5);
   const sparse::DenseVector v = workload::randomDenseVector(rng, m.numCols());
-  const kernels::SpmvLayout layout =
-      loadSpmv(sys.arena(), sys.memory().sram(), m, v);
-  sys.workQueue()->seed(dealRowChunks(layout.num_rows, 2, 8));
-  std::vector<isa::Program> programs;
-  for (std::uint32_t t = 0; t < 2; ++t) {
-    programs.push_back(kernels::spmvVectorHhtChunkQueue(
-        layout, sys.mmioBaseOf(t), sys.workQueueBase() + 4 * t));
-  }
+  const Prepared p =
+      prepare(sys, queued(Kernel::kSpmvVectorHht, 2, 8), {&m, &v});
   verify::DifferentialOracle oracle(
       2, [&](std::uint32_t row_begin, std::uint32_t row_count) {
         auto events = verify::expectedGatherStreamShard(
@@ -286,8 +288,7 @@ TEST(ChunkQueue, PerRowOracleLocalizesAnInjectedDivergence) {
         return events;
       });
   oracle.attach(sys);
-  sys.run(programs, layout.y, layout.num_rows, 500'000'000, nullptr,
-          &oracle);
+  sys.run(p.programs(), p.y, p.y_len, 500'000'000, nullptr, &oracle);
   oracle.detach(sys);
   EXPECT_TRUE(oracle.diverged());
 }
@@ -298,57 +299,45 @@ TEST(ChunkQueue, CheckpointRestoreResumeRoundTripsQueueState) {
   sim::Rng rng(0xD1D7);
   const sparse::DenseVector v = workload::randomDenseVector(rng, m.numCols());
 
-  struct Prepared {
-    kernels::SpmvLayout layout;
-    std::vector<isa::Program> programs;
-  };
-  const auto prepare = [&](System& sys) {
-    Prepared p;
-    p.layout = loadSpmv(sys.arena(), sys.memory().sram(), m, v);
-    sys.workQueue()->seed(dealRowChunks(p.layout.num_rows, 4, 8));
-    for (std::uint32_t t = 0; t < 4; ++t) {
-      p.programs.push_back(kernels::spmvVectorHhtChunkQueue(
-          p.layout, sys.mmioBaseOf(t), sys.workQueueBase() + 4 * t));
-    }
-    return p;
+  const auto load = [&](System& sys) {
+    return prepare(sys, queued(Kernel::kSpmvVectorHht, 4, 8), {&m, &v});
   };
 
   System uninterrupted(cfg);
-  const Prepared w = prepare(uninterrupted);
-  const RunResult base =
-      uninterrupted.run(w.programs, w.layout.y, w.layout.num_rows);
+  const Prepared w = load(uninterrupted);
+  const RunResult base = uninterrupted.run(w.programs(), w.y, w.y_len);
   ASSERT_GT(base.cycles, 200u);
 
   class CheckpointAt : public RunObserver {
    public:
-    CheckpointAt(const std::vector<isa::Program>& programs, Cycle at)
-        : programs_(&programs), at_(at) {}
+    CheckpointAt(std::span<const isa::Program> programs, Cycle at)
+        : programs_(programs), at_(at) {}
     void onCycle(System& sys, Cycle now) override {
       if (now == at_ && snapshot_.empty()) {
-        snapshot_ = sys.checkpoint(*programs_, now + 1);
+        snapshot_ = sys.checkpoint(programs_, now + 1);
       }
     }
     std::vector<std::uint8_t> snapshot_;
 
    private:
-    const std::vector<isa::Program>* programs_;
+    std::span<const isa::Program> programs_;
     Cycle at_;
   };
 
   System observed(cfg);
-  const Prepared w2 = prepare(observed);
+  const Prepared w2 = load(observed);
   // Checkpoint mid-run, when some chunks are claimed and some pending —
   // the interesting queue state.
-  CheckpointAt observer(w2.programs, base.cycles / 2);
-  observed.run(w2.programs, w2.layout.y, w2.layout.num_rows, 500'000'000,
-               nullptr, &observer);
+  CheckpointAt observer(w2.programs(), base.cycles / 2);
+  observed.run(w2.programs(), w2.y, w2.y_len, 500'000'000, nullptr,
+               &observer);
   ASSERT_FALSE(observer.snapshot_.empty());
 
   System resumed_sys(cfg);
-  const Prepared w3 = prepare(resumed_sys);
-  const Cycle start = resumed_sys.restore(observer.snapshot_, w3.programs);
-  const RunResult resumed = resumed_sys.resume(w3.programs, w3.layout.y,
-                                               w3.layout.num_rows, start);
+  const Prepared w3 = load(resumed_sys);
+  const Cycle start = resumed_sys.restore(observer.snapshot_, w3.programs());
+  const RunResult resumed =
+      resumed_sys.resume(w3.programs(), w3.y, w3.y_len, start);
   EXPECT_EQ(base.cycles, resumed.cycles);
   EXPECT_EQ(base.retired, resumed.retired);
   EXPECT_EQ(base.stats.all(), resumed.stats.all());
@@ -365,22 +354,16 @@ TEST(ChunkQueue, SnapshotFingerprintSeparatesQueueOnFromOff) {
   const sparse::DenseVector v = workload::randomDenseVector(rng, m.numCols());
 
   System with_wq(cqConfig(2));
-  const kernels::SpmvLayout layout =
-      loadSpmv(with_wq.arena(), with_wq.memory().sram(), m, v);
-  with_wq.workQueue()->seed(dealRowChunks(layout.num_rows, 2, 8));
-  std::vector<isa::Program> programs;
-  for (std::uint32_t t = 0; t < 2; ++t) {
-    programs.push_back(kernels::spmvVectorHhtChunkQueue(
-        layout, with_wq.mmioBaseOf(t), with_wq.workQueueBase() + 4 * t));
-  }
-  const auto snap = with_wq.checkpoint(programs, 0);
+  const Prepared p =
+      prepare(with_wq, queued(Kernel::kSpmvVectorHht, 2, 8), {&m, &v});
+  const auto snap = with_wq.checkpoint(p.programs(), 0);
 
   SystemConfig plain = cqConfig(2);
   plain.memory.work_queue_enabled = false;
   System without_wq(plain);
   loadSpmv(without_wq.arena(), without_wq.memory().sram(), m, v);
   try {
-    without_wq.restore(snap, programs);
+    without_wq.restore(snap, p.programs());
     ADD_FAILURE() << "restore crossed the work_queue_enabled boundary";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::Checkpoint);
@@ -400,8 +383,10 @@ TEST(ChunkQueue, ThreadedTileWorkersAreByteIdenticalToSerial) {
   SystemConfig threaded = cqConfig(4);
   threaded.tile_workers = 4;
 
-  const RunResult a = runSpmvHhtChunkQueue(serial, 4, m, v, true, 8);
-  const RunResult b = runSpmvHhtChunkQueue(threaded, 4, m, v, true, 8);
+  const RunResult a =
+      run(serial, queued(Kernel::kSpmvVectorHht, 4, 8), {&m, &v});
+  const RunResult b =
+      run(threaded, queued(Kernel::kSpmvVectorHht, 4, 8), {&m, &v});
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.retired, b.retired);
   EXPECT_EQ(a.stats.all(), b.stats.all());
@@ -417,18 +402,12 @@ TEST(ChunkQueue, QueueWaitShowsUpInPerTileStallProfiles) {
   const sparse::CsrMatrix m = skewedMatrix(0xD1DC, 48);
   sim::Rng rng(0xD1DD);
   const sparse::DenseVector v = workload::randomDenseVector(rng, m.numCols());
-  const kernels::SpmvLayout layout =
-      loadSpmv(sys.arena(), sys.memory().sram(), m, v);
-  sys.workQueue()->seed(dealRowChunks(layout.num_rows, 2, 4));
-  std::vector<isa::Program> programs;
-  for (std::uint32_t t = 0; t < 2; ++t) {
-    programs.push_back(kernels::spmvScalarHhtChunkQueue(
-        layout, sys.mmioBaseOf(t), sys.workQueueBase() + 4 * t));
-  }
+  const Prepared p =
+      prepare(sys, queued(Kernel::kSpmvScalarHht, 2, 4), {&m, &v});
   obs::TraceSink sink0, sink1;
   sys.setTileTraceSink(0, &sink0);
   sys.setTileTraceSink(1, &sink1);
-  sys.run(programs, layout.y, layout.num_rows);
+  sys.run(p.programs(), p.y, p.y_len);
 
   const obs::ProfileReport rep0 = obs::profile(sink0);
   const obs::ProfileReport rep1 = obs::profile(sink1);

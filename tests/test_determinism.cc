@@ -1,4 +1,4 @@
-// Determinism regression: every figure-bench kernel driver, run twice from
+// Determinism regression: every figure-bench kernel RunSpec, run twice from
 // the same seed and configuration, must produce bit-identical RunResults —
 // same cycle counts, same merged stats map, same output bits. Replay
 // bundles and the fuzz campaign both stand on this property.
@@ -7,6 +7,7 @@
 #include <bit>
 #include <ios>
 #include <string>
+#include <tuple>
 
 #include "harness/experiment.h"
 #include "sparse/bitvector.h"
@@ -44,85 +45,55 @@ void twice(const char* label, Driver&& driver) {
   expectIdentical(a, b, label);
 }
 
-struct Operands {
-  CsrMatrix m;
-  DenseVector v;
-  SparseVector sv;
-};
-
-Operands operands(std::uint64_t seed) {
+/// A 32x32 matrix and a dense and a sparse operand vector from `seed`.
+std::tuple<CsrMatrix, DenseVector, SparseVector> operands(std::uint64_t seed) {
   sim::Rng rng(seed);
-  Operands ops;
-  ops.m = workload::randomCsr(rng, 32, 32, 0.3);
-  ops.v = workload::randomDenseVector(rng, 32);
-  ops.sv = workload::randomSparseVector(rng, 32, 0.5);
-  return ops;
+  return {workload::randomCsr(rng, 32, 32, 0.3),
+          workload::randomDenseVector(rng, 32),
+          workload::randomSparseVector(rng, 32, 0.5)};
 }
 
-TEST(Determinism, SpmvDrivers) {
-  const SystemConfig cfg = defaultConfig();
-  const Operands ops = operands(0xDE'7E'01);
-  twice("spmv-baseline-scalar",
-        [&] { return runSpmvBaseline(cfg, ops.m, ops.v, false); });
-  twice("spmv-baseline-vector",
-        [&] { return runSpmvBaseline(cfg, ops.m, ops.v, true); });
-  twice("spmv-hht-scalar",
-        [&] { return runSpmvHht(cfg, ops.m, ops.v, false); });
-  twice("spmv-hht-vector",
-        [&] { return runSpmvHht(cfg, ops.m, ops.v, true); });
-}
-
-TEST(Determinism, SpmspvDrivers) {
-  const SystemConfig cfg = defaultConfig();
-  const Operands ops = operands(0xDE'7E'02);
-  twice("spmspv-baseline",
-        [&] { return runSpmspvBaseline(cfg, ops.m, ops.sv); });
-  twice("spmspv-hht-v1",
-        [&] { return runSpmspvHht(cfg, ops.m, ops.sv, 1); });
-  twice("spmspv-hht-v2",
-        [&] { return runSpmspvHht(cfg, ops.m, ops.sv, 2); });
-}
-
-TEST(Determinism, BitmapDrivers) {
-  const SystemConfig cfg = defaultConfig();
-  const Operands ops = operands(0xDE'7E'03);
+TEST(Determinism, KernelDrivers) {
+  const auto [m, v, sv] = operands(0xDE'7E'01);
   const sparse::HierBitmapMatrix hm =
-      sparse::HierBitmapMatrix::fromDense(ops.m.toDense());
+      sparse::HierBitmapMatrix::fromDense(m.toDense());
   const sparse::BitVectorMatrix bm =
-      sparse::BitVectorMatrix::fromDense(ops.m.toDense());
-  twice("hier-hht", [&] { return runHierHht(cfg, hm, ops.v); });
-  twice("flat-hht", [&] { return runFlatHht(cfg, bm, ops.v); });
-}
-
-TEST(Determinism, ProgrammableHhtDrivers) {
-  const SystemConfig cfg = defaultConfig();
-  const Operands ops = operands(0xDE'7E'04);
-  twice("prog-spmv",
-        [&] { return runSpmvProgHht(cfg, ops.m, ops.v, false); });
-  twice("prog-spmspv-v2",
-        [&] { return runSpmspvProgHht(cfg, ops.m, ops.sv, 2, false); });
-}
-
-TEST(Determinism, SpmmDriver) {
-  const SystemConfig cfg = defaultConfig();
+      sparse::BitVectorMatrix::fromDense(m.toDense());
   sim::Rng rng(0xDE'7E'05);
-  const CsrMatrix m = workload::randomCsr(rng, 16, 16, 0.4);
-  const sparse::DenseMatrix b = workload::randomDense(rng, 16, 4, 0.0);
-  twice("spmm-hht", [&] { return runSpmmHht(cfg, m, b); });
-}
-
-TEST(Determinism, ResilientDriverUnderInjectedFaults) {
+  const sparse::DenseMatrix b = workload::randomDense(rng, 32, 4, 0.0);
+  const Operands ops{&m, &v, &sv, &b, &hm, &bm};
   // The fault layer draws from its own seeded RNG, so even fault-injected
   // runs are reproducible (the fault campaign already asserts the outcome;
   // here the full stats map and output bits must match too).
-  SystemConfig cfg = defaultConfig();
-  cfg.faults.enabled = true;
-  cfg.faults.seed = 0xF00D;
-  cfg.faults.sram_read_flip_rate = 1e-3;
-  cfg.faults.fifo_corrupt_rate = 1e-3;
-  const Operands ops = operands(0xDE'7E'06);
-  twice("spmv-hht-resilient",
-        [&] { return runSpmvHhtResilient(cfg, ops.m, ops.v, false); });
+  SystemConfig faulty = defaultConfig();
+  faulty.faults.enabled = true;
+  faulty.faults.seed = 0xF00D;
+  faulty.faults.sram_read_flip_rate = 1e-3;
+  faulty.faults.fifo_corrupt_rate = 1e-3;
+  const struct {
+    const char* label;
+    RunSpec spec;
+  } rows[] = {
+      {"spmv-baseline-scalar", {Kernel::kSpmvScalarBaseline}},
+      {"spmv-baseline-vector", {Kernel::kSpmvVectorBaseline}},
+      {"spmv-hht-scalar", {Kernel::kSpmvScalarHht}},
+      {"spmv-hht-vector", {Kernel::kSpmvVectorHht}},
+      {"spmspv-baseline", {Kernel::kSpmspvScalarBaseline}},
+      {"spmspv-hht-v1", {Kernel::kSpmspvHhtV1}},
+      {"spmspv-hht-v2", {Kernel::kSpmspvHhtV2}},
+      {"hier-hht", {Kernel::kHierBitmapHht}},
+      {"flat-hht", {Kernel::kFlatBitmapHht}},
+      {"prog-spmv", {.kernel = Kernel::kSpmvScalarHht, .programmable = true}},
+      {"prog-spmspv-v2",
+       {.kernel = Kernel::kSpmspvHhtV2Scalar, .programmable = true}},
+      {"spmm-hht", {Kernel::kSpmmVectorHht}},
+      {"spmv-hht-resilient",
+       {.kernel = Kernel::kSpmvScalarHht, .fallback = true}},
+  };
+  for (const auto& row : rows) {
+    const SystemConfig cfg = row.spec.fallback ? faulty : defaultConfig();
+    twice(row.label, [&] { return run(cfg, row.spec, ops); });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -208,58 +179,70 @@ SystemConfig l1chConfig() {
 
 TEST(Determinism, PinnedRunDigests) {
   const SystemConfig cfg = defaultConfig();
-  const Operands ops = operands(0xD16E'01);
+  const auto [m, v, sv] = operands(0xD16E'01);
   const sparse::HierBitmapMatrix hm =
-      sparse::HierBitmapMatrix::fromDense(ops.m.toDense());
+      sparse::HierBitmapMatrix::fromDense(m.toDense());
   const sparse::BitVectorMatrix bm =
-      sparse::BitVectorMatrix::fromDense(ops.m.toDense());
+      sparse::BitVectorMatrix::fromDense(m.toDense());
+  const Operands ops{.m = &m, .v = &v, .sv = &sv, .hier = &hm, .flat = &bm};
   sim::Rng rng(0xD16E'02);
   const CsrMatrix big = workload::randomCsr(rng, 96, 96, 0.7);
   const DenseVector big_v = workload::randomDenseVector(rng, 96);
+  const Operands big_ops{&big, &big_v};
+  const RunSpec shards{.kernel = Kernel::kSpmvVectorHht,
+                       .tiles = 4,
+                       .distribution = Distribution::kNnzBalanced};
+  RunSpec queue = shards;
+  queue.distribution = Distribution::kChunkQueue;
+  queue.chunk_rows = 8;
 
   // The five ASIC engines on the paper's one-tile machine.
-  expectDigest("gather", runSpmvHht(cfg, ops.m, ops.v, true),
+  expectDigest("gather", run(cfg, {Kernel::kSpmvVectorHht}, ops),
                0xbdc4fe4d30553e90);
-  expectDigest("merge-v1", runSpmspvHht(cfg, ops.m, ops.sv, 1),
+  expectDigest("merge-v1", run(cfg, {Kernel::kSpmspvHhtV1}, ops),
                0x13433bfdaf891a3a);
-  expectDigest("stream-v2", runSpmspvHht(cfg, ops.m, ops.sv, 2),
+  expectDigest("stream-v2", run(cfg, {Kernel::kSpmspvHhtV2}, ops),
                0x47451cffbc772da7);
-  expectDigest("hier", runHierHht(cfg, hm, ops.v), 0xb766893369bcd473);
-  expectDigest("flat", runFlatHht(cfg, bm, ops.v), 0xab51d07052590173);
+  expectDigest("hier", run(cfg, {Kernel::kHierBitmapHht}, ops),
+               0xb766893369bcd473);
+  expectDigest("flat", run(cfg, {Kernel::kFlatBitmapHht}, ops),
+               0xab51d07052590173);
   // The programmable HHT (firmware on the micro-core).
-  expectDigest("programmable", runSpmvProgHht(cfg, ops.m, ops.v, false),
-               0x9f7285f34502ced0);
+  expectDigest(
+      "programmable",
+      run(cfg, {.kernel = Kernel::kSpmvScalarHht, .programmable = true}, ops),
+      0x9f7285f34502ced0);
   {  // Every FIFO pop corrupted: the run degrades onto the scalar fallback.
     SystemConfig faulty = cfg;
     faulty.faults.enabled = true;
     faulty.faults.seed = 0xD16E'03;
     faulty.faults.fifo_corrupt_rate = 1.0;
-    const RunResult r = runSpmvHhtResilient(faulty, ops.m, ops.v, false);
+    const RunResult r =
+        run(faulty, {.kernel = Kernel::kSpmvScalarHht, .fallback = true}, ops);
     EXPECT_TRUE(r.degraded);
     expectDigest("degraded", r, 0x034be25e0ba3e8d8);
   }
   // Four tiles with faults on: static nnz-balanced shards and the chunk
   // queue.
   const SystemConfig faulty4 = withBenignFaults(cfg);
-  const RunResult shards = runSpmvHhtSharded(
-      faulty4, 4, Partition::NnzBalanced, big, big_v, true);
-  const RunResult queue = runSpmvHhtChunkQueue(faulty4, 4, big, big_v, true, 8);
-  for (const RunResult* r : {&shards, &queue}) {
+  const RunResult shards4 = run(faulty4, shards, big_ops);
+  const RunResult queue4 = run(faulty4, queue, big_ops);
+  for (const RunResult* r : {&shards4, &queue4}) {
     EXPECT_GT(r->stats.value("mem.drop_recoveries"), 0u);
     EXPECT_GT(r->stats.value("mem.delayed_responses"), 0u);
   }
-  expectDigest("4-tile-shards-faults", shards, 0x6e7e10b43a947fa6);
-  expectDigest("4-tile-queue-faults", queue, 0x41f2ae6038df92a3);
+  expectDigest("4-tile-shards-faults", shards4, 0x6e7e10b43a947fa6);
+  expectDigest("4-tile-queue-faults", queue4, 0x41f2ae6038df92a3);
   // Sixteen tiles on the hierarchical l1ch topology.
-  expectDigest("16-tile-l1ch",
-               runSpmvHhtSharded(l1chConfig(), 16, Partition::NnzBalanced,
-                                 big, big_v, true),
+  RunSpec shards16 = shards;
+  shards16.tiles = 16;
+  expectDigest("16-tile-l1ch", run(l1chConfig(), shards16, big_ops),
                0xa1031ee1d65470bb);
   {  // Two tile workers (host-only: must match the serial schedule).
     SystemConfig threaded = cfg;
     threaded.tile_workers = 2;
-    expectDigest("4-tile-workers2",
-                 runSpmvHhtChunkQueue(threaded, 4, big, big_v, false, 8),
+    queue.kernel = Kernel::kSpmvScalarHht;
+    expectDigest("4-tile-workers2", run(threaded, queue, big_ops),
                  0x4085a07b54034b1e);
   }
 }

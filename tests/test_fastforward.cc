@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -59,55 +60,45 @@ void abFastForward(const char* label, const SystemConfig& cfg,
                   (std::string(label) + "/event").c_str());
 }
 
-struct Operands {
-  CsrMatrix m;
-  DenseVector v;
-  SparseVector sv;
-};
-
-Operands operands(std::uint64_t seed) {
+/// An n x n matrix of the given sparsity in CSR and both bitmap formats,
+/// and a dense and a sparse (50%) operand vector, from `seed`.
+std::tuple<CsrMatrix, DenseVector, SparseVector, sparse::HierBitmapMatrix,
+           sparse::BitVectorMatrix>
+operands(std::uint64_t seed, sim::Index n = 32, double sparsity = 0.3) {
   sim::Rng rng(seed);
-  Operands ops;
-  ops.m = workload::randomCsr(rng, 32, 32, 0.3);
-  ops.v = workload::randomDenseVector(rng, 32);
-  ops.sv = workload::randomSparseVector(rng, 32, 0.5);
-  return ops;
+  CsrMatrix m = workload::randomCsr(rng, n, n, sparsity);
+  DenseVector v = workload::randomDenseVector(rng, n);
+  SparseVector sv = workload::randomSparseVector(rng, n, 0.5);
+  const sparse::DenseMatrix dense = m.toDense();
+  return {std::move(m), std::move(v), std::move(sv),
+          sparse::HierBitmapMatrix::fromDense(dense),
+          sparse::BitVectorMatrix::fromDense(dense)};
 }
 
 TEST(FastForward, EveryEngineIsBitIdenticalWithAndWithoutSkipping) {
-  const SystemConfig cfg = defaultConfig();
-  const Operands ops = operands(0xFF'01);
-  const sparse::HierBitmapMatrix hm =
-      sparse::HierBitmapMatrix::fromDense(ops.m.toDense());
-  const sparse::BitVectorMatrix bm =
-      sparse::BitVectorMatrix::fromDense(ops.m.toDense());
-
+  const auto [m, v, sv, hm, bm] = operands(0xFF'01);
+  const Operands ops{&m, &v, &sv, nullptr, &hm, &bm};
   // All five back-end engines (gather, merge v1/v2, hier-bitmap, flat),
   // plus the software baseline and the programmable front-end.
-  abFastForward("gather-scalar", cfg, [&](const SystemConfig& c) {
-    return runSpmvHht(c, ops.m, ops.v, false);
-  });
-  abFastForward("gather-vector", cfg, [&](const SystemConfig& c) {
-    return runSpmvHht(c, ops.m, ops.v, true);
-  });
-  abFastForward("merge-v1", cfg, [&](const SystemConfig& c) {
-    return runSpmspvHht(c, ops.m, ops.sv, 1);
-  });
-  abFastForward("merge-v2", cfg, [&](const SystemConfig& c) {
-    return runSpmspvHht(c, ops.m, ops.sv, 2);
-  });
-  abFastForward("hier-bitmap", cfg, [&](const SystemConfig& c) {
-    return runHierHht(c, hm, ops.v);
-  });
-  abFastForward("flat-bitmap", cfg, [&](const SystemConfig& c) {
-    return runFlatHht(c, bm, ops.v);
-  });
-  abFastForward("baseline-scalar", cfg, [&](const SystemConfig& c) {
-    return runSpmvBaseline(c, ops.m, ops.v, false);
-  });
-  abFastForward("programmable", cfg, [&](const SystemConfig& c) {
-    return runSpmvProgHht(c, ops.m, ops.v, false);
-  });
+  const struct {
+    const char* label;
+    RunSpec spec;
+  } runs[] = {
+      {"gather-scalar", {Kernel::kSpmvScalarHht}},
+      {"gather-vector", {Kernel::kSpmvVectorHht}},
+      {"merge-v1", {Kernel::kSpmspvHhtV1}},
+      {"merge-v2", {Kernel::kSpmspvHhtV2}},
+      {"hier-bitmap", {Kernel::kHierBitmapHht}},
+      {"flat-bitmap", {Kernel::kFlatBitmapHht}},
+      {"baseline-scalar", {Kernel::kSpmvScalarBaseline}},
+      {"programmable",
+       {.kernel = Kernel::kSpmvScalarHht, .programmable = true}},
+  };
+  for (const auto& r : runs) {
+    abFastForward(r.label, defaultConfig(), [&](const SystemConfig& c) {
+      return run(c, r.spec, ops);
+    });
+  }
 }
 
 TEST(FastForward, SpmmEngineIsBitIdenticalWithAndWithoutSkipping) {
@@ -116,7 +107,7 @@ TEST(FastForward, SpmmEngineIsBitIdenticalWithAndWithoutSkipping) {
   const CsrMatrix m = workload::randomCsr(rng, 16, 16, 0.4);
   const sparse::DenseMatrix b = workload::randomDense(rng, 16, 4, 0.0);
   abFastForward("spmm", cfg, [&](const SystemConfig& c) {
-    return runSpmmHht(c, m, b);
+    return run(c, {Kernel::kSpmmVectorHht}, {.m = &m, .b = &b});
   });
 }
 
@@ -130,12 +121,14 @@ TEST(FastForward, FaultInjectedRunsAreBitIdenticalWithAndWithoutSkipping) {
   cfg.faults.seed = 0xF00D;
   cfg.faults.sram_read_flip_rate = 1e-3;
   cfg.faults.fifo_corrupt_rate = 1e-3;
-  const Operands ops = operands(0xFF'03);
+  const auto [m, v, sv, hm, bm] = operands(0xFF'03);
+  const Operands ops{&m, &v, &sv};
   abFastForward("spmv-resilient", cfg, [&](const SystemConfig& c) {
-    return runSpmvHhtResilient(c, ops.m, ops.v, false);
+    return run(c, {.kernel = Kernel::kSpmvScalarHht, .fallback = true}, ops);
   });
   abFastForward("spmspv-resilient", cfg, [&](const SystemConfig& c) {
-    return runSpmspvHhtResilient(c, ops.m, ops.sv, 2, false);
+    return run(c, {.kernel = Kernel::kSpmspvHhtV2Scalar, .fallback = true},
+               ops);
   });
 }
 
@@ -146,9 +139,10 @@ TEST(FastForward, ScrubbedRunsAreBitIdenticalAcrossRunLoops) {
   SystemConfig cfg = defaultConfig();
   cfg.memory.scrub_enabled = true;
   cfg.memory.scrub_period = 16;
-  const Operands ops = operands(0xFF'07);
+  const auto [m, v, sv, hm, bm] = operands(0xFF'07);
+  const Operands ops{&m, &v};
   abFastForward("spmv-scrub", cfg, [&](const SystemConfig& c) {
-    return runSpmvHht(c, ops.m, ops.v, true);
+    return run(c, {Kernel::kSpmvVectorHht}, ops);
   });
   // With fault injection the scrubber also repairs planted singles; the
   // repair schedule must be loop-invariant too.
@@ -156,7 +150,7 @@ TEST(FastForward, ScrubbedRunsAreBitIdenticalAcrossRunLoops) {
   cfg.faults.seed = 0xBEEF;
   cfg.faults.sram_read_flip_rate = 1e-3;
   abFastForward("spmv-scrub-faults", cfg, [&](const SystemConfig& c) {
-    return runSpmvHhtResilient(c, ops.m, ops.v, false);
+    return run(c, {.kernel = Kernel::kSpmvScalarHht, .fallback = true}, ops);
   });
 }
 
@@ -165,16 +159,16 @@ TEST(FastForward, OracleTappedRunsAreIdenticalAcrossRunLoops) {
   // are per-cycle observations); the oracle's verdict, the delivered
   // element count and the finish cycle must still be identical in both
   // run-loop modes, for every engine kind.
-  const Operands ops = operands(0xFF'08);
+  const auto [m, v, sv, hm, bm] = operands(0xFF'08);
   for (const verify::EngineKind kind :
        {verify::EngineKind::Gather, verify::EngineKind::MergeV1,
         verify::EngineKind::StreamV2, verify::EngineKind::Hier,
         verify::EngineKind::Flat}) {
     verify::CosimCase c;
     c.kind = kind;
-    c.m = ops.m;
-    c.v = ops.v;
-    c.sv = ops.sv;
+    c.m = m;
+    c.v = v;
+    c.sv = sv;
     c.cfg = defaultConfig();
     c.cfg.host_fastforward = false;
     const verify::CosimReport ref = verify::runCosim(c);
@@ -194,8 +188,7 @@ TEST(FastForward, OracleTappedRunsAreIdenticalAcrossRunLoops) {
 struct Workload {
   CsrMatrix m;
   DenseVector v;
-  isa::Program program;
-  kernels::SpmvLayout layout;
+  Prepared p;
 };
 
 /// Scalar-baseline SpMV on a high-latency SRAM: every load stalls the CPU
@@ -212,8 +205,7 @@ Workload prepareBaseline(System& sys, std::uint64_t seed) {
   Workload w;
   w.m = workload::randomCsr(rng, 24, 24, 0.4);
   w.v = workload::randomDenseVector(rng, 24);
-  w.layout = loadSpmv(sys, w.m, w.v);
-  w.program = kernels::spmvScalarBaseline(w.layout);
+  w.p = prepare(sys, {Kernel::kSpmvScalarBaseline}, {&w.m, &w.v});
   return w;
 }
 
@@ -225,11 +217,11 @@ TEST(FastForward, SkipsEngageOnStallHeavyWorkload) {
 
   System fast(on);
   const Workload wf = prepareBaseline(fast, 0xFF'04);
-  const RunResult a = fast.run(wf.program, wf.layout.y, wf.layout.num_rows);
+  const RunResult a = fast.run(wf.p.program, wf.p.y, wf.p.y_len);
 
   System naive(off);
   const Workload wn = prepareBaseline(naive, 0xFF'04);
-  const RunResult b = naive.run(wn.program, wn.layout.y, wn.layout.num_rows);
+  const RunResult b = naive.run(wn.p.program, wn.p.y, wn.p.y_len);
 
   expectIdentical(a, b, "stall-heavy");
   EXPECT_GT(fast.hostSkippedCycles(), 0u)
@@ -238,8 +230,8 @@ TEST(FastForward, SkipsEngageOnStallHeavyWorkload) {
 
   // The complete serialized machine state — SRAM, queues, pipeline, RNG —
   // is byte-identical after the two runs, not just the RunResult surface.
-  EXPECT_EQ(fast.checkpoint(wf.program, a.cycles),
-            naive.checkpoint(wn.program, b.cycles));
+  EXPECT_EQ(fast.checkpoint(wf.p.program, a.cycles),
+            naive.checkpoint(wn.p.program, b.cycles));
 }
 
 TEST(FastForward, TraceSinkDisablesSkippingWithoutChangingTheMachine) {
@@ -253,7 +245,7 @@ TEST(FastForward, TraceSinkDisablesSkippingWithoutChangingTheMachine) {
 
   System fast(plain);
   const Workload wf = prepareBaseline(fast, 0xFF'06);
-  const RunResult a = fast.run(wf.program, wf.layout.y, wf.layout.num_rows);
+  const RunResult a = fast.run(wf.p.program, wf.p.y, wf.p.y_len);
   ASSERT_GT(fast.hostSkippedCycles(), 0u)
       << "no-sink run must fast-forward on a stall-heavy workload";
 
@@ -263,15 +255,15 @@ TEST(FastForward, TraceSinkDisablesSkippingWithoutChangingTheMachine) {
   System watched(traced);
   const Workload wt = prepareBaseline(watched, 0xFF'06);
   const RunResult b =
-      watched.run(wt.program, wt.layout.y, wt.layout.num_rows);
+      watched.run(wt.p.program, wt.p.y, wt.p.y_len);
   EXPECT_EQ(watched.hostSkippedCycles(), 0u)
       << "an attached trace sink must disable fast-forward";
   EXPECT_GT(sink.size() + sink.dropped(), 0u)
       << "the traced run emitted nothing";
 
   expectIdentical(a, b, "trace-ab");
-  EXPECT_EQ(fast.checkpoint(wf.program, a.cycles),
-            watched.checkpoint(wt.program, b.cycles))
+  EXPECT_EQ(fast.checkpoint(wf.p.program, a.cycles),
+            watched.checkpoint(wt.p.program, b.cycles))
       << "trace sink leaked into the serialized machine state";
 }
 
@@ -309,15 +301,15 @@ TEST(FastForward, ResumeSkipsAcrossTheRestoredRegionAndMatchesNaive) {
   System base_sys(cfg);
   const Workload w = prepareBaseline(base_sys, 0xFF'05);
   const RunResult base =
-      base_sys.run(w.program, w.layout.y, w.layout.num_rows);
+      base_sys.run(w.p.program, w.p.y, w.p.y_len);
   ASSERT_GT(base_sys.hostSkippedCycles(), 0u);
   ASSERT_GT(base.cycles, 200u) << "workload too small to checkpoint mid-run";
 
   System observed(cfg);
   const Workload w2 = prepareBaseline(observed, 0xFF'05);
-  CheckpointAt observer(w2.program, base.cycles / 2);
+  CheckpointAt observer(w2.p.program, base.cycles / 2);
   const RunResult watched =
-      observed.run(w2.program, w2.layout.y, w2.layout.num_rows, 500'000'000,
+      observed.run(w2.p.program, w2.p.y, w2.p.y_len, 500'000'000,
                    nullptr, &observer);
   // The observer forces per-cycle mode; the outcome must not change.
   expectIdentical(base, watched, "observed");
@@ -326,10 +318,10 @@ TEST(FastForward, ResumeSkipsAcrossTheRestoredRegionAndMatchesNaive) {
   ASSERT_FALSE(observer.snapshot().empty());
 
   System resumed_sys(cfg);
-  const Cycle start = resumed_sys.restore(observer.snapshot(), w2.program);
+  const Cycle start = resumed_sys.restore(observer.snapshot(), w2.p.program);
   EXPECT_EQ(start, observer.resumeAt());
-  const RunResult resumed = resumed_sys.resume(w2.program, w2.layout.y,
-                                               w2.layout.num_rows, start);
+  const RunResult resumed = resumed_sys.resume(w2.p.program, w2.p.y,
+                                               w2.p.y_len, start);
   expectIdentical(base, resumed, "resumed");
   EXPECT_GT(resumed_sys.hostSkippedCycles(), 0u)
       << "the resumed half should fast-forward its stalls";
@@ -346,13 +338,13 @@ TEST(FastForward, RestoreIsRunLoopAgnostic) {
   System base_sys(naive_cfg);
   const Workload w = prepareBaseline(base_sys, 0xFF'09);
   const RunResult base =
-      base_sys.run(w.program, w.layout.y, w.layout.num_rows);
+      base_sys.run(w.p.program, w.p.y, w.p.y_len);
   ASSERT_GT(base.cycles, 200u) << "workload too small to checkpoint mid-run";
 
   System observed(naive_cfg);
   const Workload w2 = prepareBaseline(observed, 0xFF'09);
-  CheckpointAt observer(w2.program, base.cycles / 2);
-  observed.run(w2.program, w2.layout.y, w2.layout.num_rows, 500'000'000,
+  CheckpointAt observer(w2.p.program, base.cycles / 2);
+  observed.run(w2.p.program, w2.p.y, w2.p.y_len, 500'000'000,
                nullptr, &observer);
   ASSERT_FALSE(observer.snapshot().empty());
 
@@ -361,10 +353,10 @@ TEST(FastForward, RestoreIsRunLoopAgnostic) {
     SystemConfig rc = stallHeavyConfig();
     rc.host_fastforward = ff;
     System resumed_sys(rc);
-    const Cycle start = resumed_sys.restore(observer.snapshot(), w2.program);
+    const Cycle start = resumed_sys.restore(observer.snapshot(), w2.p.program);
     EXPECT_EQ(start, observer.resumeAt()) << name;
-    const RunResult resumed = resumed_sys.resume(w2.program, w2.layout.y,
-                                                 w2.layout.num_rows, start);
+    const RunResult resumed = resumed_sys.resume(w2.p.program, w2.p.y,
+                                                 w2.p.y_len, start);
     expectIdentical(base, resumed, name);
   }
 }
@@ -372,54 +364,15 @@ TEST(FastForward, RestoreIsRunLoopAgnostic) {
 // ---- slow SRAM: sleeping engines and sleeping FIFO reads ----
 
 /// The ASIC back-end modes, each driven by its HHT kernel on tile 0.
-enum class Asic { GatherScalar, GatherVector, MergeV1, MergeV2, Hier, Flat };
-constexpr Asic kAsics[] = {Asic::GatherScalar, Asic::GatherVector,
-                           Asic::MergeV1,      Asic::MergeV2,
-                           Asic::Hier,         Asic::Flat};
-const char* asicName(Asic a) {
-  static constexpr const char* kNames[] = {"gather-scalar", "gather-vector",
-                                           "merge-v1",      "merge-v2",
-                                           "hier-bitmap",   "flat-bitmap"};
-  return kNames[static_cast<int>(a)];
-}
-
-/// One engine's kernel, its y address and length, on a loaded System.
-struct AsicProgram {
-  isa::Program program;
-  Addr y = 0;
-  std::uint32_t y_len = 0;
-};
-
-AsicProgram loadAsic(System& sys, Asic a, const Operands& ops) {
-  const Addr mmio = sys.config().memory.mmio_base;
-  switch (a) {
-    case Asic::GatherScalar:
-    case Asic::GatherVector: {
-      const kernels::SpmvLayout l = loadSpmv(sys, ops.m, ops.v);
-      return {a == Asic::GatherScalar ? kernels::spmvScalarHht(l, mmio)
-                                      : kernels::spmvVectorHht(l, mmio),
-              l.y, l.num_rows};
-    }
-    case Asic::MergeV1:
-    case Asic::MergeV2: {
-      const kernels::SpmspvLayout l = loadSpmspv(sys, ops.m, ops.sv);
-      return {a == Asic::MergeV1 ? kernels::spmspvHhtV1(l, mmio)
-                                 : kernels::spmspvHhtV2(l, mmio),
-              l.y, l.num_rows};
-    }
-    case Asic::Hier: {
-      const kernels::HierLayout l = loadHier(
-          sys, sparse::HierBitmapMatrix::fromDense(ops.m.toDense()), ops.v);
-      return {kernels::hierBitmapHht(l, mmio), l.y, l.num_rows};
-    }
-    case Asic::Flat: {
-      const kernels::HierLayout l = loadFlatBitmap(
-          sys, sparse::BitVectorMatrix::fromDense(ops.m.toDense()), ops.v);
-      return {kernels::flatBitmapHht(l, mmio), l.y, l.num_rows};
-    }
-  }
-  return {};
-}
+constexpr struct {
+  const char* name;
+  Kernel kernel;
+} kAsics[] = {{"gather-scalar", Kernel::kSpmvScalarHht},
+              {"gather-vector", Kernel::kSpmvVectorHht},
+              {"merge-v1", Kernel::kSpmspvHhtV1},
+              {"merge-v2", Kernel::kSpmspvHhtV2},
+              {"hier-bitmap", Kernel::kHierBitmapHht},
+              {"flat-bitmap", Kernel::kFlatBitmapHht}};
 
 struct AsicRun {
   RunResult result;
@@ -427,23 +380,14 @@ struct AsicRun {
   std::uint64_t skipped = 0;
 };
 
-AsicRun runAsic(const SystemConfig& cfg, Asic a, const Operands& ops) {
+AsicRun runAsic(const SystemConfig& cfg, Kernel k, const Operands& ops) {
   System sys(cfg);
-  const AsicProgram p = loadAsic(sys, a, ops);
+  const Prepared p = prepare(sys, {k}, ops);
   AsicRun out;
   out.result = sys.run(p.program, p.y, p.y_len);
   out.snapshot = sys.checkpoint(p.program, out.result.cycles);
   out.skipped = sys.hostSkippedCycles();
   return out;
-}
-
-Operands smallOperands(std::uint64_t seed, sim::Index n) {
-  sim::Rng rng(seed);
-  Operands ops;
-  ops.m = workload::randomCsr(rng, n, n, 0.5);
-  ops.v = workload::randomDenseVector(rng, n);
-  ops.sv = workload::randomSparseVector(rng, n, 0.5);
-  return ops;
 }
 
 TEST(FastForward, EveryEngineOnSlowSramIsBitIdenticalAcrossRunLoops) {
@@ -455,8 +399,9 @@ TEST(FastForward, EveryEngineOnSlowSramIsBitIdenticalAcrossRunLoops) {
   // hht.cpu_wait_cycles are credited for the slept cycles) and the
   // end-of-run snapshot.
   for (const Cycle latency : {Cycle{64}, Cycle{2048}}) {
-    const Operands ops =
-        smallOperands(0xFF'20 + latency, latency > 64 ? 10 : 16);
+    const auto [m, v, sv, hm, bm] =
+        operands(0xFF'20 + latency, latency > 64 ? 10 : 16, 0.5);
+    const Operands ops{&m, &v, &sv, nullptr, &hm, &bm};
     for (const bool faults : {false, true}) {
       SystemConfig cfg = defaultConfig();
       cfg.memory.sram_latency = latency;
@@ -466,14 +411,14 @@ TEST(FastForward, EveryEngineOnSlowSramIsBitIdenticalAcrossRunLoops) {
         cfg.faults.drop_rate = 0.05;
         cfg.faults.delay_rate = 0.1;
       }
-      for (const Asic a : kAsics) {
-        const std::string label = std::string(asicName(a)) + " lat=" +
+      for (const auto& a : kAsics) {
+        const std::string label = std::string(a.name) + " lat=" +
                                   std::to_string(latency) +
                                   (faults ? " delay/drop" : "");
         cfg.host_fastforward = false;
-        const AsicRun naive = runAsic(cfg, a, ops);
+        const AsicRun naive = runAsic(cfg, a.kernel, ops);
         cfg.host_fastforward = true;
-        const AsicRun event = runAsic(cfg, a, ops);
+        const AsicRun event = runAsic(cfg, a.kernel, ops);
         expectIdentical(event.result, naive.result, label.c_str());
         EXPECT_EQ(event.snapshot, naive.snapshot) << label;
         EXPECT_EQ(naive.skipped, 0u) << label;
@@ -486,13 +431,14 @@ TEST(FastForward, EveryEngineOnSlowSramIsBitIdenticalAcrossRunLoops) {
 TEST(FastForward, DeepStallSkipsMostCyclesOnEveryEngine) {
   // A 2048-cycle SRAM leaves every engine and the CPU waiting on memory
   // almost all the time: the loop must jump at least 90% of the run.
-  const Operands ops = smallOperands(0xFF'21, 10);
+  const auto [m, v, sv, hm, bm] = operands(0xFF'21, 10, 0.5);
+  const Operands ops{&m, &v, &sv, nullptr, &hm, &bm};
   SystemConfig cfg = defaultConfig();
   cfg.memory.sram_latency = 2048;
-  for (const Asic a : kAsics) {
-    const AsicRun run = runAsic(cfg, a, ops);
+  for (const auto& a : kAsics) {
+    const AsicRun run = runAsic(cfg, a.kernel, ops);
     EXPECT_GE(run.skipped * 10, run.result.cycles * 9)
-        << asicName(a) << ": jumped " << run.skipped << " of "
+        << a.name << ": jumped " << run.skipped << " of "
         << run.result.cycles << " cycles";
   }
 }
@@ -502,7 +448,8 @@ TEST(FastForward, CheckpointInsideASkippedFifoWaitResumesByteIdentical) {
   // the loop is jumping the wait: the stop settles the skipped retries, so
   // the snapshot equals the every-cycle loop's at the same cycle, and
   // restoring it and resuming finishes exactly like the uninterrupted run.
-  const Operands ops = smallOperands(0xFF'22, 10);
+  const auto [m, v, sv, hm, bm] = operands(0xFF'22, 10, 0.5);
+  const Operands ops{&m, &v};
   SystemConfig cfg = defaultConfig();
   cfg.memory.sram_latency = 2048;
   constexpr Cycle kStop = 5000;  // inside the first FIFO wait
@@ -511,7 +458,7 @@ TEST(FastForward, CheckpointInsideASkippedFifoWaitResumesByteIdentical) {
     SystemConfig c = cfg;
     c.host_fastforward = fastforward;
     System sys(c);
-    const AsicProgram p = loadAsic(sys, Asic::GatherVector, ops);
+    const Prepared p = prepare(sys, {Kernel::kSpmvVectorHht}, ops);
     EXPECT_THROW(sys.run(p.program, p.y, p.y_len, kStop), sim::SimError);
     EXPECT_TRUE(sys.memory().mmioPending()) << "not inside a FIFO wait";
     EXPECT_GT(sys.hht().cpuWaitCycles(), 0u);
@@ -527,9 +474,9 @@ TEST(FastForward, CheckpointInsideASkippedFifoWaitResumesByteIdentical) {
   EXPECT_EQ(event_snap, naive_snap);
 
   cfg.host_fastforward = true;
-  const AsicRun whole = runAsic(cfg, Asic::GatherVector, ops);
+  const AsicRun whole = runAsic(cfg, Kernel::kSpmvVectorHht, ops);
   System resumed(cfg);
-  const AsicProgram p = loadAsic(resumed, Asic::GatherVector, ops);
+  const Prepared p = prepare(resumed, {Kernel::kSpmvVectorHht}, ops);
   const Cycle start = resumed.restore(event_snap, p.program);
   EXPECT_EQ(start, kStop);
   const RunResult r = resumed.resume(p.program, p.y, p.y_len, start);
@@ -565,7 +512,7 @@ TEST(FastForward, WedgedLiveHhtFiresTheWatchdogAtTheNaiveCycle) {
   // BUF_DATA read both sleep, with nothing retiring or granted: the loop
   // jumps, but only to the watchdog's firing sample, where it must throw
   // what the every-cycle loop throws, with the same counters settled.
-  const Operands ops = smallOperands(0xFF'23, 8);
+  const auto [m, v, sv, hm, bm] = operands(0xFF'23, 8, 0.5);
   const auto wedge = [&](bool fastforward, std::uint64_t& skipped,
                          std::uint64_t& cpu_wait, std::uint64_t& active) {
     SystemConfig cfg = defaultConfig();
@@ -573,7 +520,7 @@ TEST(FastForward, WedgedLiveHhtFiresTheWatchdogAtTheNaiveCycle) {
     cfg.memory.sram_latency = 100'000;
     cfg.host_fastforward = fastforward;
     System sys(cfg);
-    const kernels::SpmvLayout l = loadSpmv(sys, ops.m, ops.v);
+    const kernels::SpmvLayout l = loadSpmv(sys, m, v);
     const isa::Program p = startAndPop(l, cfg.memory.mmio_base);
     sim::SimError error(sim::ErrorKind::Config, "test", "no error");
     try {
@@ -607,9 +554,10 @@ TEST(FastForward, SweepRunnerResultsAreJobsInvariant) {
   // The parallel sweep driver must return byte-identical results for every
   // jobs value: each task derives everything from its index alone.
   const auto task = [](std::size_t i) {
-    const SystemConfig cfg = defaultConfig();
-    const Operands ops = operands(0xFF'10 + i);
-    return runSpmvHht(cfg, ops.m, ops.v, (i % 2) == 0);
+    const auto [m, v, sv, hm, bm] = operands(0xFF'10 + i);
+    return run(defaultConfig(),
+               {i % 2 == 0 ? Kernel::kSpmvVectorHht : Kernel::kSpmvScalarHht},
+               {&m, &v});
   };
   const std::vector<RunResult> serial = SweepRunner(1).run(6, task);
   const std::vector<RunResult> pooled = SweepRunner(3).run(6, task);

@@ -28,6 +28,11 @@ using sim::SimError;
 using sparse::CsrMatrix;
 using sparse::DenseVector;
 using sparse::SparseVector;
+using harness::Kernel;
+
+/// Scalar HHT SpMV with the scalar baseline as its degradation fallback.
+constexpr harness::RunSpec kResilientSpmv{.kernel = Kernel::kSpmvScalarHht,
+                                          .fallback = true};
 
 std::int32_t bits(sim::Addr a) { return static_cast<std::int32_t>(a); }
 
@@ -431,7 +436,7 @@ TEST(Recovery, EccCorrectsSramFlipsTransparently) {
   sim::Rng rng(21);
   const CsrMatrix m = workload::randomCsr(rng, 48, 48, 0.3);
   const DenseVector v = workload::randomDenseVector(rng, 48);
-  const RunResult r = harness::runSpmvHhtResilient(cfg, m, v, false);
+  const RunResult r = harness::run(cfg, kResilientSpmv, {&m, &v});
   EXPECT_FALSE(r.degraded);
   EXPECT_GE(r.stats.value("faults.sram_read_flips"), 1u);
   EXPECT_GE(r.stats.value("mem.ecc_corrected"), 1u);
@@ -445,7 +450,7 @@ TEST(Recovery, FifoFaultDegradesToScalarBaselineWithCorrectResult) {
   sim::Rng rng(22);
   const CsrMatrix m = workload::randomCsr(rng, 24, 24, 0.4);
   const DenseVector v = workload::randomDenseVector(rng, 24);
-  const RunResult r = harness::runSpmvHhtResilient(cfg, m, v, false);
+  const RunResult r = harness::run(cfg, kResilientSpmv, {&m, &v});
   EXPECT_TRUE(r.degraded);
   EXPECT_EQ(r.fault_cause, FaultCause::FifoParity);
   EXPECT_FALSE(r.fault_detail.empty());
@@ -458,7 +463,9 @@ TEST(Recovery, SpmspvDegradationAlsoRecovers) {
   sim::Rng rng(23);
   const CsrMatrix m = workload::randomCsr(rng, 24, 24, 0.4);
   const SparseVector v = workload::randomSparseVector(rng, 24, 0.5);
-  const RunResult r = harness::runSpmspvHhtResilient(cfg, m, v, 2, false);
+  const RunResult r = harness::run(
+      cfg, {.kernel = Kernel::kSpmspvHhtV2Scalar, .fallback = true},
+      {.m = &m, .sv = &v});
   EXPECT_TRUE(r.degraded);
   expectSameY(r.y, sparse::spmspvMerge(m, v));
 }
@@ -469,7 +476,8 @@ TEST(Recovery, FaultWithoutFallbackIsADeviceFaultError) {
   sim::Rng rng(24);
   const CsrMatrix m = workload::randomCsr(rng, 16, 16, 0.5);
   const DenseVector v = workload::randomDenseVector(rng, 16);
-  const SimError e = capture([&] { harness::runSpmvHht(cfg, m, v, false); });
+  const SimError e =
+      capture([&] { harness::run(cfg, {Kernel::kSpmvScalarHht}, {&m, &v}); });
   EXPECT_EQ(e.kind(), ErrorKind::DeviceFault);
   EXPECT_NE(e.message().find("fifo-parity"), std::string::npos);
   EXPECT_FALSE(e.diagnostic().empty());
@@ -481,8 +489,9 @@ TEST(Recovery, UncorrectableLoadIsAMachineCheck) {
   sim::Rng rng(25);
   const CsrMatrix m = workload::randomCsr(rng, 8, 8, 0.5);
   const DenseVector v = workload::randomDenseVector(rng, 8);
-  const SimError e =
-      capture([&] { harness::runSpmvBaseline(cfg, m, v, false); });
+  const SimError e = capture([&] {
+    harness::run(cfg, {Kernel::kSpmvScalarBaseline}, {&m, &v});
+  });
   EXPECT_EQ(e.kind(), ErrorKind::MachineCheck);
   EXPECT_EQ(e.component(), "cpu");
 }
@@ -519,7 +528,7 @@ TEST(Recovery, ResilientSpmvMatchesReferenceUnderEveryFaultKind) {
   for (const Knob& knob : knobs) {
     SystemConfig cfg = faultyConfig(0x50 + (&knob - knobs));
     knob.apply(cfg.faults);
-    const RunResult r = harness::runSpmvHhtResilient(cfg, m, v, false);
+    const RunResult r = harness::run(cfg, kResilientSpmv, {&m, &v});
     SCOPED_TRACE(knob.name);
     EXPECT_GE(r.stats.value("faults.total_injected"), 1u);
     expectSameY(r.y, ref);
@@ -535,8 +544,8 @@ TEST(Recovery, SeededCampaignsAreDeterministic) {
   sim::Rng rng(26);
   const CsrMatrix m = workload::randomCsr(rng, 32, 32, 0.4);
   const DenseVector v = workload::randomDenseVector(rng, 32);
-  const RunResult a = harness::runSpmvHhtResilient(cfg, m, v, false);
-  const RunResult b = harness::runSpmvHhtResilient(cfg, m, v, false);
+  const RunResult a = harness::run(cfg, kResilientSpmv, {&m, &v});
+  const RunResult b = harness::run(cfg, kResilientSpmv, {&m, &v});
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.degraded, b.degraded);
   EXPECT_EQ(a.fault_cause, b.fault_cause);
@@ -554,8 +563,9 @@ TEST(Recovery, DisabledInjectionIsCycleIdentical) {
   off.faults.seed = 99;  // knobs set but master switch off: zero cost
   off.faults.sram_read_flip_rate = 0.5;
   off.faults.fifo_corrupt_rate = 0.5;
-  const RunResult base = harness::runSpmvHht(defaultConfig(), m, v, true);
-  const RunResult gated = harness::runSpmvHht(off, m, v, true);
+  const RunResult base =
+      harness::run(defaultConfig(), {Kernel::kSpmvVectorHht}, {&m, &v});
+  const RunResult gated = harness::run(off, {Kernel::kSpmvVectorHht}, {&m, &v});
   EXPECT_EQ(base.cycles, gated.cycles);
   EXPECT_EQ(base.retired, gated.retired);
   EXPECT_EQ(gated.stats.value("faults.total_injected"), 0u);

@@ -89,6 +89,26 @@ TEST(Loaders, DimensionMismatchesThrow) {
   EXPECT_THROW(loadSpmv(sys, m, wrong), std::invalid_argument);
   const sparse::SparseVector wrong_sv = workload::randomSparseVector(rng, 4, 0.5);
   EXPECT_THROW(loadSpmspv(sys, m, wrong_sv), std::invalid_argument);
+
+  // RunSpecs no kernel exists for, and a missing operand.
+  EXPECT_THROW(spmspvHht(3), std::invalid_argument);
+  EXPECT_THROW(spmspvHht(0, false), std::invalid_argument);
+  const sparse::DenseVector v = workload::randomDenseVector(rng, 6);
+  const auto rejected = [&](const RunSpec& spec) {
+    EXPECT_THROW(run(defaultConfig(), spec, {&m, &v}), std::invalid_argument);
+  };
+  rejected({.kernel = Kernel::kSpmspvHhtV2Scalar, .tiles = 2,
+            .distribution = Distribution::kNnzBalanced});
+  rejected({.kernel = Kernel::kSpmvScalarHht, .programmable = true,
+            .tiles = 2, .distribution = Distribution::kBlock});
+  rejected({.kernel = Kernel::kSpmvScalarHht, .fallback = true, .tiles = 2,
+            .distribution = Distribution::kChunkQueue});
+  for (const Kernel k : {Kernel::kSpmmVectorHht, Kernel::kHierBitmapHht,
+                         Kernel::kFlatBitmapHht, Kernel::kSpmvVectorBaseline}) {
+    rejected({.kernel = k, .tiles = 4, .distribution = Distribution::kBlock});
+  }
+  rejected({.kernel = Kernel::kSpmvVectorHht, .tiles = 2});  // no distribution
+  rejected({.kernel = Kernel::kSpmspvHhtV1});                // sv missing
 }
 
 TEST(Config, DefaultTracksTable1) {

@@ -16,15 +16,17 @@ namespace {
 
 using harness::RunResult;
 using harness::SystemConfig;
+using harness::Kernel;
 
 TEST(Integration, SpmvSpeedupHoldsAcrossSparsities) {
   for (double sparsity : {0.3, 0.7}) {
     sim::Rng rng(0x401 + static_cast<std::uint64_t>(sparsity * 10));
     const sparse::CsrMatrix m = workload::randomCsr(rng, 64, 64, sparsity);
     const sparse::DenseVector v = workload::randomDenseVector(rng, 64);
-    const auto base =
-        harness::runSpmvBaseline(harness::defaultConfig(2), m, v, true);
-    const auto hht = harness::runSpmvHht(harness::defaultConfig(2), m, v, true);
+    const SystemConfig cfg = harness::defaultConfig(2);
+    const harness::Operands ops{&m, &v};
+    const auto base = harness::run(cfg, {Kernel::kSpmvVectorBaseline}, ops);
+    const auto hht = harness::run(cfg, {Kernel::kSpmvVectorHht}, ops);
     EXPECT_GT(harness::speedup(base, hht), 1.3) << "sparsity " << sparsity;
     // Fig. 6: with the ASIC HHT the CPU rarely waits.
     EXPECT_LT(hht.cpuWaitFraction(), 0.05);
@@ -39,9 +41,10 @@ TEST(Integration, SpmspvVariantsBeatBaselineAndCrossOver) {
     sim::Rng rng(0x402);
     const sparse::CsrMatrix m = workload::randomCsr(rng, 96, 96, 0.2);
     const sparse::SparseVector v = workload::randomSparseVector(rng, 96, 0.2);
-    const auto base = harness::runSpmspvBaseline(cfg, m, v);
-    const auto v1 = harness::runSpmspvHht(cfg, m, v, 1);
-    const auto v2 = harness::runSpmspvHht(cfg, m, v, 2);
+    const harness::Operands ops{.m = &m, .sv = &v};
+    const auto base = harness::run(cfg, {Kernel::kSpmspvScalarBaseline}, ops);
+    const auto v1 = harness::run(cfg, {Kernel::kSpmspvHhtV1}, ops);
+    const auto v2 = harness::run(cfg, {Kernel::kSpmspvHhtV2}, ops);
     EXPECT_GT(harness::speedup(base, v1), 1.0);
     EXPECT_GT(harness::speedup(base, v2), harness::speedup(base, v1));
   }
@@ -51,9 +54,10 @@ TEST(Integration, SpmspvVariantsBeatBaselineAndCrossOver) {
     sim::Rng rng(0x403);
     const sparse::CsrMatrix m = workload::randomCsr(rng, 96, 96, 0.95);
     const sparse::SparseVector v = workload::randomSparseVector(rng, 96, 0.95);
-    const auto base = harness::runSpmspvBaseline(cfg, m, v);
-    const auto v1 = harness::runSpmspvHht(cfg, m, v, 1);
-    const auto v2 = harness::runSpmspvHht(cfg, m, v, 2);
+    const harness::Operands ops{.m = &m, .sv = &v};
+    const auto base = harness::run(cfg, {Kernel::kSpmspvScalarBaseline}, ops);
+    const auto v1 = harness::run(cfg, {Kernel::kSpmspvHhtV1}, ops);
+    const auto v2 = harness::run(cfg, {Kernel::kSpmspvHhtV2}, ops);
     EXPECT_GT(harness::speedup(base, v1), 1.0);
     EXPECT_GE(harness::speedup(base, v1), harness::speedup(base, v2));
   }
@@ -65,8 +69,9 @@ TEST(Integration, Variant1IdlesMoreThanVariant2) {
   const sparse::CsrMatrix m = workload::randomCsr(rng, 96, 96, 0.8);
   const sparse::SparseVector v = workload::randomSparseVector(rng, 96, 0.8);
   const SystemConfig cfg = harness::defaultConfig(2);
-  const auto v1 = harness::runSpmspvHht(cfg, m, v, 1);
-  const auto v2 = harness::runSpmspvHht(cfg, m, v, 2);
+  const harness::Operands ops{.m = &m, .sv = &v};
+  const auto v1 = harness::run(cfg, {Kernel::kSpmspvHhtV1}, ops);
+  const auto v2 = harness::run(cfg, {Kernel::kSpmspvHhtV2}, ops);
   EXPECT_GT(v1.cpuWaitFraction(), v2.cpuWaitFraction());
 }
 
@@ -75,8 +80,8 @@ TEST(Integration, OffloadReducesDynamicInstructions) {
   const sparse::CsrMatrix m = workload::randomCsr(rng, 64, 64, 0.5);
   const sparse::DenseVector v = workload::randomDenseVector(rng, 64);
   const SystemConfig cfg = harness::defaultConfig(2);
-  const auto base = harness::runSpmvBaseline(cfg, m, v, false);
-  const auto hht = harness::runSpmvHht(cfg, m, v, false);
+  const auto base = harness::run(cfg, {Kernel::kSpmvScalarBaseline}, {&m, &v});
+  const auto hht = harness::run(cfg, {Kernel::kSpmvScalarHht}, {&m, &v});
   // Scalar kernels: the HHT version drops the col-load + address-gen +
   // gather-load per non-zero (3 instructions) and adds none.
   EXPECT_LE(hht.retired + 3 * m.nnz(), base.retired + 64);
@@ -87,8 +92,8 @@ TEST(Integration, EnergySavingPositiveOnLargeEnoughKernels) {
   const sparse::CsrMatrix m = workload::randomCsr(rng, 128, 128, 0.5);
   const sparse::DenseVector v = workload::randomDenseVector(rng, 128);
   const SystemConfig cfg = harness::defaultConfig(2);
-  const auto base = harness::runSpmvBaseline(cfg, m, v, true);
-  const auto hht = harness::runSpmvHht(cfg, m, v, true);
+  const auto base = harness::run(cfg, {Kernel::kSpmvVectorBaseline}, {&m, &v});
+  const auto hht = harness::run(cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
   const auto cmp = energy::compareEnergy(base.cycles, hht.cycles,
                                          energy::FeatureSize::Nm16, 50.0);
   EXPECT_GT(cmp.savings_fraction, 0.10);  // paper: 19% average
@@ -102,8 +107,8 @@ TEST(Integration, EventEnergyAgreesWithLumpedModel) {
   const sparse::CsrMatrix m = workload::randomCsr(rng, 96, 96, 0.5);
   const sparse::DenseVector v = workload::randomDenseVector(rng, 96);
   harness::SystemConfig cfg = harness::defaultConfig(2);
-  const auto base = harness::runSpmvBaseline(cfg, m, v, true);
-  const auto hht = harness::runSpmvHht(cfg, m, v, true);
+  const auto base = harness::run(cfg, {Kernel::kSpmvVectorBaseline}, {&m, &v});
+  const auto hht = harness::run(cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
 
   const double base_lumped = energy::energyUj(base.cycles, 50.0, 223.0);
   const double base_event = energy::eventEnergy(base.stats).totalUj();
@@ -123,8 +128,8 @@ TEST(Integration, RunsAreDeterministic) {
   const sparse::CsrMatrix m = workload::randomCsr(rng, 48, 48, 0.6);
   const sparse::DenseVector v = workload::randomDenseVector(rng, 48);
   const SystemConfig cfg = harness::defaultConfig(2);
-  const auto a = harness::runSpmvHht(cfg, m, v, true);
-  const auto b = harness::runSpmvHht(cfg, m, v, true);
+  const auto a = harness::run(cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
+  const auto b = harness::run(cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.retired, b.retired);
   EXPECT_EQ(a.cpu_wait_cycles, b.cpu_wait_cycles);
@@ -140,7 +145,8 @@ TEST(Integration, RealisticFloatsMatchReferenceWithinTolerance) {
   const sparse::DenseVector v =
       workload::randomDenseVector(rng, 48, workload::ValueDist::kUniformReal);
   const sparse::DenseVector expected = sparse::spmvCsr(m, v);
-  const auto hht = harness::runSpmvHht(harness::defaultConfig(2), m, v, true);
+  const auto hht = harness::run(harness::defaultConfig(2),
+                                {Kernel::kSpmvVectorHht}, {&m, &v});
   for (sim::Index i = 0; i < expected.size(); ++i) {
     const float scale = std::max(1.0f, std::fabs(expected.at(i)));
     EXPECT_NEAR(hht.y.at(i), expected.at(i), 1e-4f * scale) << "row " << i;
@@ -153,8 +159,8 @@ TEST(Integration, ScalarKernelsWorkOnWidth1Hardware) {
   const sparse::CsrMatrix m = workload::randomCsr(rng, 32, 32, 0.5);
   const sparse::DenseVector v = workload::randomDenseVector(rng, 32);
   const SystemConfig cfg = harness::defaultConfig(2, /*vlmax=*/1);
-  const auto base = harness::runSpmvBaseline(cfg, m, v, false);
-  const auto hht = harness::runSpmvHht(cfg, m, v, false);
+  const auto base = harness::run(cfg, {Kernel::kSpmvScalarBaseline}, {&m, &v});
+  const auto hht = harness::run(cfg, {Kernel::kSpmvScalarHht}, {&m, &v});
   EXPECT_EQ(base.y, sparse::spmvCsr(m, v));
   EXPECT_EQ(hht.y, sparse::spmvCsr(m, v));
   EXPECT_GT(harness::speedup(base, hht), 1.2);
@@ -166,10 +172,11 @@ TEST(Integration, HhtResidualNeverBusyAfterCorrectKernels) {
   const sparse::DenseVector dv = workload::randomDenseVector(rng, 40);
   const sparse::SparseVector sv = workload::randomSparseVector(rng, 40, 0.7);
   const SystemConfig cfg = harness::defaultConfig(2);
-  EXPECT_FALSE(harness::runSpmvHht(cfg, m, dv, true).hht_residual_busy);
-  EXPECT_FALSE(harness::runSpmvHht(cfg, m, dv, false).hht_residual_busy);
-  EXPECT_FALSE(harness::runSpmspvHht(cfg, m, sv, 1).hht_residual_busy);
-  EXPECT_FALSE(harness::runSpmspvHht(cfg, m, sv, 2).hht_residual_busy);
+  const harness::Operands ops{.m = &m, .v = &dv, .sv = &sv};
+  for (const Kernel k : {Kernel::kSpmvVectorHht, Kernel::kSpmvScalarHht,
+                         Kernel::kSpmspvHhtV1, Kernel::kSpmspvHhtV2}) {
+    EXPECT_FALSE(harness::run(cfg, {k}, ops).hht_residual_busy);
+  }
 }
 
 TEST(Integration, SuiteSparseLikeMatricesKeepTheSpeedup) {
@@ -181,8 +188,9 @@ TEST(Integration, SuiteSparseLikeMatricesKeepTheSpeedup) {
   const sparse::CsrMatrix power = workload::powerLawCsr(rng, 96, 96, 12, 0.6);
   for (const sparse::CsrMatrix* m : {&banded, &power}) {
     const sparse::DenseVector v = workload::randomDenseVector(rng, m->numCols());
-    const auto base = harness::runSpmvBaseline(cfg, *m, v, true);
-    const auto hht = harness::runSpmvHht(cfg, *m, v, true);
+    const auto base =
+        harness::run(cfg, {Kernel::kSpmvVectorBaseline}, {&*m, &v});
+    const auto hht = harness::run(cfg, {Kernel::kSpmvVectorHht}, {&*m, &v});
     EXPECT_EQ(hht.y, sparse::spmvCsr(*m, v));
     EXPECT_GT(harness::speedup(base, hht), 1.2);
   }

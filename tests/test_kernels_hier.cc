@@ -17,6 +17,7 @@ using harness::SystemConfig;
 using sparse::CsrMatrix;
 using sparse::DenseVector;
 using sparse::HierBitmapMatrix;
+using harness::Kernel;
 
 struct Case {
   sim::Index rows;
@@ -38,7 +39,9 @@ TEST_P(HierKernelTest, HhtBitmapWalkMatchesReference) {
   const DenseVector expected =
       sparse::spmvCsr(CsrMatrix::fromDense(dense), v);
 
-  const RunResult run = harness::runHierHht(harness::defaultConfig(), hb, v);
+  const RunResult run = harness::run(harness::defaultConfig(),
+                                     {Kernel::kHierBitmapHht},
+                                     {.v = &v, .hier = &hb});
   ASSERT_EQ(expected.size(), run.y.size());
   for (sim::Index i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(expected.at(i), run.y.at(i)) << "y[" << i << "]";
@@ -68,7 +71,8 @@ TEST_P(FlatKernelTest, HhtFlatBitmapWalkMatchesReference) {
       sparse::spmvCsr(CsrMatrix::fromDense(dense), v);
 
   const harness::RunResult run =
-      harness::runFlatHht(harness::defaultConfig(), bv, v);
+      harness::run(harness::defaultConfig(), {Kernel::kFlatBitmapHht},
+                   {.v = &v, .flat = &bv});
   ASSERT_EQ(expected.size(), run.y.size());
   for (sim::Index i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(expected.at(i), run.y.at(i)) << "y[" << i << "]";
@@ -92,8 +96,10 @@ TEST(FlatVsHier, HierSkipsEmptyRegionsAtExtremeSparsity) {
   const sparse::BitVectorMatrix bv = sparse::BitVectorMatrix::fromDense(dense);
   const DenseVector v = workload::randomDenseVector(rng, 64);
   const auto cfg = harness::defaultConfig();
-  const auto hier = harness::runHierHht(cfg, hb, v);
-  const auto flat = harness::runFlatHht(cfg, bv, v);
+  const auto hier =
+      harness::run(cfg, {Kernel::kHierBitmapHht}, {.v = &v, .hier = &hb});
+  const auto flat =
+      harness::run(cfg, {Kernel::kFlatBitmapHht}, {.v = &v, .flat = &bv});
   EXPECT_EQ(hier.y, flat.y);
   EXPECT_LT(hier.stats.value("hht.mem_reads"), flat.stats.value("hht.mem_reads"));
 }

@@ -13,6 +13,7 @@ namespace {
 using harness::RunResult;
 using sparse::CsrMatrix;
 using sparse::DenseMatrix;
+using harness::Kernel;
 
 struct Case {
   sim::Index rows;
@@ -47,10 +48,12 @@ TEST_P(SpmmKernelTest, BaselineAndHhtMatchReference) {
   const DenseMatrix expected = sparse::spmmCsr(m, b);
 
   const harness::SystemConfig cfg = harness::defaultConfig(2);
-  const RunResult base = harness::runSpmmBaseline(cfg, m, b);
+  const RunResult base =
+      harness::run(cfg, {Kernel::kSpmmVectorBaseline}, {.m = &m, .b = &b});
   expectMatches(expected, base);
 
-  const RunResult hht = harness::runSpmmHht(cfg, m, b);
+  const RunResult hht =
+      harness::run(cfg, {Kernel::kSpmmVectorHht}, {.m = &m, .b = &b});
   expectMatches(expected, hht);
   EXPECT_FALSE(hht.hht_residual_busy);
 

@@ -15,6 +15,7 @@ using harness::SystemConfig;
 using sparse::CsrMatrix;
 using sparse::DenseVector;
 using sparse::SparseVector;
+using harness::Kernel;
 
 void expectVectorsEqual(const DenseVector& expected, const DenseVector& actual) {
   ASSERT_EQ(expected.size(), actual.size());
@@ -45,18 +46,21 @@ TEST_P(SpmspvKernelTest, AllKernelVariantsMatchReference) {
 
   const SystemConfig cfg = harness::defaultConfig(c.num_buffers);
 
-  const RunResult base = harness::runSpmspvBaseline(cfg, m, v);
+  const auto run = [&](Kernel k) {
+    return harness::run(cfg, {k}, {.m = &m, .sv = &v});
+  };
+  const RunResult base = run(Kernel::kSpmspvScalarBaseline);
   expectVectorsEqual(expected, base.y);
 
-  const RunResult v1 = harness::runSpmspvHht(cfg, m, v, 1);
+  const RunResult v1 = run(Kernel::kSpmspvHhtV1);
   expectVectorsEqual(expected, v1.y);
   EXPECT_FALSE(v1.hht_residual_busy);
 
-  const RunResult v2 = harness::runSpmspvHht(cfg, m, v, 2, true);
+  const RunResult v2 = run(Kernel::kSpmspvHhtV2);
   expectVectorsEqual(expected, v2.y);
   EXPECT_FALSE(v2.hht_residual_busy);
 
-  const RunResult v2s = harness::runSpmspvHht(cfg, m, v, 2, false);
+  const RunResult v2s = run(Kernel::kSpmspvHhtV2Scalar);
   expectVectorsEqual(expected, v2s.y);
 }
 

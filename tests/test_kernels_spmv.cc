@@ -15,6 +15,7 @@ using harness::RunResult;
 using harness::SystemConfig;
 using sparse::CsrMatrix;
 using sparse::DenseVector;
+using harness::Kernel;
 
 void expectVectorsEqual(const DenseVector& expected, const DenseVector& actual) {
   ASSERT_EQ(expected.size(), actual.size());
@@ -41,18 +42,19 @@ TEST_P(SpmvKernelTest, AllKernelVariantsMatchReference) {
   const DenseVector expected = sparse::spmvCsr(m, v);
 
   const SystemConfig cfg = harness::defaultConfig(2, c.vlmax);
+  const auto run = [&](Kernel k) { return harness::run(cfg, {k}, {&m, &v}); };
 
-  const RunResult base_scalar = harness::runSpmvBaseline(cfg, m, v, false);
+  const RunResult base_scalar = run(Kernel::kSpmvScalarBaseline);
   expectVectorsEqual(expected, base_scalar.y);
 
-  const RunResult base_vec = harness::runSpmvBaseline(cfg, m, v, true);
+  const RunResult base_vec = run(Kernel::kSpmvVectorBaseline);
   expectVectorsEqual(expected, base_vec.y);
 
-  const RunResult hht_scalar = harness::runSpmvHht(cfg, m, v, false);
+  const RunResult hht_scalar = run(Kernel::kSpmvScalarHht);
   expectVectorsEqual(expected, hht_scalar.y);
   EXPECT_FALSE(hht_scalar.hht_residual_busy);
 
-  const RunResult hht_vec = harness::runSpmvHht(cfg, m, v, true);
+  const RunResult hht_vec = run(Kernel::kSpmvVectorHht);
   expectVectorsEqual(expected, hht_vec.y);
   EXPECT_FALSE(hht_vec.hht_residual_busy);
 

@@ -23,6 +23,8 @@
 namespace hht::mem {
 namespace {
 
+using harness::Kernel;
+
 MemorySystemConfig baseConfig() {
   MemorySystemConfig cfg;
   cfg.sram_bytes = 8192;
@@ -589,7 +591,8 @@ TEST(MemTopology, ProfilerPartitionIsExactOnHierarchicalRun) {
   cfg.memory.topology.interleave_bytes = 256;
   obs::TraceSink sink;
   cfg.trace_sink = &sink;
-  const harness::RunResult r = harness::runSpmvHht(cfg, m, v, true);
+  const harness::RunResult r =
+      harness::run(cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
 
   const obs::ProfileReport rep = obs::profile(sink);
   ASSERT_GT(rep.horizon, 0u);

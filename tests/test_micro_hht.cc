@@ -15,6 +15,12 @@ using harness::SystemConfig;
 using sparse::CsrMatrix;
 using sparse::DenseVector;
 using sparse::SparseVector;
+using harness::Kernel;
+
+/// `kernel` with its metadata walk running as firmware on the micro-core.
+harness::RunSpec programmable(Kernel kernel) {
+  return {.kernel = kernel, .programmable = true};
+}
 
 void expectVectorsEqual(const DenseVector& expected, const DenseVector& actual) {
   ASSERT_EQ(expected.size(), actual.size());
@@ -41,11 +47,13 @@ TEST_P(ProgSpmvTest, FirmwareGatherMatchesReference) {
   const DenseVector expected = sparse::spmvCsr(m, v);
 
   const SystemConfig cfg = harness::defaultConfig(2);
-  const RunResult vec = harness::runSpmvProgHht(cfg, m, v, true);
+  const RunResult vec =
+      harness::run(cfg, programmable(Kernel::kSpmvVectorHht), {&m, &v});
   expectVectorsEqual(expected, vec.y);
   EXPECT_FALSE(vec.hht_residual_busy);
 
-  const RunResult scalar = harness::runSpmvProgHht(cfg, m, v, false);
+  const RunResult scalar =
+      harness::run(cfg, programmable(Kernel::kSpmvScalarHht), {&m, &v});
   expectVectorsEqual(expected, scalar.y);
 }
 
@@ -68,14 +76,17 @@ TEST_P(ProgSpmspvTest, FirmwareVariantsMatchReference) {
   const DenseVector expected = sparse::spmspvMerge(m, v);
 
   const SystemConfig cfg = harness::defaultConfig(2);
-  const RunResult v1 = harness::runSpmspvProgHht(cfg, m, v, 1);
+  const auto run = [&](Kernel k) {
+    return harness::run(cfg, programmable(k), {.m = &m, .sv = &v});
+  };
+  const RunResult v1 = run(Kernel::kSpmspvHhtV1);
   expectVectorsEqual(expected, v1.y);
   EXPECT_FALSE(v1.hht_residual_busy);
 
-  const RunResult v2 = harness::runSpmspvProgHht(cfg, m, v, 2, true);
+  const RunResult v2 = run(Kernel::kSpmspvHhtV2);
   expectVectorsEqual(expected, v2.y);
 
-  const RunResult v2s = harness::runSpmspvProgHht(cfg, m, v, 2, false);
+  const RunResult v2s = run(Kernel::kSpmspvHhtV2Scalar);
   expectVectorsEqual(expected, v2s.y);
 }
 
@@ -91,8 +102,9 @@ TEST(ProgrammableHht, SlowerThanAsicButFasterMetadataThanBaselineScalar) {
   const CsrMatrix m = workload::randomCsr(rng, 48, 48, 0.5);
   const DenseVector v = workload::randomDenseVector(rng, 48);
   const SystemConfig cfg = harness::defaultConfig(2);
-  const auto asic = harness::runSpmvHht(cfg, m, v, true);
-  const auto prog = harness::runSpmvProgHht(cfg, m, v, true);
+  const auto asic = harness::run(cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
+  const auto prog =
+      harness::run(cfg, programmable(Kernel::kSpmvVectorHht), {&m, &v});
   // Firmware metadata processing cannot beat the dedicated pipelines.
   EXPECT_GT(prog.cycles, asic.cycles);
   // But the CPU-side consumer is identical, so the dynamic instruction
@@ -109,7 +121,8 @@ TEST(ProgrammableHht, FirmwareFlowControlThrottles) {
   const DenseVector v = workload::randomDenseVector(rng, 24);
   SystemConfig cfg = harness::defaultConfig(1);
   cfg.timing.fp_madd = 40;
-  const auto run = harness::runSpmvProgHht(cfg, m, v, false);
+  const auto run =
+      harness::run(cfg, programmable(Kernel::kSpmvScalarHht), {&m, &v});
   EXPECT_GT(run.hht_wait_cycles, 0u);  // kFwSpace stalls counted
   EXPECT_EQ(run.y, sparse::spmvCsr(m, v));
 }
@@ -121,11 +134,10 @@ TEST(ProgrammableHht, StartWithoutFirmwareIsAnError) {
   sim::Rng rng(0x704);
   const CsrMatrix m = workload::randomCsr(rng, 4, 4, 0.5);
   const DenseVector v = workload::randomDenseVector(rng, 4);
-  const kernels::SpmvLayout layout = harness::loadSpmv(sys, m, v);
-  const isa::Program p =
-      kernels::spmvVectorHht(layout, cfg.memory.mmio_base);
+  const harness::Prepared p =
+      harness::prepare(sys, {Kernel::kSpmvVectorHht}, {&m, &v});
   // The CPU kernel pulses START; with no firmware installed that throws.
-  EXPECT_THROW(sys.run(p, layout.y, layout.num_rows), std::logic_error);
+  EXPECT_THROW(sys.run(p.program, p.y, p.y_len), std::logic_error);
 }
 
 TEST(ProgrammableHht, MicroCoreTrafficIsTaggedAsHht) {
@@ -133,7 +145,8 @@ TEST(ProgrammableHht, MicroCoreTrafficIsTaggedAsHht) {
   const CsrMatrix m = workload::randomCsr(rng, 16, 16, 0.5);
   const DenseVector v = workload::randomDenseVector(rng, 16);
   const auto run =
-      harness::runSpmvProgHht(harness::defaultConfig(2), m, v, true);
+      harness::run(harness::defaultConfig(2),
+                   programmable(Kernel::kSpmvVectorHht), {&m, &v});
   EXPECT_GT(run.stats.value("mem.hht.reads"), m.nnz());  // cols + v fetches
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,11 @@ SystemConfig scaleConfig(std::uint32_t num_tiles,
   cfg.memory.num_tiles = num_tiles;
   cfg.memory.policy = policy;
   return cfg;
+}
+
+/// `kernel` on `tiles` tiles over static row shards.
+RunSpec onShards(Kernel kernel, std::uint32_t tiles, Distribution part) {
+  return {.kernel = kernel, .tiles = tiles, .distribution = part};
 }
 
 /// Occamy-style hierarchical topology (DESIGN.md §17): per-tile L1s, four
@@ -67,12 +73,14 @@ TEST(MultiTile, ShardedSpmvBitIdenticalToSingleTileForAnyTileCount) {
   const sparse::CsrMatrix m = workload::randomCsr(rng, 96, 96, 0.25);
   const sparse::DenseVector v = workload::randomDenseVector(rng, 96);
   const SystemConfig base = defaultConfig();
-  const RunResult single = runSpmvHht(base, m, v, true);
+  const RunResult single = run(base, {Kernel::kSpmvVectorHht}, {&m, &v});
 
   for (const std::uint32_t tiles : {1u, 2u, 4u}) {
-    for (const Partition part : {Partition::Block, Partition::NnzBalanced}) {
+    for (const Distribution part :
+         {Distribution::kBlock, Distribution::kNnzBalanced}) {
       const RunResult sharded =
-          runSpmvHhtSharded(scaleConfig(tiles), tiles, part, m, v, true);
+          run(scaleConfig(tiles), onShards(Kernel::kSpmvVectorHht, tiles, part),
+              {&m, &v});
       expectSameY(single.y, sharded.y);
     }
   }
@@ -87,12 +95,14 @@ TEST(MultiTile, ShardedSpmspvBothVariantsBitIdentical) {
   const sparse::SparseVector v = workload::randomSparseVector(rng, 80, 0.4);
 
   for (const int variant : {1, 2}) {
-    const RunResult single = runSpmspvHht(defaultConfig(), m, v, variant);
+    const RunResult single =
+        run(defaultConfig(), {spmspvHht(variant)}, {.m = &m, .sv = &v});
     for (const std::uint32_t tiles : {2u, 4u}) {
-      for (const Partition part :
-           {Partition::Block, Partition::NnzBalanced}) {
-        const RunResult sharded = runSpmspvHhtSharded(
-            scaleConfig(tiles), tiles, part, m, v, variant);
+      for (const Distribution part :
+           {Distribution::kBlock, Distribution::kNnzBalanced}) {
+        const RunResult sharded =
+            run(scaleConfig(tiles), onShards(spmspvHht(variant), tiles, part),
+                {.m = &m, .sv = &v});
         expectSameY(single.y, sharded.y);
       }
     }
@@ -105,9 +115,10 @@ TEST(MultiTile, OneTileShardedRunIsCycleIdenticalToSystem) {
   const sparse::DenseVector v = workload::randomDenseVector(rng, 64);
   // Same 1-tile config both sides.
   const SystemConfig cfg = defaultConfig();
-  const RunResult single = runSpmvHht(cfg, m, v, true);
+  const RunResult single = run(cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
   const RunResult sharded =
-      runSpmvHhtSharded(cfg, 1, Partition::Block, m, v, true);
+      run(cfg, onShards(Kernel::kSpmvVectorHht, 1, Distribution::kBlock),
+          {&m, &v});
   // The shard program is instruction-identical (only its name differs), so
   // the 1-tile sharded run must reproduce the unsharded one cycle for cycle.
   EXPECT_EQ(single.cycles, sharded.cycles);
@@ -123,8 +134,9 @@ TEST(MultiTile, MoreTilesThanRowsLeavesTrailingShardsEmpty) {
   const auto shards = workload::partitionRowsBlock(m, 8);
   ASSERT_EQ(shards.size(), 8u);
   EXPECT_TRUE(shards.back().empty());
-  const RunResult sharded = runSpmvHhtSharded(scaleConfig(8), 8,
-                                              Partition::Block, m, v, true);
+  const RunResult sharded =
+      run(scaleConfig(8),
+          onShards(Kernel::kSpmvVectorHht, 8, Distribution::kBlock), {&m, &v});
   const sparse::DenseVector ref = sparse::spmvCsr(m, v);
   expectSameY(ref, sharded.y);
 }
@@ -177,34 +189,30 @@ TEST(MultiTile, RejectsUnsupportedConfigsAndProgramCounts) {
 struct ShardedWorkload {
   sparse::CsrMatrix m;
   sparse::DenseVector v;
-  kernels::SpmvLayout layout;
-  std::vector<kernels::RowShard> shards;
-  std::vector<isa::Program> programs;
+  Prepared p;
 };
 
-ShardedWorkload prepare(System& sys, std::uint64_t seed) {
+ShardedWorkload loadSharded(System& sys, std::uint64_t seed) {
   sim::Rng rng(seed);
   ShardedWorkload w;
   w.m = workload::randomCsr(rng, 64, 64, 0.3);
   w.v = workload::randomDenseVector(rng, 64);
-  w.layout = loadSpmv(sys.arena(), sys.memory().sram(), w.m, w.v);
-  w.shards = workload::partitionRowsNnzBalanced(w.m, sys.numTiles());
-  for (std::uint32_t t = 0; t < sys.numTiles(); ++t) {
-    w.programs.push_back(kernels::spmvVectorHhtShard(w.layout, w.shards[t],
-                                                     sys.mmioBaseOf(t)));
-  }
+  w.p = prepare(sys,
+                onShards(Kernel::kSpmvVectorHht, sys.numTiles(),
+                         Distribution::kNnzBalanced),
+                {&w.m, &w.v});
   return w;
 }
 
 /// Observer that checkpoints the running System once, at `at`.
 class CheckpointAt : public RunObserver {
  public:
-  CheckpointAt(const std::vector<isa::Program>& programs, Cycle at)
-      : programs_(&programs), at_(at) {}
+  CheckpointAt(std::span<const isa::Program> programs, Cycle at)
+      : programs_(programs), at_(at) {}
 
   void onCycle(System& sys, Cycle now) override {
     if (now == at_ && snapshot_.empty()) {
-      snapshot_ = sys.checkpoint(*programs_, now + 1);
+      snapshot_ = sys.checkpoint(programs_, now + 1);
       resume_at_ = now + 1;
     }
   }
@@ -213,7 +221,7 @@ class CheckpointAt : public RunObserver {
   Cycle resumeAt() const { return resume_at_; }
 
  private:
-  const std::vector<isa::Program>* programs_;
+  std::span<const isa::Program> programs_;
   Cycle at_;
   Cycle resume_at_ = 0;
   std::vector<std::uint8_t> snapshot_;
@@ -223,27 +231,25 @@ TEST(MultiTile, CheckpointRestoreResumeIsBitIdenticalOn4Tiles) {
   const SystemConfig cfg = scaleConfig(4);
 
   System uninterrupted(cfg);
-  const ShardedWorkload w = prepare(uninterrupted, 0x4711);
+  const ShardedWorkload w = loadSharded(uninterrupted, 0x4711);
   const RunResult base =
-      uninterrupted.run(w.programs, w.layout.y, w.layout.num_rows);
+      uninterrupted.run(w.p.programs(), w.p.y, w.p.y_len);
   ASSERT_GT(base.cycles, 200u);
 
   System observed(cfg);
-  const ShardedWorkload w2 = prepare(observed, 0x4711);
-  CheckpointAt observer(w2.programs, base.cycles / 2);
-  const RunResult watched = observed.run(w2.programs, w2.layout.y,
-                                         w2.layout.num_rows, 500'000'000,
-                                         nullptr, &observer);
+  const ShardedWorkload w2 = loadSharded(observed, 0x4711);
+  CheckpointAt observer(w2.p.programs(), base.cycles / 2);
+  const RunResult watched = observed.run(w2.p.programs(), w2.p.y, w2.p.y_len,
+                                         500'000'000, nullptr, &observer);
   EXPECT_EQ(base.cycles, watched.cycles);
   EXPECT_EQ(base.stats.all(), watched.stats.all());
   ASSERT_FALSE(observer.snapshot().empty());
 
   System resumed_sys(cfg);
-  const Cycle start =
-      resumed_sys.restore(observer.snapshot(), w2.programs);
+  const Cycle start = resumed_sys.restore(observer.snapshot(), w2.p.programs());
   EXPECT_EQ(start, observer.resumeAt());
-  const RunResult resumed = resumed_sys.resume(w2.programs, w2.layout.y,
-                                               w2.layout.num_rows, start);
+  const RunResult resumed =
+      resumed_sys.resume(w2.p.programs(), w2.p.y, w2.p.y_len, start);
   EXPECT_EQ(base.cycles, resumed.cycles);
   EXPECT_EQ(base.retired, resumed.retired);
   EXPECT_EQ(base.stats.all(), resumed.stats.all());
@@ -254,14 +260,14 @@ TEST(MultiTile, CheckpointRestoreResumeIsBitIdenticalOn4Tiles) {
 TEST(MultiTile, RestoreRejectsTileCountAndProgramMismatch) {
   const SystemConfig cfg = scaleConfig(4);
   System sys(cfg);
-  const ShardedWorkload w = prepare(sys, 0x4712);
-  const std::vector<std::uint8_t> snap = sys.checkpoint(w.programs, 0);
+  const ShardedWorkload w = loadSharded(sys, 0x4712);
+  const std::vector<std::uint8_t> snap = sys.checkpoint(w.p.programs(), 0);
 
   {  // Same snapshot into a 2-tile system: fingerprint already differs.
     System target(scaleConfig(2));
-    ShardedWorkload w2 = prepare(target, 0x4712);
+    ShardedWorkload w2 = loadSharded(target, 0x4712);
     try {
-      target.restore(snap, w2.programs);
+      target.restore(snap, w2.p.programs());
       ADD_FAILURE() << "restore accepted a 4-tile snapshot on 2 tiles";
     } catch (const SimError& e) {
       EXPECT_EQ(e.kind(), ErrorKind::Checkpoint);
@@ -269,10 +275,10 @@ TEST(MultiTile, RestoreRejectsTileCountAndProgramMismatch) {
   }
   {  // Right tile count, one wrong program.
     System target(cfg);
-    ShardedWorkload w2 = prepare(target, 0x4712);
-    w2.programs[2] = isa::ProgramBuilder("imposter").ecall().build();
+    ShardedWorkload w2 = loadSharded(target, 0x4712);
+    w2.p.tiles[2] = isa::ProgramBuilder("imposter").ecall().build();
     try {
-      target.restore(snap, w2.programs);
+      target.restore(snap, w2.p.programs());
       ADD_FAILURE() << "restore accepted a mismatched tile program";
     } catch (const SimError& e) {
       EXPECT_EQ(e.kind(), ErrorKind::Checkpoint);
@@ -284,14 +290,14 @@ TEST(MultiTile, RestoreRejectsASnapshotOfAnotherTileCount) {
   // One snapshot path serves every tile count, so a 1-tile snapshot must
   // not restore into a 4-tile machine, nor the reverse.
   System one(scaleConfig(1));
-  const ShardedWorkload w1 = prepare(one, 0x4714);
+  const ShardedWorkload w1 = loadSharded(one, 0x4714);
   System four(scaleConfig(4));
-  const ShardedWorkload w4 = prepare(four, 0x4714);
-  const std::vector<std::uint8_t> snap1 = one.checkpoint(w1.programs, 0);
-  const std::vector<std::uint8_t> snap4 = four.checkpoint(w4.programs, 0);
+  const ShardedWorkload w4 = loadSharded(four, 0x4714);
+  const std::vector<std::uint8_t> snap1 = one.checkpoint(w1.p.programs(), 0);
+  const std::vector<std::uint8_t> snap4 = four.checkpoint(w4.p.programs(), 0);
   const auto expectRejected = [](System& target,
                                  const std::vector<std::uint8_t>& snap,
-                                 const std::vector<isa::Program>& programs) {
+                                 std::span<const isa::Program> programs) {
     try {
       target.restore(snap, programs);
       ADD_FAILURE() << "restore accepted a snapshot of another tile count";
@@ -299,21 +305,21 @@ TEST(MultiTile, RestoreRejectsASnapshotOfAnotherTileCount) {
       EXPECT_EQ(e.kind(), ErrorKind::Checkpoint) << e.what();
     }
   };
-  expectRejected(four, snap1, w4.programs);
-  expectRejected(one, snap4, w1.programs);
+  expectRejected(four, snap1, w4.p.programs());
+  expectRejected(one, snap4, w1.p.programs());
 }
 
 TEST(MultiTile, RestoreRejectsNewerSnapshotVersion) {
   const SystemConfig cfg = scaleConfig(4);
   System sys(cfg);
-  const ShardedWorkload w = prepare(sys, 0x4713);
-  std::vector<std::uint8_t> snap = sys.checkpoint(w.programs, 0);
+  const ShardedWorkload w = loadSharded(sys, 0x4713);
+  std::vector<std::uint8_t> snap = sys.checkpoint(w.p.programs(), 0);
   const std::uint32_t newer = kSnapshotVersion + 1;
   std::memcpy(snap.data() + 4, &newer, sizeof newer);  // version field
   System target(cfg);
-  ShardedWorkload w2 = prepare(target, 0x4713);
+  ShardedWorkload w2 = loadSharded(target, 0x4713);
   try {
-    target.restore(snap, w2.programs);
+    target.restore(snap, w2.p.programs());
     ADD_FAILURE() << "restore accepted a snapshot from the future";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::Checkpoint);
@@ -355,12 +361,12 @@ TEST(MultiTile, DifferentialOracleTapsEveryTileAndStaysClean) {
 TEST(MultiTile, OracleCatchesACorruptedTileStream) {
   const SystemConfig cfg = scaleConfig(2);
   System sys(cfg);
-  const ShardedWorkload w = prepare(sys, 0x4715);
+  const ShardedWorkload w = loadSharded(sys, 0x4715);
 
   std::vector<std::vector<verify::StreamEvent>> expected;
   for (std::uint32_t t = 0; t < 2; ++t) {
     expected.push_back(
-        verify::expectedGatherStreamShard(w.m, w.v, w.shards[t]));
+        verify::expectedGatherStreamShard(w.m, w.v, w.p.shards[t]));
   }
   // Sabotage tile 1's functional model: the run must flag tile 1 and only
   // tile 1 (the taps are per-tile, so divergence localizes).
@@ -368,8 +374,7 @@ TEST(MultiTile, OracleCatchesACorruptedTileStream) {
   expected[1][0].bits ^= 0x00400000;
   verify::DifferentialOracle oracle(std::move(expected));
   oracle.attach(sys);
-  sys.run(w.programs, w.layout.y, w.layout.num_rows, 500'000'000, nullptr,
-          &oracle);
+  sys.run(w.p.programs(), w.p.y, w.p.y_len, 500'000'000, nullptr, &oracle);
   oracle.detach(sys);
   EXPECT_FALSE(oracle.diverged(0));
   EXPECT_TRUE(oracle.diverged(1));
@@ -379,11 +384,11 @@ TEST(MultiTile, OracleCatchesACorruptedTileStream) {
 TEST(MultiTile, PerTileStallProfilesPartitionTheSharedHorizon) {
   SystemConfig cfg = scaleConfig(2);
   System sys(cfg);
-  const ShardedWorkload w = prepare(sys, 0x4716);
+  const ShardedWorkload w = loadSharded(sys, 0x4716);
   obs::TraceSink sink0, sink1;
   sys.setTileTraceSink(0, &sink0);
   sys.setTileTraceSink(1, &sink1);
-  sys.run(w.programs, w.layout.y, w.layout.num_rows);
+  sys.run(w.p.programs(), w.p.y, w.p.y_len);
 
   const obs::ProfileReport rep0 = obs::profile(sink0);
   const obs::ProfileReport rep1 = obs::profile(sink1);
@@ -405,9 +410,11 @@ TEST(MultiTile, FastForwardIsBitIdenticalOn4Tiles) {
   SystemConfig off = scaleConfig(4);
   off.host_fastforward = false;
   const RunResult fast =
-      runSpmvHhtSharded(on, 4, Partition::NnzBalanced, m, v, true);
+      run(on, onShards(Kernel::kSpmvVectorHht, 4, Distribution::kNnzBalanced),
+          {&m, &v});
   const RunResult naive =
-      runSpmvHhtSharded(off, 4, Partition::NnzBalanced, m, v, true);
+      run(off, onShards(Kernel::kSpmvVectorHht, 4, Distribution::kNnzBalanced),
+          {&m, &v});
   EXPECT_EQ(fast.cycles, naive.cycles);
   EXPECT_EQ(fast.retired, naive.retired);
   EXPECT_EQ(fast.cpu_wait_cycles, naive.cpu_wait_cycles);
@@ -665,10 +672,10 @@ TEST(MultiTile, WedgedTileWatchdogNamesTheTileInBothLoopModes) {
     cfg.watchdog_cycles = 2000;
     cfg.host_fastforward = fastforward;
     System sys(cfg);
-    ShardedWorkload w = prepare(sys, 0x4740);
-    w.programs[2] = orphanPop(sys, 2);
+    ShardedWorkload w = loadSharded(sys, 0x4740);
+    w.p.tiles[2] = orphanPop(sys, 2);
     return captureError([&] {
-      sys.run(w.programs, w.layout.y, w.layout.num_rows, 200'000);
+      sys.run(w.p.programs(), w.p.y, w.p.y_len, 200'000);
     });
   };
   const SimError naive = wedge(false);
@@ -695,9 +702,9 @@ TEST(MultiTile, DeviceFaultNamesTheSameTileInBothLoopModes) {
     cfg.faults.fifo_corrupt_rate = 1.0;
     cfg.host_fastforward = fastforward;
     System sys(cfg);
-    const ShardedWorkload w = prepare(sys, 0x4741);
+    const ShardedWorkload w = loadSharded(sys, 0x4741);
     return captureError(
-        [&] { sys.run(w.programs, w.layout.y, w.layout.num_rows); });
+        [&] { sys.run(w.p.programs(), w.p.y, w.p.y_len); });
   };
   const SimError naive = fault(false);
   const SimError event = fault(true);
@@ -721,19 +728,19 @@ TEST(MultiTile, ThreadedTilePhaseIsByteIdenticalToSerial) {
     SystemConfig serial_cfg = scaleConfig(tiles);
     serial_cfg.tile_workers = 1;
     System serial_sys(serial_cfg);
-    const ShardedWorkload ws = prepare(serial_sys, 0x4720 + tiles);
+    const ShardedWorkload ws = loadSharded(serial_sys, 0x4720 + tiles);
     const RunResult serial =
-        serial_sys.run(ws.programs, ws.layout.y, ws.layout.num_rows);
+        serial_sys.run(ws.p.programs(), ws.p.y, ws.p.y_len);
     const std::vector<std::uint8_t> serial_snap =
-        serial_sys.checkpoint(ws.programs, serial.cycles);
+        serial_sys.checkpoint(ws.p.programs(), serial.cycles);
 
     for (const std::uint32_t workers : {2u, 4u}) {
       SystemConfig thr_cfg = scaleConfig(tiles);
       thr_cfg.tile_workers = workers;
       System thr_sys(thr_cfg);
-      const ShardedWorkload wt = prepare(thr_sys, 0x4720 + tiles);
+      const ShardedWorkload wt = loadSharded(thr_sys, 0x4720 + tiles);
       const RunResult thr =
-          thr_sys.run(wt.programs, wt.layout.y, wt.layout.num_rows);
+          thr_sys.run(wt.p.programs(), wt.p.y, wt.p.y_len);
       const std::string label = "tiles=" + std::to_string(tiles) +
                                 " workers=" + std::to_string(workers);
       EXPECT_EQ(serial.cycles, thr.cycles) << label;
@@ -745,7 +752,7 @@ TEST(MultiTile, ThreadedTilePhaseIsByteIdenticalToSerial) {
       // The snapshot covers SRAM, queues, pipelines, RNG — byte equality
       // here means the machines are indistinguishable, not just the
       // result surface.
-      EXPECT_EQ(serial_snap, thr_sys.checkpoint(wt.programs, thr.cycles))
+      EXPECT_EQ(serial_snap, thr_sys.checkpoint(wt.p.programs(), thr.cycles))
           << label;
     }
   }
@@ -760,12 +767,12 @@ TEST(MultiTile, ThreadedTilePhaseEmitsIdenticalTraces) {
     SystemConfig cfg = scaleConfig(tiles);
     cfg.tile_workers = workers;
     System sys(cfg);
-    const ShardedWorkload w = prepare(sys, 0x4730);
+    const ShardedWorkload w = loadSharded(sys, 0x4730);
     std::vector<obs::TraceSink> sinks(tiles);
     for (std::uint32_t t = 0; t < tiles; ++t) {
       sys.setTileTraceSink(t, &sinks[t]);
     }
-    sys.run(w.programs, w.layout.y, w.layout.num_rows);
+    sys.run(w.p.programs(), w.p.y, w.p.y_len);
     std::vector<std::vector<obs::TraceEvent>> events;
     for (auto& sink : sinks) {
       events.push_back(sink.events());
@@ -803,22 +810,24 @@ TEST(MultiTile, HierarchicalTopologyIsOutputIdenticalToFlatEveryEngine) {
 
   std::uint64_t l1_hits = 0;
   for (const std::uint32_t tiles : {2u, 4u}) {
-    for (const Partition part : {Partition::Block, Partition::NnzBalanced}) {
-      for (const bool vectorized : {false, true}) {
+    for (const Distribution part :
+         {Distribution::kBlock, Distribution::kNnzBalanced}) {
+      for (const Kernel kernel :
+           {Kernel::kSpmvScalarHht, Kernel::kSpmvVectorHht}) {
         const RunResult flat =
-            runSpmvHhtSharded(scaleConfig(tiles), tiles, part, m, dv,
-                              vectorized);
+            run(scaleConfig(tiles), onShards(kernel, tiles, part), {&m, &dv});
         const RunResult hier =
-            runSpmvHhtSharded(hierConfig(tiles), tiles, part, m, dv,
-                              vectorized);
+            run(hierConfig(tiles), onShards(kernel, tiles, part), {&m, &dv});
         expectSameY(flat.y, hier.y);
         l1_hits += hier.stats.value("mem.l1.hits");
       }
       for (const int variant : {1, 2}) {
-        const RunResult flat = runSpmspvHhtSharded(scaleConfig(tiles), tiles,
-                                                   part, m, sv, variant);
-        const RunResult hier = runSpmspvHhtSharded(hierConfig(tiles), tiles,
-                                                   part, m, sv, variant);
+        const RunResult flat =
+            run(scaleConfig(tiles), onShards(spmspvHht(variant), tiles, part),
+                {.m = &m, .sv = &sv});
+        const RunResult hier =
+            run(hierConfig(tiles), onShards(spmspvHht(variant), tiles, part),
+                {.m = &m, .sv = &sv});
         expectSameY(flat.y, hier.y);
         l1_hits += hier.stats.value("mem.l1.hits");
       }
@@ -874,22 +883,22 @@ TEST(MultiTile, HierarchicalCheckpointRestoreResumeIsBitIdentical) {
   const SystemConfig cfg = hierConfig(4);
 
   System uninterrupted(cfg);
-  const ShardedWorkload w = prepare(uninterrupted, 0x4719);
+  const ShardedWorkload w = loadSharded(uninterrupted, 0x4719);
   const RunResult base =
-      uninterrupted.run(w.programs, w.layout.y, w.layout.num_rows);
+      uninterrupted.run(w.p.programs(), w.p.y, w.p.y_len);
   ASSERT_GT(base.cycles, 200u);
 
   System observed(cfg);
-  const ShardedWorkload w2 = prepare(observed, 0x4719);
-  CheckpointAt observer(w2.programs, base.cycles / 2);
-  observed.run(w2.programs, w2.layout.y, w2.layout.num_rows, 500'000'000,
+  const ShardedWorkload w2 = loadSharded(observed, 0x4719);
+  CheckpointAt observer(w2.p.programs(), base.cycles / 2);
+  observed.run(w2.p.programs(), w2.p.y, w2.p.y_len, 500'000'000,
                nullptr, &observer);
   ASSERT_FALSE(observer.snapshot().empty());
 
   System resumed_sys(cfg);
-  const Cycle start = resumed_sys.restore(observer.snapshot(), w2.programs);
-  const RunResult resumed = resumed_sys.resume(w2.programs, w2.layout.y,
-                                               w2.layout.num_rows, start);
+  const Cycle start = resumed_sys.restore(observer.snapshot(), w2.p.programs());
+  const RunResult resumed = resumed_sys.resume(w2.p.programs(), w2.p.y,
+                                               w2.p.y_len, start);
   EXPECT_EQ(base.cycles, resumed.cycles);
   EXPECT_EQ(base.retired, resumed.retired);
   EXPECT_EQ(base.stats.all(), resumed.stats.all());
@@ -900,8 +909,8 @@ TEST(MultiTile, HierarchicalCheckpointRestoreResumeIsBitIdentical) {
 TEST(MultiTile, StatsKeepTilePrefixedNamespaces) {
   const SystemConfig cfg = scaleConfig(2);
   System sys(cfg);
-  const ShardedWorkload w = prepare(sys, 0x4718);
-  const RunResult r = sys.run(w.programs, w.layout.y, w.layout.num_rows);
+  const ShardedWorkload w = loadSharded(sys, 0x4718);
+  const RunResult r = sys.run(w.p.programs(), w.p.y, w.p.y_len);
   // Tile 0 keeps the historic names; tile 1 is prefixed — both CPU-side
   // (absorbed here) and memory-side (registered by the arbiter).
   EXPECT_GT(r.stats.value("cpu.cycles"), 0u);

@@ -24,6 +24,8 @@
 namespace hht {
 namespace {
 
+using harness::Kernel;
+
 /// Ports of tile 0's requesters, the tile a MemAccess names by default.
 const std::uint32_t kCpuPort = mem::requesterIndex(mem::Requester::Cpu, 0);
 const std::uint32_t kHhtPort = mem::requesterIndex(mem::Requester::Hht, 0);
@@ -98,8 +100,10 @@ TEST(Prefetcher, HelpsStreamsButNotGathers) {
     cfg.memory.prefetch_enabled = prefetch;
     return cfg;
   };
-  const auto plain = harness::runSpmvBaseline(makeCfg(false), m, v, true);
-  const auto pf = harness::runSpmvBaseline(makeCfg(true), m, v, true);
+  const auto plain =
+      harness::run(makeCfg(false), {Kernel::kSpmvVectorBaseline}, {&m, &v});
+  const auto pf =
+      harness::run(makeCfg(true), {Kernel::kSpmvVectorBaseline}, {&m, &v});
   EXPECT_LT(pf.cycles, plain.cycles);       // streams prefetched
   EXPECT_EQ(pf.y, plain.y);                 // purely a timing feature
   EXPECT_GT(pf.stats.value("mem.cpu.prefetch_fills"), 0u);
@@ -107,7 +111,7 @@ TEST(Prefetcher, HelpsStreamsButNotGathers) {
   // The prefetcher alone must not reach the HHT's improvement.
   auto hht_cfg = makeCfg(false);
   hht_cfg.memory.hht_cache_enabled = true;
-  const auto hht = harness::runSpmvHht(hht_cfg, m, v, true);
+  const auto hht = harness::run(hht_cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
   EXPECT_LT(hht.cycles, pf.cycles);
 }
 
@@ -117,7 +121,7 @@ TEST(Prefetcher, DisabledByDefault) {
   const sparse::DenseVector v = workload::randomDenseVector(rng, 32);
   harness::SystemConfig cfg = harness::defaultConfig(2);
   cfg.memory.cpu_cache_enabled = true;
-  const auto run = harness::runSpmvBaseline(cfg, m, v, true);
+  const auto run = harness::run(cfg, {Kernel::kSpmvVectorBaseline}, {&m, &v});
   EXPECT_EQ(run.stats.value("mem.cpu.prefetch_fills"), 0u);
 }
 
@@ -149,8 +153,10 @@ TEST(HhtPrefetcher, PureTimingAcrossFig4Sparsities) {
     sim::Rng rng(0xF160 + static_cast<std::uint64_t>(s));
     const sparse::CsrMatrix m = workload::randomCsr(rng, 96, 96, s / 100.0);
     const sparse::DenseVector v = workload::randomDenseVector(rng, 96);
-    const auto off = harness::runSpmvHht(hierPfConfig(false), m, v, true);
-    const auto on = harness::runSpmvHht(hierPfConfig(true), m, v, true);
+    const auto off =
+        harness::run(hierPfConfig(false), {Kernel::kSpmvVectorHht}, {&m, &v});
+    const auto on =
+        harness::run(hierPfConfig(true), {Kernel::kSpmvVectorHht}, {&m, &v});
     ASSERT_EQ(on.y.values(), off.y.values()) << "sparsity " << s << "%";
     EXPECT_GT(on.stats.value("hht.prefetch.issued"), 0u) << s;
     EXPECT_TRUE(on.stats.contains("hht.prefetch.useful"));
@@ -212,7 +218,7 @@ TEST(HhtPrefetcher, GoldenTraceRecordsThePrefetchLifecycle) {
   obs::TraceSink sink;
   harness::SystemConfig cfg = hierPfConfig(true);
   cfg.trace_sink = &sink;
-  const auto run = harness::runSpmvHht(cfg, m, v, true);
+  const auto run = harness::run(cfg, {Kernel::kSpmvVectorHht}, {&m, &v});
   EXPECT_GT(run.stats.value("hht.prefetch.issued"), 0u);
   EXPECT_EQ(sink.dropped(), 0u);
 

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -22,6 +23,7 @@ namespace {
 
 using harness::RunResult;
 using harness::SystemConfig;
+using harness::Kernel;
 
 struct ProfiledRun {
   RunResult result;
@@ -121,21 +123,18 @@ TEST(Profile, BucketsSumToTotalCyclesAcrossRandomizedConfigs) {
         workload::randomSparseVector(rng, n, sparsity);
     const std::string label = "trial " + std::to_string(trial);
 
-    expectAllInvariants(profiled(cfg,
-                                 [&](const SystemConfig& c) {
-                                   return harness::runSpmvHht(c, m, v, true);
-                                 }),
-                        (label + " gather").c_str());
-    expectAllInvariants(profiled(cfg,
-                                 [&](const SystemConfig& c) {
-                                   return harness::runSpmspvHht(c, m, sv, 1);
-                                 }),
-                        (label + " merge-v1").c_str());
-    expectAllInvariants(profiled(cfg,
-                                 [&](const SystemConfig& c) {
-                                   return harness::runSpmspvHht(c, m, sv, 2);
-                                 }),
-                        (label + " stream-v2").c_str());
+    const harness::Operands ops{.m = &m, .v = &v, .sv = &sv};
+    const std::pair<Kernel, const char*> kernels[] = {
+        {Kernel::kSpmvVectorHht, " gather"},
+        {Kernel::kSpmspvHhtV1, " merge-v1"},
+        {Kernel::kSpmspvHhtV2, " stream-v2"}};
+    for (const auto& k : kernels) {
+      expectAllInvariants(profiled(cfg,
+                                   [&](const SystemConfig& c) {
+                                     return harness::run(c, {k.first}, ops);
+                                   }),
+                          (label + k.second).c_str());
+    }
   }
 }
 
@@ -147,7 +146,7 @@ TEST(Profile, BaselineRunHasNoFifoWaitAndFullCpuCoverage) {
   const sparse::DenseVector v = workload::randomDenseVector(rng, 12);
   const ProfiledRun run =
       profiled(harness::defaultConfig(), [&](const SystemConfig& c) {
-        return harness::runSpmvBaseline(c, m, v, false);
+        return harness::run(c, {Kernel::kSpmvScalarBaseline}, {&m, &v});
       });
   expectAllInvariants(run, "baseline");
   EXPECT_EQ(run.report.fifo_not_ready, 0u);
@@ -167,7 +166,9 @@ TEST(Profile, MicroHhtFirmwareCountersReconcile) {
   const sparse::DenseVector v = workload::randomDenseVector(rng, 10);
   const ProfiledRun run =
       profiled(harness::defaultConfig(), [&](const SystemConfig& c) {
-        return harness::runSpmvProgHht(c, m, v, false);
+        return harness::run(
+            c, {.kernel = Kernel::kSpmvScalarHht, .programmable = true},
+            {&m, &v});
       });
   expectBucketsCoverHorizon(run, "micro");
   const sim::StatSet& s = run.result.stats;
@@ -196,7 +197,7 @@ TEST(Profile, WaitBucketTracksTheFig6WaitFraction)  {
   const sparse::CsrMatrix m = workload::randomCsr(rng, 16, 16, 0.5);
   const sparse::SparseVector sv = workload::randomSparseVector(rng, 16, 0.5);
   const ProfiledRun run = profiled(cfg, [&](const SystemConfig& c) {
-    return harness::runSpmspvHht(c, m, sv, 1);
+    return harness::run(c, {Kernel::kSpmspvHhtV1}, {.m = &m, .sv = &sv});
   });
   expectAllInvariants(run, "merge-v1-starved");
   const auto cpu = static_cast<int>(obs::Component::kCpu);

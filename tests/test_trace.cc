@@ -17,7 +17,6 @@
 
 #include "harness/experiment.h"
 #include "harness/sweep.h"
-#include "kernels/kernels.h"
 #include "obs/export.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -36,6 +35,7 @@ using harness::RunResult;
 using harness::System;
 using harness::SystemConfig;
 using sim::Cycle;
+using harness::Kernel;
 
 // ---- traced-run scaffolding ----
 
@@ -71,6 +71,10 @@ struct Workloads {
   sparse::DenseVector v;
   sparse::SparseVector sv;
   sparse::HierBitmapMatrix hm;
+
+  harness::Operands ops() const {
+    return {.m = &m, .v = &v, .sv = &sv, .hier = &hm};
+  }
 };
 
 Workloads workloads() {
@@ -83,18 +87,17 @@ Workloads workloads() {
   return w;
 }
 
-RunResult runEngine(const std::string& name, const SystemConfig& cfg,
-                    const Workloads& w) {
-  if (name == "gather") return harness::runSpmvHht(cfg, w.m, w.v, false);
-  if (name == "merge_v1") return harness::runSpmspvHht(cfg, w.m, w.sv, 1);
-  if (name == "stream_v2") return harness::runSpmspvHht(cfg, w.m, w.sv, 2);
-  if (name == "hier") return harness::runHierHht(cfg, w.hm, w.v);
-  if (name == "micro") return harness::runSpmvProgHht(cfg, w.m, w.v, false);
-  throw std::logic_error("unknown engine " + name);
-}
-
-const char* const kEngines[] = {"gather", "merge_v1", "stream_v2", "hier",
-                                "micro"};
+/// The golden engine runs, by golden-file name.
+const struct {
+  const char* name;
+  harness::RunSpec spec;
+} kEngines[] = {
+    {"gather", {Kernel::kSpmvScalarHht}},
+    {"merge_v1", {Kernel::kSpmspvHhtV1}},
+    {"stream_v2", {Kernel::kSpmspvHhtV2}},
+    {"hier", {Kernel::kHierBitmapHht}},
+    {"micro", {.kernel = Kernel::kSpmvScalarHht, .programmable = true}},
+};
 
 void checkGolden(const std::string& name, const std::string& csv) {
   const std::string path = std::string(HHT_GOLDEN_DIR) + "/" + name + ".csv";
@@ -117,12 +120,13 @@ void checkGolden(const std::string& name, const std::string& csv) {
 
 TEST(GoldenTrace, EveryEngineMatchesItsGoldenAndIsRerunStable) {
   const Workloads w = workloads();
-  for (const char* engine : kEngines) {
-    const SystemConfig cfg = harness::defaultConfig();
-    const TraceRun a =
-        traced(cfg, [&](const SystemConfig& c) { return runEngine(engine, c, w); });
-    const TraceRun b =
-        traced(cfg, [&](const SystemConfig& c) { return runEngine(engine, c, w); });
+  for (const auto& e : kEngines) {
+    const char* engine = e.name;
+    const auto simulate = [&](const SystemConfig& c) {
+      return harness::run(c, e.spec, w.ops());
+    };
+    const TraceRun a = traced(harness::defaultConfig(), simulate);
+    const TraceRun b = traced(harness::defaultConfig(), simulate);
     EXPECT_EQ(a.csv, b.csv) << engine << ": trace not rerun-deterministic";
     EXPECT_EQ(a.dropped, 0u) << engine << ": golden workload overflowed sink";
     EXPECT_FALSE(a.events.empty()) << engine;
@@ -137,14 +141,14 @@ TEST(GoldenTrace, TracesAreJobsInvariant) {
   const auto task = [&](std::size_t i) {
     const SystemConfig cfg = harness::defaultConfig();
     return traced(cfg, [&](const SystemConfig& c) {
-             return runEngine(kEngines[i], c, w);
+             return harness::run(c, kEngines[i].spec, w.ops());
            }).csv;
   };
   const auto serial = harness::SweepRunner(1).run(std::size(kEngines), task);
   const auto pooled = harness::SweepRunner(3).run(std::size(kEngines), task);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], pooled[i]) << kEngines[i];
+    EXPECT_EQ(serial[i], pooled[i]) << kEngines[i].name;
   }
 }
 
@@ -228,19 +232,20 @@ TEST(GoldenTrace, ResumedRunTraceMatchesTheFullRunSuffix) {
   SystemConfig full_cfg = cfg;
   full_cfg.trace_sink = &full_sink;
   System full_sys(full_cfg);
-  const kernels::SpmvLayout layout = harness::loadSpmv(full_sys, m, v);
-  const isa::Program program =
-      kernels::spmvScalarHht(layout, cfg.memory.mmio_base);
+  const harness::Prepared p =
+      harness::prepare(full_sys, {Kernel::kSpmvScalarHht}, {&m, &v});
+  const isa::Program& program = p.program;
 
   // Probe run to learn the total length, then the real run with a
   // mid-point checkpoint observer.
   const RunResult probe = traced(cfg, [&](const SystemConfig& c) {
-                            return harness::runSpmvHht(c, m, v, false);
+                            return harness::run(c, {Kernel::kSpmvScalarHht},
+                                                {&m, &v});
                           }).result;
   ASSERT_GT(probe.cycles, 100u);
   CheckpointAt observer(program, probe.cycles / 2);
-  const RunResult full = full_sys.run(program, layout.y, layout.num_rows,
-                                      500'000'000, nullptr, &observer);
+  const RunResult full =
+      full_sys.run(program, p.y, p.y_len, 500'000'000, nullptr, &observer);
   ASSERT_FALSE(observer.snapshot().empty());
   const Cycle horizon = full.cycles;
 
@@ -250,8 +255,7 @@ TEST(GoldenTrace, ResumedRunTraceMatchesTheFullRunSuffix) {
   res_cfg.trace_sink = &res_sink;
   System res_sys(res_cfg);
   const Cycle start = res_sys.restore(observer.snapshot(), program);
-  const RunResult resumed =
-      res_sys.resume(program, layout.y, layout.num_rows, start);
+  const RunResult resumed = res_sys.resume(program, p.y, p.y_len, start);
   EXPECT_EQ(resumed.cycles, full.cycles);
   ASSERT_EQ(resumed.y.size(), full.y.size());
   for (sim::Index i = 0; i < full.y.size(); ++i) {
@@ -419,7 +423,7 @@ TEST(GoldenTrace, PerfettoExportIsSchemaValidJson) {
   obs::TraceSink sink;
   SystemConfig cfg = harness::defaultConfig();
   cfg.trace_sink = &sink;
-  harness::runSpmvHht(cfg, w.m, w.v, true);
+  harness::run(cfg, {Kernel::kSpmvVectorHht}, {&w.m, &w.v});
   std::ostringstream os;
   obs::writePerfettoTrace(os, sink);
 
@@ -474,14 +478,13 @@ TEST(GoldenTrace, OracleTapAndTraceSinkCoexist) {
   SystemConfig cfg = harness::defaultConfig();
   cfg.trace_sink = &sink;
   System sys(cfg);
-  const kernels::SpmvLayout layout = harness::loadSpmv(sys, w.m, w.v);
-  const isa::Program program =
-      kernels::spmvScalarHht(layout, cfg.memory.mmio_base);
+  const harness::Prepared p =
+      harness::prepare(sys, {Kernel::kSpmvScalarHht}, {&w.m, &w.v});
 
   verify::DifferentialOracle oracle(verify::expectedGatherStream(w.m, w.v));
   oracle.attach(sys);
   sys.addObserver(&oracle);
-  const RunResult res = sys.run(program, layout.y, layout.num_rows);
+  const RunResult res = sys.run(p.program, p.y, p.y_len);
   sys.removeObserver(&oracle);
   oracle.detach(sys);
 
@@ -498,8 +501,8 @@ TEST(GoldenTrace, OracleTapAndTraceSinkCoexist) {
   EXPECT_EQ(fifo_pops, res.stats.value("hht.fifo_pops"));
 
   // The untraced, untapped run is unchanged by having carried observers.
-  const RunResult plain = harness::runSpmvHht(harness::defaultConfig(), w.m,
-                                              w.v, false);
+  const RunResult plain = harness::run(
+      harness::defaultConfig(), {Kernel::kSpmvScalarHht}, {&w.m, &w.v});
   EXPECT_EQ(plain.cycles, res.cycles);
   EXPECT_EQ(plain.stats.all(), res.stats.all());
 }
@@ -510,7 +513,9 @@ TEST(GoldenTrace, CategoryMaskFiltersEmission) {
   const Workloads w = workloads();
   const TraceRun cpu_only = traced(
       harness::defaultConfig(),
-      [&](const SystemConfig& c) { return harness::runSpmvHht(c, w.m, w.v, false); },
+      [&](const SystemConfig& c) {
+        return harness::run(c, {Kernel::kSpmvScalarHht}, {&w.m, &w.v});
+      },
       obs::bit(obs::Category::kCpu));
   ASSERT_FALSE(cpu_only.events.empty());
   for (const obs::TraceEvent& ev : cpu_only.events) {
