@@ -38,6 +38,19 @@ struct Slot {
   std::uint32_t check = 0;
 };
 
+/// A slot's snapshot encoding (kSlotBytes), shared by the buffer pool and
+/// the emission queue.
+inline void io(sim::StateIo& ar, Slot& slot) {
+  ar.u32(slot.bits);
+  ar.b(slot.is_row_end);
+  ar.b(slot.publish_after);
+  ar.b(slot.parity_ok);
+  ar.b(slot.poisoned);  // snapshot v5: integrity channel fields
+  ar.b(slot.has_check);
+  ar.u32(slot.check);
+}
+inline constexpr std::size_t kSlotBytes = 13;
+
 /// The N CPU-side buffers of the HHT front-end (Table 1: N=2, 32 B each).
 ///
 /// The back-end stages slots into the current *write* buffer; a buffer
@@ -139,55 +152,22 @@ class BufferPool {
   /// nullptr = no injection (zero cost).
   void setFaultInjector(sim::FaultInjector* injector) { injector_ = injector; }
 
-  void serialize(sim::StateWriter& w) const {
-    w.tag("BUFP");
-    auto write_slot = [&w](const Slot& slot) {
-      w.u32(slot.bits);
-      w.b(slot.is_row_end);
-      w.b(slot.publish_after);
-      w.b(slot.parity_ok);
-      w.b(slot.poisoned);    // snapshot v5: integrity channel fields
-      w.b(slot.has_check);
-      w.u32(slot.check);
+  /// Checkpoint hook. A read must describe a pool this config can hold:
+  /// at most num_buffers buffers of at most buffer_len slots, and a read
+  /// position inside the oldest published one.
+  void io(sim::StateIo& ar) {
+    ar.tag("BUFP");
+    const auto slots = [&](std::vector<Slot>& buf) {
+      ar.seq(buf, kSlotBytes, [&](Slot& slot) { core::io(ar, slot); });
+      ar.check(buf.size() <= buffer_len_, "buffer holds too many slots");
     };
-    w.u64(published_.size());
-    for (const auto& buf : published_) {
-      w.u64(buf.size());
-      for (const Slot& slot : buf) write_slot(slot);
-    }
-    w.u64(staging_.size());
-    for (const Slot& slot : staging_) write_slot(slot);
-    w.u64(read_pos_);
-    w.u32(be_crc_);  // snapshot v5
-  }
-
-  void deserialize(sim::StateReader& r) {
-    r.expectTag("BUFP");
-    auto read_slot = [&r]() {
-      Slot slot;
-      slot.bits = r.u32();
-      slot.is_row_end = r.b();
-      slot.publish_after = r.b();
-      slot.parity_ok = r.b();
-      slot.poisoned = r.b();
-      slot.has_check = r.b();
-      slot.check = r.u32();
-      return slot;
-    };
-    published_.clear();
-    const std::uint64_t n_bufs = r.u64();
-    for (std::uint64_t i = 0; i < n_bufs; ++i) {
-      std::vector<Slot> buf;
-      const std::uint64_t n_slots = r.u64();
-      buf.reserve(n_slots);
-      for (std::uint64_t j = 0; j < n_slots; ++j) buf.push_back(read_slot());
-      published_.push_back(std::move(buf));
-    }
-    staging_.clear();
-    const std::uint64_t n_staged = r.u64();
-    for (std::uint64_t i = 0; i < n_staged; ++i) staging_.push_back(read_slot());
-    read_pos_ = static_cast<std::size_t>(r.u64());
-    be_crc_ = r.u32();
+    ar.seq(published_, 8, slots);
+    slots(staging_);
+    ar.check(published_.size() + (staging_.empty() ? 0 : 1) <= num_buffers_,
+             "more buffers than configured");
+    ar.u64(read_pos_, published_.empty() ? 1 : published_.front().size(),
+           "buffer read position");
+    ar.u32(be_crc_);  // snapshot v5
   }
 
  private:

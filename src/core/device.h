@@ -92,23 +92,12 @@ class HhtDevice : public mem::MmioDevice, public sim::FaultSink {
   /// Multi-line snapshot for diagnostic dumps.
   virtual std::string describeState() const = 0;
 
-  /// Checkpoint hooks. Implementations that cannot snapshot themselves
+  /// Checkpoint hook. Implementations that cannot snapshot themselves
   /// (the programmable variant borrows its firmware by reference) throw
-  /// SimError(Checkpoint) from both.
-  virtual void serialize(sim::StateWriter& w) const = 0;
-  virtual void deserialize(sim::StateReader& r) = 0;
+  /// SimError(Checkpoint).
+  virtual void io(sim::StateIo& ar) = 0;
 
  protected:
-  /// Shared fault-latch serialization for the concrete devices.
-  void serializeFaultLatch(sim::StateWriter& w) const {
-    w.u32(static_cast<std::uint32_t>(fault_cause_));
-    w.str(fault_detail_);
-  }
-  void deserializeFaultLatch(sim::StateReader& r) {
-    fault_cause_ = static_cast<sim::FaultCause>(r.u32());
-    fault_detail_ = r.str();
-  }
-
   sim::FaultCause fault_cause_ = sim::FaultCause::None;
   std::string fault_detail_;
 };

@@ -77,44 +77,13 @@ class EmissionQueue {
     base_ = 0;
   }
 
-  void serialize(sim::StateWriter& w) const {
-    w.tag("EMIQ");
-    w.u64(base_);
-    w.u64(entries_.size());
-    for (const auto& entry : entries_) {
-      w.b(entry.has_value());
-      if (entry) {
-        w.u32(entry->bits);
-        w.b(entry->is_row_end);
-        w.b(entry->publish_after);
-        w.b(entry->parity_ok);
-        w.b(entry->poisoned);    // snapshot v5: integrity channel fields
-        w.b(entry->has_check);
-        w.u32(entry->check);
-      }
-    }
-  }
-
-  void deserialize(sim::StateReader& r) {
-    r.expectTag("EMIQ");
-    base_ = r.u64();
-    entries_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (!r.b()) {
-        entries_.push_back(std::nullopt);
-        continue;
-      }
-      Slot slot;
-      slot.bits = r.u32();
-      slot.is_row_end = r.b();
-      slot.publish_after = r.b();
-      slot.parity_ok = r.b();
-      slot.poisoned = r.b();
-      slot.has_check = r.b();
-      slot.check = r.u32();
-      entries_.push_back(slot);
-    }
+  void io(sim::StateIo& ar) {
+    ar.tag("EMIQ");
+    ar.u64(base_);
+    ar.seq(entries_, 1, [&](std::optional<Slot>& entry) {
+      ar.optional(entry, [&](Slot& slot) { core::io(ar, slot); });
+    });
+    ar.check(entries_.size() <= depth_, "emission queue deeper than configured");
   }
 
  private:

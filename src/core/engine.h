@@ -75,12 +75,11 @@ class Engine {
   /// serializes byte-identically to a naive one.
   virtual void creditSkippedCycles(Cycle n) { (void)n; }
 
-  /// Checkpoint hooks. The base serializes the shared `faulted_` flag;
-  /// each engine appends its own pipeline latches and walker state. The
+  /// Checkpoint hook. The base visits the shared `faulted_` flag; each
+  /// engine appends its own pipeline latches and walker state. The
   /// restoring device reconstructs the engine from the (already-restored)
-  /// MMRs via its mode factory, then calls deserialize.
-  virtual void serialize(sim::StateWriter& w) const { w.b(faulted_); }
-  virtual void deserialize(sim::StateReader& r) { faulted_ = r.b(); }
+  /// MMRs via its mode factory, then calls io.
+  virtual void io(sim::StateIo& ar) { ar.b(faulted_); }
 
   /// Issue one 4-byte BE read. Callers (the engine itself and its walker
   /// helpers) enforce the per-cycle issue budget.

@@ -21,19 +21,12 @@ class GatherEngine : public Engine {
   bool done() const override;
   bool stalledOnMemory() const override;
 
-  void serialize(sim::StateWriter& w) const override {
-    Engine::serialize(w);
-    rows_.serialize(w);
-    cols_.serialize(w);
-    vfetch_.serialize(w);
-    w.b(row_stream_ready_);
-  }
-  void deserialize(sim::StateReader& r) override {
-    Engine::deserialize(r);
-    rows_.deserialize(r);
-    cols_.deserialize(r);
-    vfetch_.deserialize(r);
-    row_stream_ready_ = r.b();
+  void io(sim::StateIo& ar) override {
+    Engine::io(ar);
+    rows_.io(ar);
+    cols_.io(ar);
+    vfetch_.io(ar);
+    ar.b(row_stream_ready_);
   }
 
  private:

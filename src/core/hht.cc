@@ -371,72 +371,37 @@ void Hht::reset() {
   clearFault();
 }
 
-void Hht::serialize(sim::StateWriter& w) const {
-  w.tag("HHTD");
-  w.u32(mmr_.m_num_rows);
-  w.u32(mmr_.m_rows_base);
-  w.u32(mmr_.m_cols_base);
-  w.u32(mmr_.m_vals_base);
-  w.u32(mmr_.v_base);
-  w.u32(mmr_.v_idx_base);
-  w.u32(mmr_.v_vals_base);
-  w.u32(mmr_.v_nnz);
-  w.u32(mmr_.element_size);
-  w.u32(static_cast<std::uint32_t>(mmr_.mode));
-  w.u32(mmr_.num_cols);
-  w.u32(mmr_.l1_base);
-  w.u32(mmr_.leaves_base);
-  w.u32(mmr_.m_nnz);
-  w.u32(mmr_.v_len);
-  buffers_.serialize(w);
-  emit_.serialize(w);
-  w.u32(fe_crc_);  // snapshot v5
-  w.b(finished_flush_done_);
-  w.b(mmr_parity_ok_);
-  serializeFaultLatch(w);
-  w.u64(last_tick_cycle_);
-  stats_.serialize(w);
-  w.b(engine_ != nullptr);
-  if (engine_) engine_->serialize(w);
-}
-
-void Hht::deserialize(sim::StateReader& r) {
-  r.expectTag("HHTD");
-  mmr_.m_num_rows = r.u32();
-  mmr_.m_rows_base = r.u32();
-  mmr_.m_cols_base = r.u32();
-  mmr_.m_vals_base = r.u32();
-  mmr_.v_base = r.u32();
-  mmr_.v_idx_base = r.u32();
-  mmr_.v_vals_base = r.u32();
-  mmr_.v_nnz = r.u32();
-  mmr_.element_size = r.u32();
-  const std::uint32_t mode = r.u32();
-  if (mode > static_cast<std::uint32_t>(Mode::FlatBitmap)) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "hht",
-                        "snapshot MODE register invalid: " +
-                            std::to_string(mode));
-  }
-  mmr_.mode = static_cast<Mode>(mode);
-  mmr_.num_cols = r.u32();
-  mmr_.l1_base = r.u32();
-  mmr_.leaves_base = r.u32();
-  mmr_.m_nnz = r.u32();
-  mmr_.v_len = r.u32();
-  buffers_.deserialize(r);
-  emit_.deserialize(r);
-  fe_crc_ = r.u32();
-  finished_flush_done_ = r.b();
-  mmr_parity_ok_ = r.b();
-  deserializeFaultLatch(r);
-  last_tick_cycle_ = r.u64();
-  stats_.deserialize(r);
-  if (r.b()) {
-    engine_ = makeEngine();
-    engine_->deserialize(r);
-  } else {
-    engine_.reset();
-  }
+void Hht::io(sim::StateIo& ar) {
+  ar.tag("HHTD");
+  ar.u32(mmr_.m_num_rows);
+  ar.u32(mmr_.m_rows_base);
+  ar.u32(mmr_.m_cols_base);
+  ar.u32(mmr_.m_vals_base);
+  ar.u32(mmr_.v_base);
+  ar.u32(mmr_.v_idx_base);
+  ar.u32(mmr_.v_vals_base);
+  ar.u32(mmr_.v_nnz);
+  ar.u32(mmr_.element_size);
+  ar.u32(mmr_.mode, sim::after(Mode::FlatBitmap), "MODE register");
+  ar.u32(mmr_.num_cols);
+  ar.u32(mmr_.l1_base);
+  ar.u32(mmr_.leaves_base);
+  ar.u32(mmr_.m_nnz);
+  ar.u32(mmr_.v_len);
+  buffers_.io(ar);
+  emit_.io(ar);
+  ar.u32(fe_crc_);  // snapshot v5
+  ar.b(finished_flush_done_);
+  ar.b(mmr_parity_ok_);
+  ar.u32(fault_cause_, sim::after(sim::FaultCause::StreamCheck), "fault cause");
+  ar.str(fault_detail_);
+  ar.u64(last_tick_cycle_);
+  stats_.io(ar);
+  bool has_engine = engine_ != nullptr;
+  ar.b(has_engine);
+  // The engine is rebuilt from the MMRs just read, then reads its state.
+  if (ar.reading()) engine_ = has_engine ? makeEngine() : nullptr;
+  if (engine_) engine_->io(ar);
 }
 
 std::string Hht::describeState() const {

@@ -103,14 +103,13 @@ class Hht final : public HhtDevice {
   const EmissionQueue& emissionQueue() const { return emit_; }
 
   // ---- checkpoint surface (HhtDevice) ----
-  void serialize(sim::StateWriter& w) const override;
-  void deserialize(sim::StateReader& r) override;
+  void io(sim::StateIo& ar) override;
 
  private:
   void start();
   /// Construct the mode's back-end engine from the current MMRs (shared by
-  /// start() and deserialize(); engine constructors have no memory side
-  /// effects, so reconstruct-then-deserialize restores exact state).
+  /// start() and a restoring io(); engine constructors have no memory side
+  /// effects, so reconstruct-then-read restores exact state).
   std::unique_ptr<Engine> makeEngine();
 
   HhtConfig cfg_;

@@ -45,74 +45,33 @@ class HierBitmapEngine : public Engine {
         (cmp_phase_ + n) % ctx_.cfg.cmp_recurrence);
   }
 
-  void serialize(sim::StateWriter& w) const override {
-    Engine::serialize(w);
-    l1_.serialize(w);
-    w.u32(l1_word_bits_);
-    w.u32(l1_word_index_);
-    w.b(l1_word_open_);
-    w.u64(slot_q_.size());
-    for (std::uint64_t slot : slot_q_) w.u64(slot);
-    w.u64(leaf_fetches_.size());
-    for (const LeafFetch& f : leaf_fetches_) {
-      w.u64(f.lo_req);
-      w.u64(f.hi_req);
-      w.u64(f.slot);
-      w.u32(f.lo);
-      w.u32(f.hi);
-      w.b(f.have_lo);
-      w.b(f.have_hi);
-    }
-    w.u32(leaf_seq_);
-    w.u64(leaf_q_.size());
-    for (const Leaf& leaf : leaf_q_) {
-      w.u64(leaf.slot);
-      w.u64(leaf.bits);
-    }
-    w.u32(cur_row_);
-    vfetch_.serialize(w);
-    w.b(flat_);
-    w.u64(next_slot_);
-    w.u64(num_slots_);
-    w.u32(cmp_phase_);
-  }
-  void deserialize(sim::StateReader& r) override {
-    Engine::deserialize(r);
-    l1_.deserialize(r);
-    l1_word_bits_ = r.u32();
-    l1_word_index_ = r.u32();
-    l1_word_open_ = r.b();
-    slot_q_.clear();
-    const std::uint64_t n_slots = r.u64();
-    for (std::uint64_t i = 0; i < n_slots; ++i) slot_q_.push_back(r.u64());
-    leaf_fetches_.clear();
-    const std::uint64_t n_fetches = r.u64();
-    for (std::uint64_t i = 0; i < n_fetches; ++i) {
-      LeafFetch f;
-      f.lo_req = r.u64();
-      f.hi_req = r.u64();
-      f.slot = r.u64();
-      f.lo = r.u32();
-      f.hi = r.u32();
-      f.have_lo = r.b();
-      f.have_hi = r.b();
-      leaf_fetches_.push_back(f);
-    }
-    leaf_seq_ = r.u32();
-    leaf_q_.clear();
-    const std::uint64_t n_leaves = r.u64();
-    for (std::uint64_t i = 0; i < n_leaves; ++i) {
-      Leaf leaf{};
-      leaf.slot = r.u64();
-      leaf.bits = r.u64();
-      leaf_q_.push_back(leaf);
-    }
-    cur_row_ = r.u32();
-    vfetch_.deserialize(r);
-    flat_ = r.b();
-    next_slot_ = r.u64();
-    num_slots_ = r.u64();
-    cmp_phase_ = r.u32();
+  void io(sim::StateIo& ar) override {
+    Engine::io(ar);
+    l1_.io(ar);
+    ar.u32(l1_word_bits_);
+    ar.u32(l1_word_index_);
+    ar.b(l1_word_open_);
+    ar.seq(slot_q_, 8, [&](std::uint64_t& slot) { ar.u64(slot); });
+    ar.seq(leaf_fetches_, 34, [&](LeafFetch& f) {
+      ar.u64(f.lo_req);
+      ar.u64(f.hi_req);
+      ar.u64(f.slot);
+      ar.u32(f.lo);
+      ar.u32(f.hi);
+      ar.b(f.have_lo);
+      ar.b(f.have_hi);
+    });
+    ar.u32(leaf_seq_);
+    ar.seq(leaf_q_, 16, [&](Leaf& leaf) {
+      ar.u64(leaf.slot);
+      ar.u64(leaf.bits);
+    });
+    ar.u32(cur_row_);
+    vfetch_.io(ar);
+    ar.b(flat_);
+    ar.u64(next_slot_);
+    ar.u64(num_slots_);
+    ar.u32(cmp_phase_, ctx_.cfg.cmp_recurrence, "comparator phase");
   }
 
  private:

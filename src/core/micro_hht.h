@@ -86,12 +86,7 @@ class MicroHht final : public HhtDevice {
   // The programmable variant borrows its firmware by reference and cannot
   // prove a restored program matches; checkpointing it is a documented
   // limitation (DESIGN.md §10) until firmware lives in simulated memory.
-  void serialize(sim::StateWriter&) const override {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "uhht",
-                        "the programmable HHT does not support checkpoints "
-                        "(firmware is borrowed host state)");
-  }
-  void deserialize(sim::StateReader&) override {
+  void io(sim::StateIo&) override {
     throw sim::SimError(sim::ErrorKind::Checkpoint, "uhht",
                         "the programmable HHT does not support checkpoints "
                         "(firmware is borrowed host state)");

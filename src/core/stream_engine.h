@@ -38,25 +38,15 @@ class StreamEngine : public Engine {
         (cmp_phase_ + n) % ctx_.cfg.cmp_recurrence);
   }
 
-  void serialize(sim::StateWriter& w) const override {
-    Engine::serialize(w);
-    rows_.serialize(w);
-    cols_.serialize(w);
-    vidx_.serialize(w);
-    vfetch_.serialize(w);
-    w.b(row_ready_);
-    w.b(prefer_cols_);
-    w.u32(cmp_phase_);
-  }
-  void deserialize(sim::StateReader& r) override {
-    Engine::deserialize(r);
-    rows_.deserialize(r);
-    cols_.deserialize(r);
-    vidx_.deserialize(r);
-    vfetch_.deserialize(r);
-    row_ready_ = r.b();
-    prefer_cols_ = r.b();
-    cmp_phase_ = r.u32();
+  void io(sim::StateIo& ar) override {
+    Engine::io(ar);
+    rows_.io(ar);
+    cols_.io(ar);
+    vidx_.io(ar);
+    vfetch_.io(ar);
+    ar.b(row_ready_);
+    ar.b(prefer_cols_);
+    ar.u32(cmp_phase_, ctx_.cfg.cmp_recurrence, "comparator phase");
   }
 
  private:

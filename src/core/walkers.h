@@ -73,32 +73,17 @@ class RowPtrWalker {
   /// must raise MemUncorrectable (the row extent was lost, not delivered).
   bool sawPoison() const { return saw_poison_; }
 
-  void serialize(sim::StateWriter& w) const {
-    w.tag("RWLK");
-    w.u32(rows_base_);
-    w.u32(num_rows_);
-    w.u32(row_);
-    w.b(row_start_.has_value());
-    if (row_start_) w.u32(*row_start_);
-    w.b(row_end_.has_value());
-    if (row_end_) w.u32(*row_end_);
-    w.u64(pending_);
-    w.u32(fetch_slot_);
-    w.b(saw_poison_);
-  }
-
-  void deserialize(sim::StateReader& r) {
-    r.expectTag("RWLK");
-    rows_base_ = r.u32();
-    num_rows_ = r.u32();
-    row_ = r.u32();
-    row_start_.reset();
-    if (r.b()) row_start_ = r.u32();
-    row_end_.reset();
-    if (r.b()) row_end_ = r.u32();
-    pending_ = r.u64();
-    fetch_slot_ = r.u32();
-    saw_poison_ = r.b();
+  void io(sim::StateIo& ar) {
+    ar.tag("RWLK");
+    ar.u32(rows_base_);
+    ar.u32(num_rows_);
+    ar.u32(row_);
+    const auto word = [&](std::uint32_t& v) { ar.u32(v); };
+    ar.optional(row_start_, word);
+    ar.optional(row_end_, word);
+    ar.u64(pending_);
+    ar.u32(fetch_slot_);
+    ar.b(saw_poison_);
   }
 
  private:
@@ -198,56 +183,25 @@ class IndexStream {
 
   bool sawPoison() const { return saw_poison_; }
 
-  void serialize(sim::StateWriter& w) const {
-    w.tag("ISTR");
-    w.u32(depth_);
-    w.u32(base_);
-    w.u32(count_);
-    w.u32(first_global_);
-    w.u32(fetch_i_);
-    w.u32(next_pop_);
-    w.u64(epoch_);
-    w.b(saw_poison_);
-    w.u64(queue_.size());
-    for (const Entry& e : queue_) {
-      w.u32(e.value);
-      w.u32(e.index);
-    }
-    w.u64(pending_.size());
-    for (const Pending& p : pending_) {
-      w.u64(p.id);
-      w.u32(p.index);
-      w.u64(p.epoch);
-    }
-  }
-
-  void deserialize(sim::StateReader& r) {
-    r.expectTag("ISTR");
-    depth_ = r.u32();
-    base_ = r.u32();
-    count_ = r.u32();
-    first_global_ = r.u32();
-    fetch_i_ = r.u32();
-    next_pop_ = r.u32();
-    epoch_ = r.u64();
-    saw_poison_ = r.b();
-    queue_.clear();
-    const std::uint64_t n_queue = r.u64();
-    for (std::uint64_t i = 0; i < n_queue; ++i) {
-      Entry e{};
-      e.value = r.u32();
-      e.index = r.u32();
-      queue_.push_back(e);
-    }
-    pending_.clear();
-    const std::uint64_t n_pending = r.u64();
-    for (std::uint64_t i = 0; i < n_pending; ++i) {
-      Pending p{};
-      p.id = r.u64();
-      p.index = r.u32();
-      p.epoch = r.u64();
-      pending_.push_back(p);
-    }
+  void io(sim::StateIo& ar) {
+    ar.tag("ISTR");
+    ar.u32(depth_);
+    ar.u32(base_);
+    ar.u32(count_);
+    ar.u32(first_global_);
+    ar.u32(fetch_i_);
+    ar.u32(next_pop_);
+    ar.u64(epoch_);
+    ar.b(saw_poison_);
+    ar.seq(queue_, 8, [&](Entry& e) {
+      ar.u32(e.value);
+      ar.u32(e.index);
+    });
+    ar.seq(pending_, 20, [&](Pending& p) {
+      ar.u64(p.id);
+      ar.u32(p.index);
+      ar.u64(p.epoch);
+    });
   }
 
  private:
@@ -341,44 +295,20 @@ class ValueFetchQueue {
 
   bool drained() const { return todo_.empty() && pending_.empty(); }
 
-  void serialize(sim::StateWriter& w) const {
-    w.tag("VFQU");
-    w.u32(depth_);
-    w.b(saw_poison_);
-    auto write_item = [&w](const Item& item) {
-      w.u32(item.addr);
-      w.u64(item.ticket);
-      w.b(item.publish_after);
+  void io(sim::StateIo& ar) {
+    ar.tag("VFQU");
+    ar.u32(depth_);
+    ar.b(saw_poison_);
+    const auto item = [&](Item& i) {
+      ar.u32(i.addr);
+      ar.u64(i.ticket);
+      ar.b(i.publish_after);
     };
-    w.u64(todo_.size());
-    for (const Item& item : todo_) write_item(item);
-    w.u64(pending_.size());
-    for (const Pending& p : pending_) {
-      w.u64(p.id);
-      write_item(p.item);
-    }
-  }
-
-  void deserialize(sim::StateReader& r) {
-    r.expectTag("VFQU");
-    depth_ = r.u32();
-    saw_poison_ = r.b();
-    auto read_item = [&r]() {
-      Item item{};
-      item.addr = r.u32();
-      item.ticket = r.u64();
-      item.publish_after = r.b();
-      return item;
-    };
-    todo_.clear();
-    const std::uint64_t n_todo = r.u64();
-    for (std::uint64_t i = 0; i < n_todo; ++i) todo_.push_back(read_item());
-    pending_.clear();
-    const std::uint64_t n_pending = r.u64();
-    for (std::uint64_t i = 0; i < n_pending; ++i) {
-      const mem::RequestId id = r.u64();
-      pending_.push_back({id, read_item()});
-    }
+    ar.seq(todo_, 13, item);
+    ar.seq(pending_, 21, [&](Pending& p) {
+      ar.u64(p.id);
+      item(p.item);
+    });
   }
 
  private:

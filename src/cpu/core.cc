@@ -59,87 +59,34 @@ void Core::reset() {
   vec_startup_left_ = 0;
 }
 
-namespace {
-
-void writeInstr(sim::StateWriter& w, const Instr& instr) {
-  w.u8(static_cast<std::uint8_t>(instr.op));
-  w.u8(instr.rd);
-  w.u8(instr.rs1);
-  w.u8(instr.rs2);
-  w.u8(instr.rs3);
-  w.u32(static_cast<std::uint32_t>(instr.imm));
-}
-
-Instr readInstr(sim::StateReader& r) {
-  Instr instr;
-  instr.op = static_cast<Opcode>(r.u8());
-  instr.rd = r.u8();
-  instr.rs1 = r.u8();
-  instr.rs2 = r.u8();
-  instr.rs3 = r.u8();
-  instr.imm = static_cast<std::int32_t>(r.u32());
-  return instr;
-}
-
-}  // namespace
-
-void Core::serialize(sim::StateWriter& w) const {
-  w.tag("CORE");
-  for (std::uint32_t x : x_) w.u32(x);
-  for (float f : f_) w.f32(f);
-  for (const auto& vreg : v_) {
-    for (std::uint32_t lane : vreg) w.u32(lane);
-  }
-  w.u32(static_cast<std::uint32_t>(vl_));
-  w.u64(pc_);
-  w.b(halted_);
-  w.u8(static_cast<std::uint8_t>(phase_));
-  w.u64(busy_left_);
-  w.u64(next_pc_);
-  w.u64(load_req_);
-  writeInstr(w, load_instr_);
-  w.u32(load_addr_);
-  writeInstr(w, vec_instr_);
-  w.u32(static_cast<std::uint32_t>(vec_issued_));
-  w.u32(static_cast<std::uint32_t>(vec_total_));
-  w.u64(vec_startup_left_);
-  w.u64(vec_pending_.size());
-  for (const VecElem& e : vec_pending_) {
-    w.u64(e.req);
-    w.u32(static_cast<std::uint32_t>(e.lane));
-  }
-  stats_.serialize(w);
-}
-
-void Core::deserialize(sim::StateReader& r) {
-  r.expectTag("CORE");
-  for (auto& x : x_) x = r.u32();
-  for (auto& f : f_) f = r.f32();
+void Core::io(sim::StateIo& ar) {
+  ar.tag("CORE");
+  for (auto& x : x_) ar.u32(x);
+  for (auto& f : f_) ar.f32(f);
   for (auto& vreg : v_) {
-    for (auto& lane : vreg) lane = r.u32();
+    for (auto& lane : vreg) ar.u32(lane);
   }
-  vl_ = static_cast<int>(r.u32());
-  pc_ = static_cast<std::size_t>(r.u64());
-  halted_ = r.b();
-  phase_ = static_cast<Phase>(r.u8());
-  busy_left_ = r.u64();
-  next_pc_ = static_cast<std::size_t>(r.u64());
-  load_req_ = r.u64();
-  load_instr_ = readInstr(r);
-  load_addr_ = r.u32();
-  vec_instr_ = readInstr(r);
-  vec_issued_ = static_cast<int>(r.u32());
-  vec_total_ = static_cast<int>(r.u32());
-  vec_startup_left_ = r.u64();
-  vec_pending_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    VecElem e;
-    e.req = r.u64();
-    e.lane = static_cast<int>(r.u32());
-    vec_pending_.push_back(e);
-  }
-  stats_.deserialize(r);
+  // VSETVLI with x[rs1] = 0 sets vl to 0, so 0..vlmax are all reachable.
+  ar.u32(vl_, static_cast<std::uint64_t>(vlmax_) + 1, "vl");
+  ar.u64(pc_);
+  ar.b(halted_);
+  ar.u8(phase_, sim::after(Phase::VecMem), "pipeline phase");
+  ar.u64(busy_left_);
+  ar.u64(next_pc_);
+  ar.u64(load_req_);
+  isa::io(ar, load_instr_);
+  ar.u32(load_addr_);
+  isa::io(ar, vec_instr_);
+  ar.u32(vec_issued_);
+  ar.u32(vec_total_, static_cast<std::uint64_t>(vlmax_) + 1, "vector length");
+  ar.check(vec_issued_ >= 0 && vec_issued_ <= vec_total_,
+           "vector issue count out of range");
+  ar.u64(vec_startup_left_);
+  ar.seq(vec_pending_, 12, [&](VecElem& e) {
+    ar.u64(e.req);
+    ar.u32(e.lane, static_cast<std::uint64_t>(vl_), "vector lane");
+  });
+  stats_.io(ar);
 }
 
 float Core::fLane(Reg vr, int lane) const {

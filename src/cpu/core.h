@@ -49,15 +49,15 @@ class Core {
   void reset();
 
   /// Install a program WITHOUT resetting state — the checkpoint-restore
-  /// path: deserialize() supplies every architectural and pipeline field,
+  /// path: a restoring io() supplies every architectural and pipeline field,
   /// and the caller has already verified the program's identity against
   /// the snapshot header.
   void installProgram(const Program& program) { program_ = &program; }
 
-  /// Checkpoint hooks: full architectural + pipeline state. The program
-  /// itself is NOT serialized (host-owned); System records its identity.
-  void serialize(sim::StateWriter& w) const;
-  void deserialize(sim::StateReader& r);
+  /// Checkpoint hook: full architectural + pipeline state. The program
+  /// itself is not in the snapshot (host-owned); System records its
+  /// identity.
+  void io(sim::StateIo& ar);
 
   /// Advance one cycle. No-op once halted.
   void tick(Cycle now);

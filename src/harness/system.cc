@@ -1,13 +1,13 @@
 #include "harness/system.h"
 
 #include <algorithm>
-#include <bit>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
 
 #include "harness/run_loop.h"
+#include "sim/checksum.h"
 #include "sim/state_io.h"
 
 namespace hht::harness {
@@ -26,193 +26,111 @@ const SystemConfig& validated(const SystemConfig& config) {
 //
 // A snapshot only replays correctly on a System built from an *identical*
 // SystemConfig running the *identical* program (same name and encoded
-// instructions). Rather than serialize and diff whole configs, both sides
-// are reduced to FNV-1a fingerprints over a canonical byte serialization;
+// instructions). Rather than store and diff whole configs, both sides
+// are reduced to FNV-1a fingerprints over a canonical byte encoding;
 // restore() rejects any mismatch with SimError(Checkpoint).
+//
+// These fingerprints start from 1469598103934665603, the FNV offset basis
+// with its last decimal digit missing. v8 snapshot headers record them, so
+// the start value stays.
+constexpr std::uint64_t kFingerprintBasis = 1469598103934665603ull;
 
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
+void io(sim::StateIo& ar, cpu::TimingConfig& t) {
+  for (Cycle* c : {&t.int_alu, &t.int_mul, &t.int_div, &t.branch_not_taken,
+                   &t.branch_taken, &t.jump, &t.fp_alu, &t.fp_mul,
+                   &t.fp_madd, &t.fp_div, &t.fp_move, &t.load_issue,
+                   &t.store_issue, &t.vec_cfg, &t.vec_alu, &t.vec_fp,
+                   &t.vec_red, &t.vec_move, &t.vec_mem_issue,
+                   &t.gather_startup}) {
+    ar.u64(*c);
   }
-  return h;
+  ar.u32(t.vec_bus_bytes);
+  ar.u32(t.gather_issue_per_cycle);
+  ar.f64(t.clock_hz);
 }
 
-void writeTiming(sim::StateWriter& w, const cpu::TimingConfig& t) {
-  w.u64(t.int_alu).u64(t.int_mul).u64(t.int_div);
-  w.u64(t.branch_not_taken).u64(t.branch_taken).u64(t.jump);
-  w.u64(t.fp_alu).u64(t.fp_mul).u64(t.fp_madd).u64(t.fp_div).u64(t.fp_move);
-  w.u64(t.load_issue).u64(t.store_issue);
-  w.u64(t.vec_cfg).u64(t.vec_alu).u64(t.vec_fp).u64(t.vec_red).u64(t.vec_move);
-  w.u64(t.vec_mem_issue).u64(t.gather_startup);
-  w.u32(t.vec_bus_bytes).u32(t.gather_issue_per_cycle);
-  w.u64(std::bit_cast<std::uint64_t>(t.clock_hz));
-}
-
-cpu::TimingConfig readTiming(sim::StateReader& r) {
-  cpu::TimingConfig t;
-  t.int_alu = r.u64();
-  t.int_mul = r.u64();
-  t.int_div = r.u64();
-  t.branch_not_taken = r.u64();
-  t.branch_taken = r.u64();
-  t.jump = r.u64();
-  t.fp_alu = r.u64();
-  t.fp_mul = r.u64();
-  t.fp_madd = r.u64();
-  t.fp_div = r.u64();
-  t.fp_move = r.u64();
-  t.load_issue = r.u64();
-  t.store_issue = r.u64();
-  t.vec_cfg = r.u64();
-  t.vec_alu = r.u64();
-  t.vec_fp = r.u64();
-  t.vec_red = r.u64();
-  t.vec_move = r.u64();
-  t.vec_mem_issue = r.u64();
-  t.gather_startup = r.u64();
-  t.vec_bus_bytes = r.u32();
-  t.gather_issue_per_cycle = r.u32();
-  t.clock_hz = std::bit_cast<double>(r.u64());
-  return t;
+void io(sim::StateIo& ar, mem::CacheConfig& c) {
+  ar.u32(c.size_bytes);
+  ar.u32(c.line_bytes);
+  ar.u32(c.ways);
+  ar.u64(c.hit_latency);
+  ar.u64(c.miss_penalty);
+  ar.u64(c.writeback_penalty);
 }
 }  // namespace
 
 std::uint64_t configFingerprint(const SystemConfig& cfg) {
-  sim::StateWriter w;
-  writeSystemConfig(w, cfg);
-  return fnv1a(w.data().data(), w.size());
+  SystemConfig copy = cfg;
+  sim::StateIo w;
+  io(w, copy);
+  return sim::fnv1a(w.data(), kFingerprintBasis);
 }
 
 std::uint64_t programHash(const isa::Program& program) {
-  sim::StateWriter w;
-  w.str(program.name());
+  sim::StateIo w;
+  std::string name = program.name();
+  w.str(name);
   for (std::size_t i = 0; i < program.size(); ++i) {
-    const isa::Instr& instr = program.at(i);
-    w.u8(static_cast<std::uint8_t>(instr.op));
-    w.u8(instr.rd).u8(instr.rs1).u8(instr.rs2).u8(instr.rs3);
-    w.u32(static_cast<std::uint32_t>(instr.imm));
+    isa::Instr instr = program.at(i);
+    isa::io(w, instr);
   }
-  return fnv1a(w.data().data(), w.size());
+  return sim::fnv1a(w.data(), kFingerprintBasis);
 }
 
-void writeSystemConfig(sim::StateWriter& w, const SystemConfig& cfg) {
-  writeTiming(w, cfg.timing);
-  const mem::MemorySystemConfig& m = cfg.memory;
-  w.u64(m.sram_bytes).u64(m.sram_latency).u32(m.grants_per_cycle);
-  w.u8(static_cast<std::uint8_t>(m.policy));
-  w.u32(m.num_tiles).u32(m.cpu_starvation_limit);
-  w.b(m.cpu_cache_enabled).b(m.hht_cache_enabled);
-  w.u32(m.cache.size_bytes).u32(m.cache.line_bytes).u32(m.cache.ways);
-  w.u64(m.cache.hit_latency).u64(m.cache.miss_penalty);
-  w.u64(m.cache.writeback_penalty);
-  w.b(m.prefetch_enabled).u32(m.prefetch_degree);
-  w.u32(m.mmio_base).u32(m.mmio_size);
-  w.b(m.work_queue_enabled);
-  const mem::TopologyConfig& topo = m.topology;
-  w.u32(topo.channels).u32(topo.interleave_bytes);
-  w.u64(topo.link_latency).u32(topo.link_bandwidth);
-  w.b(topo.tile_l1_enabled);
-  w.u32(topo.tile_l1.size_bytes).u32(topo.tile_l1.line_bytes);
-  w.u32(topo.tile_l1.ways);
-  w.u64(topo.tile_l1.hit_latency).u64(topo.tile_l1.miss_penalty);
-  w.u64(topo.tile_l1.writeback_penalty);
-  w.b(topo.hht_prefetch_enabled);
-  w.u32(topo.hht_prefetch_degree).u32(topo.hht_prefetch_queue);
-  w.u32(static_cast<std::uint32_t>(topo.nodes.size()));
-  for (const mem::TopologyNodeConfig& node : topo.nodes) {
-    w.u32(node.grants_per_cycle).u64(node.extra_latency);
-  }
-  const core::HhtConfig& h = cfg.hht;
-  w.u32(h.num_buffers).u32(h.buffer_len).u32(h.be_issue_per_cycle);
-  w.u32(h.cmp_per_cycle).u32(h.cmp_recurrence).u32(h.emit_per_cycle);
-  w.u32(h.prefetch_queue).u32(h.emission_queue);
-  w.u64(h.test_flip_element);
-  w.u32(static_cast<std::uint32_t>(cfg.vlmax));
-  w.b(cfg.programmable_hht);
-  writeTiming(w, cfg.micro_timing);
-  const sim::FaultConfig& f = cfg.faults;
-  w.b(f.enabled).u64(f.seed);
-  w.u64(std::bit_cast<std::uint64_t>(f.sram_read_flip_rate));
-  w.u64(std::bit_cast<std::uint64_t>(f.drop_rate));
-  w.u64(std::bit_cast<std::uint64_t>(f.delay_rate));
-  w.u64(f.delay_cycles);
-  w.u64(std::bit_cast<std::uint64_t>(f.mmr_glitch_rate));
-  w.u64(std::bit_cast<std::uint64_t>(f.fifo_corrupt_rate));
-  w.u32(f.ecc_retry_limit).u64(f.drop_penalty_cycles);
-  w.u64(cfg.watchdog_cycles);
-}
-
-SystemConfig readSystemConfig(sim::StateReader& r) {
-  SystemConfig cfg;
-  cfg.timing = readTiming(r);
+void io(sim::StateIo& ar, SystemConfig& cfg) {
+  io(ar, cfg.timing);
   mem::MemorySystemConfig& m = cfg.memory;
-  m.sram_bytes = static_cast<std::size_t>(r.u64());
-  m.sram_latency = r.u64();
-  m.grants_per_cycle = r.u32();
-  m.policy = static_cast<mem::ArbiterPolicy>(r.u8());
-  m.num_tiles = r.u32();
-  m.cpu_starvation_limit = r.u32();
-  m.cpu_cache_enabled = r.b();
-  m.hht_cache_enabled = r.b();
-  m.cache.size_bytes = r.u32();
-  m.cache.line_bytes = r.u32();
-  m.cache.ways = r.u32();
-  m.cache.hit_latency = r.u64();
-  m.cache.miss_penalty = r.u64();
-  m.cache.writeback_penalty = r.u64();
-  m.prefetch_enabled = r.b();
-  m.prefetch_degree = r.u32();
-  m.mmio_base = r.u32();
-  m.mmio_size = r.u32();
-  m.work_queue_enabled = r.b();
+  ar.u64(m.sram_bytes);
+  ar.u64(m.sram_latency);
+  ar.u32(m.grants_per_cycle);
+  ar.u8(m.policy, sim::after(mem::ArbiterPolicy::RoundRobin), "policy");
+  ar.u32(m.num_tiles);
+  ar.u32(m.cpu_starvation_limit);
+  ar.b(m.cpu_cache_enabled);
+  ar.b(m.hht_cache_enabled);
+  io(ar, m.cache);
+  ar.b(m.prefetch_enabled);
+  ar.u32(m.prefetch_degree);
+  ar.u32(m.mmio_base);
+  ar.u32(m.mmio_size);
+  ar.b(m.work_queue_enabled);
   mem::TopologyConfig& topo = m.topology;
-  topo.channels = r.u32();
-  topo.interleave_bytes = r.u32();
-  topo.link_latency = r.u64();
-  topo.link_bandwidth = r.u32();
-  topo.tile_l1_enabled = r.b();
-  topo.tile_l1.size_bytes = r.u32();
-  topo.tile_l1.line_bytes = r.u32();
-  topo.tile_l1.ways = r.u32();
-  topo.tile_l1.hit_latency = r.u64();
-  topo.tile_l1.miss_penalty = r.u64();
-  topo.tile_l1.writeback_penalty = r.u64();
-  topo.hht_prefetch_enabled = r.b();
-  topo.hht_prefetch_degree = r.u32();
-  topo.hht_prefetch_queue = r.u32();
-  topo.nodes.resize(r.u32());
-  for (mem::TopologyNodeConfig& node : topo.nodes) {
-    node.grants_per_cycle = r.u32();
-    node.extra_latency = r.u64();
-  }
+  ar.u32(topo.channels);
+  ar.u32(topo.interleave_bytes);
+  ar.u64(topo.link_latency);
+  ar.u32(topo.link_bandwidth);
+  ar.b(topo.tile_l1_enabled);
+  io(ar, topo.tile_l1);
+  ar.b(topo.hht_prefetch_enabled);
+  ar.u32(topo.hht_prefetch_degree);
+  ar.u32(topo.hht_prefetch_queue);
+  ar.seq<std::uint32_t>(topo.nodes, 12, [&](mem::TopologyNodeConfig& node) {
+    ar.u32(node.grants_per_cycle);
+    ar.u64(node.extra_latency);
+  });
   core::HhtConfig& h = cfg.hht;
-  h.num_buffers = r.u32();
-  h.buffer_len = r.u32();
-  h.be_issue_per_cycle = r.u32();
-  h.cmp_per_cycle = r.u32();
-  h.cmp_recurrence = r.u32();
-  h.emit_per_cycle = r.u32();
-  h.prefetch_queue = r.u32();
-  h.emission_queue = r.u32();
-  h.test_flip_element = r.u64();
-  cfg.vlmax = static_cast<int>(r.u32());
-  cfg.programmable_hht = r.b();
-  cfg.micro_timing = readTiming(r);
+  for (std::uint32_t* v : {&h.num_buffers, &h.buffer_len, &h.be_issue_per_cycle,
+                           &h.cmp_per_cycle, &h.cmp_recurrence,
+                           &h.emit_per_cycle, &h.prefetch_queue,
+                           &h.emission_queue}) {
+    ar.u32(*v);
+  }
+  ar.u64(h.test_flip_element);
+  ar.u32(cfg.vlmax);
+  ar.b(cfg.programmable_hht);
+  io(ar, cfg.micro_timing);
   sim::FaultConfig& f = cfg.faults;
-  f.enabled = r.b();
-  f.seed = r.u64();
-  f.sram_read_flip_rate = std::bit_cast<double>(r.u64());
-  f.drop_rate = std::bit_cast<double>(r.u64());
-  f.delay_rate = std::bit_cast<double>(r.u64());
-  f.delay_cycles = r.u64();
-  f.mmr_glitch_rate = std::bit_cast<double>(r.u64());
-  f.fifo_corrupt_rate = std::bit_cast<double>(r.u64());
-  f.ecc_retry_limit = r.u32();
-  f.drop_penalty_cycles = r.u64();
-  cfg.watchdog_cycles = r.u64();
-  return cfg;
+  ar.b(f.enabled);
+  ar.u64(f.seed);
+  ar.f64(f.sram_read_flip_rate);
+  ar.f64(f.drop_rate);
+  ar.f64(f.delay_rate);
+  ar.u64(f.delay_cycles);
+  ar.f64(f.mmr_glitch_rate);
+  ar.f64(f.fifo_corrupt_rate);
+  ar.u32(f.ecc_retry_limit);
+  ar.u64(f.drop_penalty_cycles);
+  ar.u64(cfg.watchdog_cycles);
 }
 
 namespace {
@@ -508,51 +426,35 @@ void System::finishResult(RunResult& result, Addr y_addr,
 std::vector<std::uint8_t> System::checkpoint(
     std::span<const isa::Program> programs, Cycle next_cycle) const {
   checkPrograms(programs, nullptr);
-  sim::StateWriter w;
-  w.tag("HHTS");
-  w.u32(kSnapshotVersion);
-  w.u64(configFingerprint(config_));
-  w.u32(numTiles());
-  for (const isa::Program& p : programs) {
-    w.str(p.name());
-    w.u64(programHash(p));
-  }
-  w.u64(next_cycle);
-  // Degraded-mode continuation state. When taken mid-fallback-rerun the
-  // recorded program IS the fallback, and restore()+resume() must land in
-  // the degraded loop (injection detached) rather than the primary one.
-  w.b(degraded_active_);
-  if (degraded_active_) {
-    w.u8(static_cast<std::uint8_t>(degraded_cause_));
-    w.str(degraded_detail_);
-  }
-  mem_->serialize(w);
-  // The chunk-queue section is config-implied (the fingerprint pins
-  // work_queue_enabled), like the memory system's topology sections.
-  if (wq_) wq_->serialize(w);
-  for (const Tile& tile : tiles_) {
-    // Each tile's fault injector (RNG + stats; config-implied like the
-    // chunk queue) precedes its HHT/core sections, so a restored campaign
-    // replays the same per-tile fault stream it would have seen
-    // uninterrupted.
-    if (tile.injector) tile.injector->serialize(w);
-    tile.hht->serialize(w);
-    tile.cpu->serialize(w);
-  }
-  return w.data();
+  sim::StateIo w;
+  const_cast<System&>(*this).io(w, programs, next_cycle);
+  return w.release();
 }
 
 Cycle System::restore(const std::vector<std::uint8_t>& snapshot,
                       std::span<const isa::Program> programs) {
   checkPrograms(programs, nullptr);
-  sim::StateReader r(snapshot);
-  r.expectTag("HHTS");
-  const std::uint32_t version = r.u32();
+  sim::StateIo r(snapshot);
+  const Cycle next_cycle = io(r, programs, 0);
+  // A mid-fallback snapshot resumes with injection detached; resume()
+  // re-arms it once the degraded loop completes.
+  armInjection(!degraded_active_);
+  for (std::uint32_t t = 0; t < numTiles(); ++t) {
+    tiles_[t].cpu->installProgram(programs[t]);
+  }
+  return next_cycle;
+}
+
+Cycle System::io(sim::StateIo& ar, std::span<const isa::Program> programs,
+                 Cycle next_cycle) {
+  ar.tag("HHTS");
+  std::uint32_t version = kSnapshotVersion;
+  ar.u32(version);
   if (version > kSnapshotVersion) {
     // Forward compatibility is explicitly NOT attempted: a newer writer may
     // have added fields this binary cannot even skip safely (sections are
-    // length-free), so best-effort reading would deserialize garbage into
-    // live component state. Fail structurally instead.
+    // length-free), so best-effort reading would load garbage into live
+    // component state. Fail structurally instead.
     throw sim::SimError(sim::ErrorKind::Checkpoint, "system",
                         "snapshot version " + std::to_string(version) +
                             " is newer than this binary's supported version " +
@@ -566,68 +468,59 @@ Cycle System::restore(const std::vector<std::uint8_t>& snapshot,
                             " != supported version " +
                             std::to_string(kSnapshotVersion));
   }
-  if (r.u64() != configFingerprint(config_)) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "system",
-                        "snapshot was taken under a different SystemConfig "
-                        "(fingerprint mismatch)");
-  }
-  const std::uint32_t tiles = r.u32();
-  if (tiles != numTiles()) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "system",
-                        "snapshot records " + std::to_string(tiles) +
-                            " tiles, this system has " +
-                            std::to_string(numTiles()));
-  }
+  ar.expect64(configFingerprint(config_), "SystemConfig fingerprint");
+  ar.expect32(numTiles(), "tile count");
   for (std::uint32_t t = 0; t < numTiles(); ++t) {
-    const std::string prog_name = r.str();
-    const std::uint64_t prog_hash = r.u64();
-    if (prog_name != programs[t].name() ||
-        prog_hash != programHash(programs[t])) {
+    const std::uint64_t want = programHash(programs[t]);
+    std::string name = programs[t].name();
+    std::uint64_t hash = want;
+    ar.str(name);
+    ar.u64(hash);
+    if (name != programs[t].name() || hash != want) {
       throw sim::SimError(sim::ErrorKind::Checkpoint, "system",
-                          "snapshot records program '" + prog_name +
-                              "', got '" + programs[t].name() +
-                              "' (or the code differs)",
+                          "snapshot records program '" + name + "', got '" +
+                              programs[t].name() + "' (or the code differs)",
                           {}, errorTile(t));
     }
   }
-  const Cycle next_cycle = r.u64();
-  // Parsed into locals and committed only once the whole payload has been
+  ar.u64(next_cycle);
+  // Degraded-mode continuation state. When taken mid-fallback-rerun the
+  // recorded program IS the fallback, and restore()+resume() must land in
+  // the degraded loop (injection detached) rather than the primary one.
+  // Read into locals and committed only once the whole payload has been
   // read: a rejected snapshot must not leave the machine half-degraded.
-  const bool degraded = r.b();
-  sim::FaultCause cause = sim::FaultCause::None;
-  std::string detail;
+  bool degraded = degraded_active_;
+  sim::FaultCause cause = degraded_cause_;
+  std::string detail = degraded_detail_;
+  ar.b(degraded);
   if (degraded) {
-    cause = static_cast<sim::FaultCause>(r.u8());
-    detail = r.str();
+    ar.u8(cause, sim::after(sim::FaultCause::StreamCheck), "fault cause");
+    ar.str(detail);
   }
-  mem_->deserialize(r);
-  if (wq_) wq_->deserialize(r);
+  mem_->io(ar);
+  // The chunk-queue section is config-implied (the fingerprint pins
+  // work_queue_enabled), like the memory system's topology sections.
+  if (wq_) wq_->io(ar);
   for (std::uint32_t t = 0; t < numTiles(); ++t) {
-    // Attribute section-level corruption to the tile whose section was
-    // being decoded — serving logs need to name the tile, and the reader's
-    // own errors only know the byte offset.
+    // Each tile's fault injector (RNG + stats; config-implied like the
+    // chunk queue) precedes its HHT/core sections, so a restored campaign
+    // replays the same per-tile fault stream it would have seen
+    // uninterrupted. Errors name the tile whose section was being visited:
+    // serving logs need it, and the archive only knows the byte offset.
     try {
       Tile& tile = tiles_[t];
-      if (tile.injector) tile.injector->deserialize(r);
-      tile.hht->deserialize(r);
-      tile.cpu->deserialize(r);
+      if (tile.injector) tile.injector->io(ar);
+      tile.hht->io(ar);
+      tile.cpu->io(ar);
     } catch (const sim::SimError& e) {
       throw e.tile() == sim::SimError::kNoTile ? e.withTile(errorTile(t)) : e;
     }
   }
-  if (!r.atEnd()) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "system",
-                        std::to_string(r.remaining()) +
-                            " trailing bytes after snapshot payload");
-  }
-  degraded_active_ = degraded;
-  degraded_cause_ = cause;
-  degraded_detail_ = std::move(detail);
-  // A mid-fallback snapshot resumes with injection detached; resume()
-  // re-arms it once the degraded loop completes.
-  armInjection(!degraded);
-  for (std::uint32_t t = 0; t < numTiles(); ++t) {
-    tiles_[t].cpu->installProgram(programs[t]);
+  ar.end();
+  if (ar.reading()) {
+    degraded_active_ = degraded;
+    degraded_cause_ = cause;
+    degraded_detail_ = std::move(detail);
   }
   return next_cycle;
 }

@@ -55,7 +55,7 @@ struct SystemConfig {
   /// bit-identical to ticking every component every cycle. false forces
   /// that every-cycle reference schedule (--no-fastforward in the benches)
   /// for A/B verification. Host-only tooling: deliberately excluded from
-  /// writeSystemConfig/readSystemConfig and the snapshot fingerprint,
+  /// the config encoding (io) and the snapshot fingerprint,
   /// because two configs differing only here describe the same machine.
   bool host_fastforward = true;
   /// Worker threads for the run loop's tile phase (DESIGN.md §11): tiles
@@ -66,7 +66,7 @@ struct SystemConfig {
   std::uint32_t tile_workers = 1;
   /// Optional cycle-accurate trace sink (src/obs, DESIGN.md §12). Host-only
   /// tooling exactly like host_fastforward: excluded from
-  /// writeSystemConfig/readSystemConfig and the snapshot fingerprint — a
+  /// the config encoding (io) and the snapshot fingerprint — a
   /// traced machine and an untraced machine are the same simulated machine.
   /// Attaching a sink forces the every-cycle schedule (every executed
   /// cycle must be observed) but never changes results, stats or snapshot
@@ -91,16 +91,15 @@ struct SystemConfig {
   }
 };
 
-/// Canonical binary serialization of a SystemConfig: the byte stream the
+/// Canonical binary encoding of a SystemConfig: the byte stream the
 /// snapshot fingerprint hashes, and the representation replay bundles embed
 /// so a failure reproduces under the exact machine configuration.
-void writeSystemConfig(sim::StateWriter& w, const SystemConfig& cfg);
-SystemConfig readSystemConfig(sim::StateReader& r);
+void io(sim::StateIo& ar, SystemConfig& cfg);
 
 /// Snapshot format version written after the "HHTS" magic (bytes 4..8).
 /// v2: StatSet gained interval histograms. v3: multi-tile scale-out —
 /// MemAccess records carry a tile byte, the arbiter serializes its
-/// rotation pointers + CPU streak, writeSystemConfig covers
+/// rotation pointers + CPU streak, the config encoding covers
 /// num_tiles/cpu_starvation_limit. v4: degraded-mode continuation (the
 /// mid-fallback flag plus the latched fault cause/detail) and per-tile
 /// fault-injector sections. v5: data-integrity subsystem — buffer/emission
@@ -108,7 +107,7 @@ SystemConfig readSystemConfig(sim::StateReader& r);
 /// CRCs, the SRAM's latent-flip registry, the patrol scrubber's cursor and
 /// the injector's silent-flip ordinal (the integrity knobs themselves are
 /// fingerprint-excluded). v6: one request-id stream per arbiter port.
-/// v7: writeSystemConfig appends mem.work_queue_enabled, and the
+/// v7: the config encoding appends mem.work_queue_enabled, and the
 /// ChunkQueueDevice section follows the memory system when enabled.
 /// v8: one layout for every tile count —
 ///   header (magic, version, config fingerprint), tile count, each tile's
@@ -121,7 +120,7 @@ SystemConfig readSystemConfig(sim::StateReader& r);
 /// from the future (no best-effort field skipping).
 inline constexpr std::uint32_t kSnapshotVersion = 8;
 
-/// FNV-1a fingerprint of writeSystemConfig(cfg)'s bytes — the identity
+/// FNV-1a fingerprint of io(cfg)'s bytes — the identity
 /// restore() checks before touching any component state.
 std::uint64_t configFingerprint(const SystemConfig& cfg);
 
@@ -371,6 +370,12 @@ class System {
                        RunObserver* observer, const LoopOptions& options);
   /// Wire (or, for the degraded rerun, detach) every tile's injector.
   void armInjection(bool armed);
+  /// The snapshot: checkpoint() writes it, restore() reads it (checking
+  /// the header against this machine and `programs`, and committing the
+  /// degraded state only once the whole payload has been read). Returns
+  /// the recorded next cycle.
+  Cycle io(sim::StateIo& ar, std::span<const isa::Program> programs,
+           Cycle next_cycle);
   /// The tile a SimError names: none on the 1-tile machine.
   int errorTile(std::uint32_t tile) const {
     return tiles_.size() > 1 ? static_cast<int>(tile) : sim::SimError::kNoTile;

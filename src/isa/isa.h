@@ -4,6 +4,7 @@
 #include <string>
 
 #include "isa/opcodes.h"
+#include "sim/state_io.h"
 
 namespace hht::isa {
 
@@ -54,6 +55,17 @@ struct Instr {
 
   friend bool operator==(const Instr&, const Instr&) = default;
 };
+
+/// An instruction's snapshot encoding: the core's in-flight instructions
+/// and the program identity hash both use it.
+inline void io(sim::StateIo& ar, Instr& instr) {
+  ar.u8(instr.op, kNumOpcodes, "opcode");
+  ar.u8(instr.rd, kNumXRegs, "register");
+  ar.u8(instr.rs1, kNumXRegs, "register");
+  ar.u8(instr.rs2, kNumXRegs, "register");
+  ar.u8(instr.rs3, kNumXRegs, "register");
+  ar.u32(instr.imm);
+}
 
 /// Human-readable rendering, e.g. "addi t0, t0, 4" or "beq t0, t1, @12".
 std::string disassemble(const Instr& instr);

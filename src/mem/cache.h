@@ -67,43 +67,21 @@ class Cache {
     return total == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(total);
   }
 
-  void serialize(sim::StateWriter& w) const {
-    w.tag("CACH");
-    w.u64(lines_.size());
-    for (const Line& line : lines_) {
-      w.u64(line.tag);
-      w.b(line.valid);
-      w.b(line.dirty);
-      w.u64(line.lru_stamp);
-    }
-    w.u64(access_counter_);
-    w.u64(hits_);
-    w.u64(misses_);
-    w.u64(writebacks_);
-    w.u64(prefetch_fills_);
-    w.b(last_missed_);
-  }
-
-  void deserialize(sim::StateReader& r) {
-    r.expectTag("CACH");
-    const std::uint64_t n = r.u64();
-    if (n != lines_.size()) {
-      throw sim::SimError(sim::ErrorKind::Checkpoint, "cache",
-                          "snapshot line count " + std::to_string(n) +
-                              " != configured " + std::to_string(lines_.size()));
-    }
+  void io(sim::StateIo& ar) {
+    ar.tag("CACH");
+    ar.expect64(lines_.size(), "cache line count");
     for (Line& line : lines_) {
-      line.tag = r.u64();
-      line.valid = r.b();
-      line.dirty = r.b();
-      line.lru_stamp = r.u64();
+      ar.u64(line.tag);
+      ar.b(line.valid);
+      ar.b(line.dirty);
+      ar.u64(line.lru_stamp);
     }
-    access_counter_ = r.u64();
-    hits_ = r.u64();
-    misses_ = r.u64();
-    writebacks_ = r.u64();
-    prefetch_fills_ = r.u64();
-    last_missed_ = r.b();
+    ar.u64(access_counter_);
+    ar.u64(hits_);
+    ar.u64(misses_);
+    ar.u64(writebacks_);
+    ar.u64(prefetch_fills_);
+    ar.b(last_missed_);
   }
 
  private:

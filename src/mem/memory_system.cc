@@ -1049,224 +1049,116 @@ std::string MemorySystem::describeState() const {
   return os.str();
 }
 
-namespace {
-
-void writeAccess(sim::StateWriter& w, const MemAccess& a) {
-  w.u32(a.addr);
-  w.u32(a.size);
-  w.b(a.is_write);
-  w.u32(a.wdata);
-  w.u8(static_cast<std::uint8_t>(a.requester));
-  w.u8(a.tile);
-}
-
-MemAccess readAccess(sim::StateReader& r) {
-  MemAccess a;
-  a.addr = r.u32();
-  a.size = r.u32();
-  a.is_write = r.b();
-  a.wdata = r.u32();
-  a.requester = static_cast<Requester>(r.u8());
-  a.tile = r.u8();
-  return a;
-}
-
-}  // namespace
-
-void MemorySystem::serialize(sim::StateWriter& w) const {
+void MemorySystem::io(sim::StateIo& ar) {
   // Topology-dependent sections are config-implied (present exactly when
   // the corresponding topology feature is on); the snapshot's config
   // fingerprint pins the topology, so decoding is unambiguous and the
   // flat layout's byte stream is identical to the pre-topology format v6.
   const bool with_l1 = config_.topology.tile_l1_enabled;
-  w.tag("MEMS");
-  sram_.serialize(w);
-  w.b(cpu_cache_ != nullptr);
-  if (cpu_cache_) cpu_cache_->serialize(w);
-  w.b(hht_cache_ != nullptr);
-  if (hht_cache_) hht_cache_->serialize(w);
-  for (const auto& l1 : tile_l1_) l1->serialize(w);
+  ar.tag("MEMS");
+  sram_.io(ar);
+  for (const auto* cache : {&cpu_cache_, &hht_cache_}) {
+    bool present = *cache != nullptr;
+    ar.b(present);
+    ar.check(present == (*cache != nullptr),
+             "cache presence disagrees with config");
+    if (*cache) (*cache)->io(ar);
+  }
+  for (const auto& l1 : tile_l1_) l1->io(ar);
 
-  auto write_queue = [&w, with_l1](const std::vector<Pending>& q) {
-    w.u64(q.size());
-    for (const Pending& p : q) {
-      w.u64(p.id);
-      writeAccess(w, p.access);
-      if (with_l1) w.u64(p.l1_latency);
-    }
+  const auto queue = [&](std::vector<Pending>& q) {
+    ar.seq(q, with_l1 ? 31 : 23, [&](Pending& p) {
+      ar.u64(p.id);
+      MemAccess& a = p.access;
+      ar.u32(a.addr);
+      ar.u32(a.size);
+      ar.b(a.is_write);
+      ar.u32(a.wdata);
+      ar.u8(a.requester, sim::after(Requester::Hht), "requester");
+      ar.u8(a.tile, config_.num_tiles, "access tile");
+      if (with_l1) ar.u64(p.l1_latency);
+    });
   };
-  for (const ChannelState& ch : channels_) write_queue(ch.queue);
-  for (const auto& lane : tile_lanes_) write_queue(lane);
-  write_queue(mmio_queue_);
+  for (ChannelState& ch : channels_) queue(ch.queue);
+  for (auto& lane : tile_lanes_) queue(lane);
+  queue(mmio_queue_);
 
-  w.u64(prefetch_queue_.size());
-  for (Addr a : prefetch_queue_) w.u32(a);
+  ar.seq(prefetch_queue_, 4, [&](Addr& a) { ar.u32(a); });
 
   if (config_.topology.hht_prefetch_enabled) {
-    w.u64(hht_pf_queue_.size());
-    for (const PrefetchTarget& t : hht_pf_queue_) {
-      w.u32(t.line);
-      w.u8(t.tile);
+    ar.seq(hht_pf_queue_, 5, [&](PrefetchTarget& t) {
+      ar.u32(t.line);
+      ar.u8(t.tile, config_.num_tiles, "prefetch tile");
+    });
+    for (StrideState& pf : hht_pf_) {
+      ar.u32(pf.last_addr);
+      ar.u64(pf.last_stride);
+      ar.u32(pf.confidence);
     }
-    for (const StrideState& pf : hht_pf_) {
-      w.u32(pf.last_addr);
-      w.u64(static_cast<std::uint64_t>(pf.last_stride));
-      w.u32(pf.confidence);
-    }
-    for (const auto& tracked : hht_pf_tracked_) {
-      w.u64(tracked.size());
-      for (Addr a : tracked) w.u32(a);
+    for (auto& tracked : hht_pf_tracked_) {
+      ar.seq(tracked, 4, [&](Addr& a) { ar.u32(a); });
     }
   }
 
-  w.u64(in_flight_.size());
-  for (const InFlight& f : in_flight_) {
-    w.u64(f.id);
-    w.u64(f.done_at);
-    w.u32(f.data);
-    w.b(f.poisoned);
-  }
+  ar.seq(in_flight_, 21, [&](InFlight& f) {
+    ar.u64(f.id);
+    ar.u64(f.done_at);
+    ar.u32(f.data);
+    ar.b(f.poisoned);
+  });
 
-  // Unclaimed responses sit in per-port slot tables; serialize them
+  // Unclaimed responses sit in per-port slot tables; they are written
   // flattened and sorted by id so identical states produce identical
   // snapshot bytes whatever the table sizes or retirement order.
   std::vector<ResponseTable::Entry> done;
-  for (const ResponseTable& table : responses_) {
-    for (const ResponseTable::Entry& e : table.slots) {
-      if (e.id != ResponseTable::kNoResponse) done.push_back(e);
+  if (!ar.reading()) {
+    for (const ResponseTable& table : responses_) {
+      for (const ResponseTable::Entry& e : table.slots) {
+        if (e.id != ResponseTable::kNoResponse) done.push_back(e);
+      }
     }
+    std::sort(done.begin(), done.end(),
+              [](const auto& a, const auto& b) { return a.id < b.id; });
   }
-  std::sort(done.begin(), done.end(),
-            [](const auto& a, const auto& b) { return a.id < b.id; });
-  w.u64(done.size());
-  for (const ResponseTable::Entry& e : done) {
-    w.u64(e.id);
-    w.u32(e.response.data);
-    w.b(e.response.poisoned);
-  }
+  ar.seq(done, 13, [&](ResponseTable::Entry& e) {
+    ar.u64(e.id);
+    ar.u32(e.response.data);
+    ar.b(e.response.poisoned);
+  });
 
   // Snapshot v6: per-requester id-stream counters (replaces the single
   // global next_id_ of v5 and earlier).
-  w.u64(next_seq_.size());
-  for (const RequestId seq : next_seq_) w.u64(seq);
+  ar.expect64(next_seq_.size(), "requester count");
+  for (RequestId& seq : next_seq_) ar.u64(seq);
   // Per-node arbiter turn; one record per channel (flat = one record,
   // byte-identical to the legacy rr/prio/streak fields).
-  for (const ChannelState& ch : channels_) {
-    w.u32(ch.rr_next);
-    w.u32(ch.prio_next[0]);
-    w.u32(ch.prio_next[1]);
-    w.u64(ch.cpu_streak);
+  for (ChannelState& ch : channels_) {
+    ar.u32(ch.rr_next, num_requesters_, "arbiter turn");
+    ar.u32(ch.prio_next[0], num_requesters_, "arbiter turn");
+    ar.u32(ch.prio_next[1], num_requesters_, "arbiter turn");
+    ar.u64(ch.cpu_streak);
   }
-  w.u32(scrub_addr_);         // snapshot v5: patrol walk state
-  w.u64(next_scrub_cycle_);
-  stats_.serialize(w);
-}
-
-void MemorySystem::deserialize(sim::StateReader& r) {
-  const bool with_l1 = config_.topology.tile_l1_enabled;
-  r.expectTag("MEMS");
-  sram_.deserialize(r);
-  const bool has_cpu_cache = r.b();
-  if (has_cpu_cache != (cpu_cache_ != nullptr)) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "mem",
-                        "snapshot CPU-cache presence disagrees with config");
-  }
-  if (cpu_cache_) cpu_cache_->deserialize(r);
-  const bool has_hht_cache = r.b();
-  if (has_hht_cache != (hht_cache_ != nullptr)) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "mem",
-                        "snapshot HHT-cache presence disagrees with config");
-  }
-  if (hht_cache_) hht_cache_->deserialize(r);
-  for (const auto& l1 : tile_l1_) l1->deserialize(r);
-
-  auto read_queue = [&r, with_l1](std::vector<Pending>& q) {
-    q.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Pending p;
-      p.id = r.u64();
-      p.access = readAccess(r);
-      if (with_l1) p.l1_latency = r.u64();
-      q.push_back(p);
-    }
-  };
-  for (ChannelState& ch : channels_) read_queue(ch.queue);
-  for (auto& lane : tile_lanes_) read_queue(lane);
-  read_queue(mmio_queue_);
-
-  prefetch_queue_.clear();
-  const std::uint64_t n_prefetch = r.u64();
-  for (std::uint64_t i = 0; i < n_prefetch; ++i) {
-    prefetch_queue_.push_back(r.u32());
-  }
-
-  if (config_.topology.hht_prefetch_enabled) {
-    hht_pf_queue_.clear();
-    const std::uint64_t n_pf = r.u64();
-    for (std::uint64_t i = 0; i < n_pf; ++i) {
-      PrefetchTarget t;
-      t.line = r.u32();
-      t.tile = r.u8();
-      hht_pf_queue_.push_back(t);
-    }
-    for (StrideState& pf : hht_pf_) {
-      pf.last_addr = r.u32();
-      pf.last_stride = static_cast<std::int64_t>(r.u64());
-      pf.confidence = r.u32();
-    }
-    for (auto& tracked : hht_pf_tracked_) {
-      tracked.clear();
-      const std::uint64_t n = r.u64();
-      for (std::uint64_t i = 0; i < n; ++i) tracked.push_back(r.u32());
-    }
-  }
+  ar.u32(scrub_addr_);  // snapshot v5: patrol walk state
+  ar.u64(next_scrub_cycle_);
+  stats_.io(ar);
+  if (!ar.reading()) return;
 
   // Ids carry their port (id = seq*R + who + 1), so the host-only port
-  // fields and tables are rebuilt from them.
-  const auto port_of = [this](RequestId id) {
-    return static_cast<std::uint32_t>((id - 1) % num_requesters_);
+  // fields and tables are rebuilt from them. An id its port has not issued
+  // yet (or a repeated one) would grow a slot table without bound.
+  const auto port_of = [&](RequestId id) {
+    const auto port = static_cast<std::uint32_t>((id - 1) % num_requesters_);
+    ar.check((id - 1) / num_requesters_ < next_seq_[port],
+             "request id was never issued");
+    return port;
   };
-  in_flight_.clear();
-  const std::uint64_t n_flight = r.u64();
-  for (std::uint64_t i = 0; i < n_flight; ++i) {
-    InFlight f;
-    f.id = r.u64();
-    f.done_at = r.u64();
-    f.data = r.u32();
-    f.poisoned = r.b();
-    f.who = static_cast<std::uint8_t>(port_of(f.id));
-    in_flight_.push_back(f);
-  }
-
+  for (InFlight& f : in_flight_) f.who = static_cast<std::uint8_t>(port_of(f.id));
   clearResponses();
-  const std::uint64_t n_done = r.u64();
-  for (std::uint64_t i = 0; i < n_done; ++i) {
-    const RequestId id = r.u64();
-    MemResponse response;
-    response.data = r.u32();
-    response.poisoned = r.b();
-    deliver(port_of(id), id, response);
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    ar.check(i == 0 || done[i - 1].id < done[i].id,
+             "response ids are not strictly increasing");
+    deliver(port_of(done[i].id), done[i].id, done[i].response);
   }
-
-  const std::uint64_t n_seq = r.u64();
-  if (n_seq != next_seq_.size()) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "mem",
-                        "snapshot requester count disagrees with config: " +
-                            std::to_string(n_seq) + " vs " +
-                            std::to_string(next_seq_.size()));
-  }
-  for (RequestId& seq : next_seq_) seq = r.u64();
-  for (ChannelState& ch : channels_) {
-    ch.rr_next = r.u32();
-    ch.prio_next[0] = r.u32();
-    ch.prio_next[1] = r.u32();
-    ch.cpu_streak = r.u64();
-  }
-  scrub_addr_ = r.u32();
-  next_scrub_cycle_ = r.u64();
-  stats_.deserialize(r);
-
   std::fill(queued_.begin(), queued_.end(), 0u);
   const auto count = [this](const std::vector<Pending>& q) {
     for (const Pending& p : q) ++queued_[requesterIndex(p.access)];

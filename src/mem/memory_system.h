@@ -323,7 +323,7 @@ class MemorySystem {
   /// Export cache counters into stats() (called by run loops at the end).
   void finalizeStats();
 
-  /// Checkpoint hooks: serialize the complete run state (SRAM contents,
+  /// Checkpoint hook: visit the complete run state (SRAM contents,
   /// cache tag state, all queues — per-channel and per-tile-lane — the
   /// in-flight and completed responses, the request-id allocator, every
   /// node's arbiter turn and the prefetcher state). Topology-only sections
@@ -331,8 +331,7 @@ class MemorySystem {
   /// flat layout's bytes are identical to the pre-topology format v6. The
   /// MMIO device pointer and fault injector are wiring, re-established by
   /// the owning System.
-  void serialize(sim::StateWriter& w) const;
-  void deserialize(sim::StateReader& r);
+  void io(sim::StateIo& ar);
 
  private:
   struct Pending {

@@ -132,33 +132,21 @@ class Sram {
     return out;
   }
 
-  void serialize(sim::StateWriter& w) const {
-    w.tag("SRAM");
-    w.bytes(bytes_.get(), size_);
-    w.u64(latent_.size());  // snapshot v5: latent-flip registry
-    for (const auto& [word, mask] : latent_) {
-      w.u64(word);
-      w.u32(mask);
-    }
-  }
-
-  /// The SRAM is sized by config, never by snapshot: a size mismatch means
-  /// the snapshot belongs to a different SystemConfig.
-  void deserialize(sim::StateReader& r) {
-    r.expectTag("SRAM");
-    std::vector<std::uint8_t> blob = r.bytes();
-    if (blob.size() != size_) {
-      throw sim::SimError(sim::ErrorKind::Checkpoint, "sram",
-                          "snapshot SRAM size " + std::to_string(blob.size()) +
-                              " != configured " + std::to_string(size_));
-    }
-    if (size_ != 0) std::memcpy(bytes_.get(), blob.data(), size_);
-    latent_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const Addr word = static_cast<Addr>(r.u64());
-      latent_[word] = r.u32();
-    }
+  /// Checkpoint hook. The SRAM is sized by config, never by snapshot: a
+  /// size mismatch means the snapshot belongs to a different SystemConfig.
+  /// Its contents are read straight into the mapping.
+  void io(sim::StateIo& ar) {
+    ar.tag("SRAM");
+    ar.expect64(size_, "SRAM size");
+    ar.raw(bytes_.get(), size_);
+    // Snapshot v5: the latent-flip registry, by word address.
+    std::vector<std::pair<Addr, std::uint32_t>> latent(latent_.begin(),
+                                                       latent_.end());
+    ar.seq(latent, 12, [&](auto& e) {
+      ar.u64(e.first, size_, "latent-flip address");
+      ar.u32(e.second);
+    });
+    if (ar.reading()) latent_ = {latent.begin(), latent.end()};
   }
 
  private:

@@ -113,57 +113,22 @@ MmioReadResult ChunkQueueDevice::mmioRead(Addr offset, std::uint32_t size,
   return {true, claim(static_cast<std::uint32_t>(offset / 4))};
 }
 
-void ChunkQueueDevice::serialize(sim::StateWriter& w) const {
-  w.tag("WKQ7");
-  w.u32(num_tiles_);
-  for (const auto& q : queues_) {
-    w.u64(q.size());
-    for (const Chunk& c : q) {
-      w.u32(c.row_begin);
-      w.u32(c.row_count);
-    }
-  }
-  w.u64(log_.size());
-  for (const Claim& c : log_) {
-    w.u32(c.tile);
-    w.u32(c.row_begin);
-    w.u32(c.row_count);
-    w.b(c.stolen);
-  }
-  stats_.serialize(w);
-}
-
-void ChunkQueueDevice::deserialize(sim::StateReader& r) {
-  r.expectTag("WKQ7");
-  const std::uint32_t tiles = r.u32();
-  if (tiles != num_tiles_) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "wq",
-                        "snapshot has " + std::to_string(tiles) +
-                            " work-queue deques, this machine has " +
-                            std::to_string(num_tiles_));
-  }
+void ChunkQueueDevice::io(sim::StateIo& ar) {
+  ar.tag("WKQ7");
+  ar.expect32(num_tiles_, "work-queue deque count");
   for (auto& q : queues_) {
-    q.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Chunk c;
-      c.row_begin = r.u32();
-      c.row_count = r.u32();
-      q.push_back(c);
-    }
+    ar.seq(q, 8, [&](Chunk& c) {
+      ar.u32(c.row_begin);
+      ar.u32(c.row_count);
+    });
   }
-  log_.clear();
-  const std::uint64_t n = r.u64();
-  log_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Claim c;
-    c.tile = r.u32();
-    c.row_begin = r.u32();
-    c.row_count = r.u32();
-    c.stolen = r.b();
-    log_.push_back(c);
-  }
-  stats_.deserialize(r);
+  ar.seq(log_, 13, [&](Claim& c) {
+    ar.u32(c.tile, num_tiles_, "claim tile");
+    ar.u32(c.row_begin);
+    ar.u32(c.row_count);
+    ar.b(c.stolen);
+  });
+  stats_.io(ar);
 }
 
 }  // namespace hht::mem

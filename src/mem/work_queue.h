@@ -109,10 +109,9 @@ class ChunkQueueDevice : public MmioDevice {
 
   void setTraceSink(obs::TraceSink* sink) { trace_ = sink; }
 
-  /// Snapshot hooks (v7): deque contents and the claim log. The per-cycle
+  /// Snapshot hook (v7): deque contents and the claim log. The per-cycle
   /// claim budget is transient (checkpoints land on cycle boundaries).
-  void serialize(sim::StateWriter& w) const;
-  void deserialize(sim::StateReader& r);
+  void io(sim::StateIo& ar);
 
  private:
   static std::uint32_t pack(const Chunk& c) {

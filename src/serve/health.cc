@@ -73,41 +73,19 @@ std::uint32_t TileHealth::quarantinedCount() const {
   return n;
 }
 
-void TileHealth::serialize(sim::StateWriter& w) const {
-  w.tag("HLTH");
-  w.u32(static_cast<std::uint32_t>(tiles_.size()));
-  w.u32(cfg_.window);
-  w.u64(quarantine_events_);
-  w.u64(reinstate_events_);
-  for (const Tile& t : tiles_) {
-    w.u32(t.head).u32(t.filled).u32(t.faults);
-    w.b(t.quarantined);
-    w.u32(t.cooldown);
-    for (const std::uint8_t slot : t.ring) w.u8(slot);
-  }
-}
-
-void TileHealth::deserialize(sim::StateReader& r) {
-  r.expectTag("HLTH");
-  const std::uint32_t tiles = r.u32();
-  const std::uint32_t window = r.u32();
-  if (tiles != tiles_.size() || window != cfg_.window) {
-    throw sim::SimError(
-        sim::ErrorKind::Checkpoint, "serve",
-        "health snapshot shape (" + std::to_string(tiles) + " tiles, window " +
-            std::to_string(window) + ") does not match this server (" +
-            std::to_string(tiles_.size()) + " tiles, window " +
-            std::to_string(cfg_.window) + ")");
-  }
-  quarantine_events_ = r.u64();
-  reinstate_events_ = r.u64();
+void TileHealth::io(sim::StateIo& ar) {
+  ar.tag("HLTH");
+  ar.expect32(static_cast<std::uint32_t>(tiles_.size()), "health tile count");
+  ar.expect32(cfg_.window, "health window");
+  ar.u64(quarantine_events_);
+  ar.u64(reinstate_events_);
   for (Tile& t : tiles_) {
-    t.head = r.u32();
-    t.filled = r.u32();
-    t.faults = r.u32();
-    t.quarantined = r.b();
-    t.cooldown = r.u32();
-    for (std::uint8_t& slot : t.ring) slot = r.u8();
+    ar.u32(t.head, cfg_.window, "health ring head");
+    ar.u32(t.filled, std::uint64_t{cfg_.window} + 1, "health ring fill");
+    ar.u32(t.faults);
+    ar.b(t.quarantined);
+    ar.u32(t.cooldown);
+    for (std::uint8_t& slot : t.ring) ar.u8(slot);
   }
 }
 

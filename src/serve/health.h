@@ -76,10 +76,9 @@ class TileHealth {
     return at(tile).filled;
   }
 
-  void serialize(sim::StateWriter& w) const;
-  /// Restores state written by serialize(); tile count and window size
-  /// must match this instance's construction or SimError(Checkpoint).
-  void deserialize(sim::StateReader& r);
+  /// Checkpoint hook. On restore the tile count and window size must match
+  /// this instance's construction, or SimError(Checkpoint).
+  void io(sim::StateIo& ar);
 
  private:
   struct Tile {

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "sim/checksum.h"
 #include "workload/synthetic.h"
 
 namespace hht::serve {
@@ -39,12 +40,11 @@ OperandData materialize(const Request& r) {
 }
 
 std::uint64_t hashVector(const sparse::DenseVector& y) {
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a offset basis
+  std::uint64_t h = sim::kFnvOffsetBasis;
   for (sim::Index i = 0; i < y.size(); ++i) {
     const std::uint32_t bits = std::bit_cast<std::uint32_t>(y.at(i));
     for (int shift = 0; shift < 32; shift += 8) {
-      h ^= (bits >> shift) & 0xFFu;
-      h *= 0x100000001B3ull;
+      h = sim::fnv1aByte(h, static_cast<std::uint8_t>(bits >> shift));
     }
   }
   return h;
@@ -74,68 +74,33 @@ std::vector<Request> randomRequestStream(std::uint64_t seed,
   return out;
 }
 
-void writeRequest(sim::StateWriter& w, const Request& r) {
-  w.u64(r.id);
-  w.u8(static_cast<std::uint8_t>(r.kind));
-  w.u64(r.seed);
-  w.u32(r.size);
-  w.f32(r.sparsity);
-  w.f32(r.vec_sparsity);
-  w.u64(r.arrival_cycle);
-  w.u64(r.deadline_cycle);
+void io(sim::StateIo& ar, Request& r) {
+  ar.u64(r.id);
+  ar.u8(r.kind, sim::after(Kind::kSpmspv), "request kind");
+  ar.u64(r.seed);
+  ar.u32(r.size);
+  ar.f32(r.sparsity);
+  ar.f32(r.vec_sparsity);
+  ar.u64(r.arrival_cycle);
+  ar.u64(r.deadline_cycle);
 }
 
-Request readRequest(sim::StateReader& r) {
-  Request q;
-  q.id = r.u64();
-  q.kind = static_cast<Kind>(r.u8());
-  q.seed = r.u64();
-  q.size = r.u32();
-  q.sparsity = r.f32();
-  q.vec_sparsity = r.f32();
-  q.arrival_cycle = r.u64();
-  q.deadline_cycle = r.u64();
-  return q;
+void io(sim::StateIo& ar, Completion& c) {
+  ar.u64(c.id);
+  ar.u8(c.outcome, sim::after(Outcome::kFailed), "outcome");
+  ar.u32(c.attempts);
+  ar.u32(c.tile);
+  ar.u64(c.finish_cycle);
+  ar.u64(c.latency_cycles);
+  ar.u64(c.y_hash);
+  ar.str(c.error);
 }
 
-void writeCompletion(sim::StateWriter& w, const Completion& c) {
-  w.u64(c.id);
-  w.u8(static_cast<std::uint8_t>(c.outcome));
-  w.u32(c.attempts);
-  w.u32(static_cast<std::uint32_t>(c.tile));
-  w.u64(c.finish_cycle);
-  w.u64(c.latency_cycles);
-  w.u64(c.y_hash);
-  w.str(c.error);
-}
-
-Completion readCompletion(sim::StateReader& r) {
-  Completion c;
-  c.id = r.u64();
-  c.outcome = static_cast<Outcome>(r.u8());
-  c.attempts = r.u32();
-  c.tile = static_cast<std::int32_t>(r.u32());
-  c.finish_cycle = r.u64();
-  c.latency_cycles = r.u64();
-  c.y_hash = r.u64();
-  c.error = r.str();
-  return c;
-}
-
-void writeRejected(sim::StateWriter& w, const Rejected& rej) {
-  w.u64(rej.id);
-  w.u64(rej.cycle);
-  w.u32(rej.queue_depth);
-  w.str(rej.reason);
-}
-
-Rejected readRejected(sim::StateReader& r) {
-  Rejected rej;
-  rej.id = r.u64();
-  rej.cycle = r.u64();
-  rej.queue_depth = r.u32();
-  rej.reason = r.str();
-  return rej;
+void io(sim::StateIo& ar, Rejected& rej) {
+  ar.u64(rej.id);
+  ar.u64(rej.cycle);
+  ar.u32(rej.queue_depth);
+  ar.str(rej.reason);
 }
 
 }  // namespace hht::serve

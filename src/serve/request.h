@@ -109,11 +109,8 @@ std::vector<Request> randomRequestStream(std::uint64_t seed,
                                          const StreamConfig& sc);
 
 // Snapshot plumbing (used by Server::checkpoint/restore).
-void writeRequest(sim::StateWriter& w, const Request& r);
-Request readRequest(sim::StateReader& r);
-void writeCompletion(sim::StateWriter& w, const Completion& c);
-Completion readCompletion(sim::StateReader& r);
-void writeRejected(sim::StateWriter& w, const Rejected& rej);
-Rejected readRejected(sim::StateReader& r);
+void io(sim::StateIo& ar, Request& r);
+void io(sim::StateIo& ar, Completion& c);
+void io(sim::StateIo& ar, Rejected& rej);
 
 }  // namespace hht::serve

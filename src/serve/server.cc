@@ -1,10 +1,10 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "harness/experiment.h"
 #include "harness/sweep.h"
+#include "sim/checksum.h"
 #include "sparse/reference.h"
 
 namespace hht::serve {
@@ -17,15 +17,6 @@ constexpr std::uint32_t kServeSnapshotVersion = 1;
 constexpr std::uint64_t kTileSeedStride = 0x9E3779B97F4A7C15ull;
 constexpr std::uint64_t kAttemptSeedStride = 0xD1B54A32D192ED03ull;
 constexpr std::uint64_t kRequestSeedStride = 0x632BE59BD9B4E019ull;
-
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
 
 bool sameVector(const sparse::DenseVector& got,
                 const sparse::DenseVector& want) {
@@ -432,131 +423,68 @@ ServerStats Server::stats() const {
   return s;
 }
 
-void Server::writeConfig(sim::StateWriter& w, const ServerConfig& cfg) {
-  harness::writeSystemConfig(w, cfg.system);
-  w.u32(cfg.num_tiles);
+std::uint64_t Server::configFingerprint(const ServerConfig& cfg) {
+  ServerConfig c = cfg;
+  sim::StateIo w;
+  harness::io(w, c.system);
+  w.u32(c.num_tiles);
   // jobs is deliberately excluded: it is a host-side knob and results are
   // byte-identical for every value (SweepRunner determinism contract).
-  w.u32(cfg.queue_capacity);
-  w.u32(cfg.retry_budget);
-  w.u64(cfg.backoff_base);
-  w.b(cfg.degraded_fallback);
-  w.u32(cfg.health.window);
-  w.u32(cfg.health.min_samples);
-  w.u64(std::bit_cast<std::uint64_t>(cfg.health.fault_rate_threshold));
-  w.u32(cfg.health.probe_period);
-  w.u32(cfg.probe_size);
-  w.u64(cfg.attempt_max_cycles);
-}
-
-std::uint64_t Server::configFingerprint(const ServerConfig& cfg) {
-  sim::StateWriter w;
-  writeConfig(w, cfg);
-  return fnv1a(w.data());
+  w.u32(c.queue_capacity);
+  w.u32(c.retry_budget);
+  w.u64(c.backoff_base);
+  w.b(c.degraded_fallback);
+  w.u32(c.health.window);
+  w.u32(c.health.min_samples);
+  w.f64(c.health.fault_rate_threshold);
+  w.u32(c.health.probe_period);
+  w.u32(c.probe_size);
+  w.u64(c.attempt_max_cycles);
+  return sim::fnv1a(w.data());
 }
 
 std::vector<std::uint8_t> Server::checkpoint() const {
-  sim::StateWriter w;
-  w.tag("SRVS");
-  w.u32(kServeSnapshotVersion);
-  w.u64(configFingerprint(cfg_));
-  w.u64(now_);
-  w.u64(batches_);
-  w.u64(probe_seq_);
-  w.u64(submitted_);
-  w.u64(hht_faults_);
-  w.u64(retry_count_);
-  w.u64(probe_count_);
-  const auto pending = [&w](const Pending& p) {
-    writeRequest(w, p.r);
-    w.u32(p.attempts_used);
-    w.u32(static_cast<std::uint32_t>(p.last_tile));
-    w.u64(p.ready_cycle);
-    w.str(p.last_error);
-  };
-  w.tag("ARRV");
-  w.u64(arrivals_.size());
-  for (const Pending& p : arrivals_) pending(p);
-  w.tag("QUEU");
-  w.u64(queue_.size());
-  for (const Pending& p : queue_) pending(p);
-  w.tag("RTRY");
-  w.u64(retries_.size());
-  for (const Pending& p : retries_) pending(p);
-  w.tag("DONE");
-  w.u64(completions_.size());
-  for (const Completion& c : completions_) writeCompletion(w, c);
-  w.tag("SHED");
-  w.u64(rejections_.size());
-  for (const Rejected& rej : rejections_) writeRejected(w, rej);
-  health_.serialize(w);
-  latency_hist_.serialize(w);
-  return w.data();
+  sim::StateIo w;
+  const_cast<Server&>(*this).io(w);
+  return w.release();
 }
 
 void Server::restore(const std::vector<std::uint8_t>& snapshot) {
-  sim::StateReader r(snapshot);
-  r.expectTag("SRVS");
-  const std::uint32_t version = r.u32();
-  if (version != kServeSnapshotVersion) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "serve",
-                        "server snapshot version " + std::to_string(version) +
-                            " != supported version " +
-                            std::to_string(kServeSnapshotVersion));
+  sim::StateIo r(snapshot);
+  io(r);
+}
+
+void Server::io(sim::StateIo& ar) {
+  ar.tag("SRVS");
+  ar.expect32(kServeSnapshotVersion, "version");
+  ar.expect64(configFingerprint(cfg_), "ServerConfig fingerprint");
+  for (std::uint64_t* v : {&now_, &batches_, &probe_seq_, &submitted_,
+                           &hht_faults_, &retry_count_, &probe_count_}) {
+    ar.u64(*v);
   }
-  const std::uint64_t fp = r.u64();
-  if (fp != configFingerprint(cfg_)) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "serve",
-                        "server snapshot was taken under a different "
-                        "ServerConfig (fingerprint mismatch)");
-  }
-  now_ = r.u64();
-  batches_ = r.u64();
-  probe_seq_ = r.u64();
-  submitted_ = r.u64();
-  hht_faults_ = r.u64();
-  retry_count_ = r.u64();
-  probe_count_ = r.u64();
-  const auto pending = [&r]() {
-    Pending p;
-    p.r = readRequest(r);
-    p.attempts_used = r.u32();
-    p.last_tile = static_cast<std::int32_t>(r.u32());
-    p.ready_cycle = r.u64();
-    p.last_error = r.str();
-    return p;
+  // Smallest records (empty strings): a request is 45 bytes and a pending
+  // entry 69; a completion is 49 and a rejection 28.
+  const auto pending = [&](Pending& p) {
+    serve::io(ar, p.r);
+    ar.u32(p.attempts_used);
+    ar.u32(p.last_tile);
+    ar.u64(p.ready_cycle);
+    ar.str(p.last_error);
   };
-  r.expectTag("ARRV");
-  arrivals_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    arrivals_.push_back(pending());
-  }
-  r.expectTag("QUEU");
-  queue_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    queue_.push_back(pending());
-  }
-  r.expectTag("RTRY");
-  retries_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    retries_.push_back(pending());
-  }
-  r.expectTag("DONE");
-  completions_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    completions_.push_back(readCompletion(r));
-  }
-  r.expectTag("SHED");
-  rejections_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    rejections_.push_back(readRejected(r));
-  }
-  health_.deserialize(r);
-  latency_hist_.deserialize(r);
-  if (!r.atEnd()) {
-    throw sim::SimError(sim::ErrorKind::Checkpoint, "serve",
-                        "trailing bytes after server snapshot payload");
-  }
+  ar.tag("ARRV");
+  ar.seq(arrivals_, 69, pending);
+  ar.tag("QUEU");
+  ar.seq(queue_, 69, pending);
+  ar.tag("RTRY");
+  ar.seq(retries_, 69, pending);
+  ar.tag("DONE");
+  ar.seq(completions_, 49, [&](Completion& c) { serve::io(ar, c); });
+  ar.tag("SHED");
+  ar.seq(rejections_, 28, [&](Rejected& rej) { serve::io(ar, rej); });
+  health_.io(ar);
+  latency_hist_.io(ar);
+  ar.end();
+  if (!ar.reading()) return;
   ids_.clear();
   for (const Completion& c : completions_) ids_.insert(c.id);
   for (const Pending& p : arrivals_) ids_.insert(p.r.id);

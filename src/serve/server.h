@@ -173,7 +173,9 @@ class Server {
   AttemptResult runAttempt(const Request& r, std::uint32_t tile,
                            std::uint32_t attempt_index, bool degraded) const;
   AttemptResult runProbe(std::uint32_t tile, std::uint64_t probe_seq) const;
-  static void writeConfig(sim::StateWriter& w, const ServerConfig& cfg);
+  /// The snapshot: checkpoint() writes it, restore() reads it and rebuilds
+  /// ids_.
+  void io(sim::StateIo& ar);
 
   ServerConfig cfg_;
   Cycle now_ = 0;

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 namespace hht::sim {
 
@@ -48,6 +49,22 @@ constexpr std::uint32_t crcFoldSlot(std::uint32_t crc, std::uint32_t bits,
                                     bool is_row_end) {
   crc = crc32cWord(crc, bits);
   return crc32cByte(crc, is_row_end ? 1u : 0u);
+}
+
+/// FNV-1a (64-bit): the byte-buffer hash behind snapshot fingerprints,
+/// program identities and served-result hashes.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ull;
+
+/// Fold one byte into a running FNV-1a hash.
+constexpr std::uint64_t fnv1aByte(std::uint64_t h, std::uint8_t byte) {
+  return (h ^ byte) * 0x100000001B3ull;
+}
+
+/// Fold `bytes` into a running FNV-1a hash (a fresh one by default).
+constexpr std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
+                              std::uint64_t h = kFnvOffsetBasis) {
+  for (const std::uint8_t byte : bytes) h = fnv1aByte(h, byte);
+  return h;
 }
 
 }  // namespace hht::sim

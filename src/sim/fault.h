@@ -141,20 +141,15 @@ class FaultInjector {
   StatSet& stats() { return stats_; }
   const StatSet& stats() const { return stats_; }
 
-  /// Checkpoint hooks. The config is NOT serialized — the restoring side
-  /// reconstructs the injector from the (fingerprint-checked) SystemConfig;
-  /// only the PRNG position and injection counters are run state.
-  void serialize(StateWriter& w) const {
-    w.tag("FINJ");
-    rng_.serialize(w);
-    stats_.serialize(w);
-    w.u64(sdc_fifo_seen_);  // snapshot v5
-  }
-  void deserialize(StateReader& r) {
-    r.expectTag("FINJ");
-    rng_.deserialize(r);
-    stats_.deserialize(r);
-    sdc_fifo_seen_ = r.u64();
+  /// Checkpoint hook. The config is not in the snapshot: the restoring
+  /// side rebuilds the injector from the (fingerprint-checked)
+  /// SystemConfig; only the PRNG position and injection counters are run
+  /// state.
+  void io(StateIo& ar) {
+    ar.tag("FINJ");
+    rng_.io(ar);
+    stats_.io(ar);
+    ar.u64(sdc_fifo_seen_);  // snapshot v5
   }
 
  private:

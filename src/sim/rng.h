@@ -74,12 +74,9 @@ class Rng {
   /// Bernoulli trial with probability p (clamped to [0,1]).
   bool nextBool(double p) { return nextDouble() < p; }
 
-  /// Checkpoint hooks: the full generator state is the four state words.
-  void serialize(StateWriter& w) const {
-    for (std::uint64_t word : state_) w.u64(word);
-  }
-  void deserialize(StateReader& r) {
-    for (auto& word : state_) word = r.u64();
+  /// Checkpoint hook: the full generator state is the four state words.
+  void io(StateIo& ar) {
+    for (auto& word : state_) ar.u64(word);
   }
 
  private:

@@ -64,19 +64,12 @@ class Histogram {
     for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
   }
 
-  void serialize(StateWriter& w) const {
-    w.u64(count_);
-    w.u64(sum_);
-    w.u64(min_);
-    w.u64(max_);
-    for (const std::uint64_t b : buckets_) w.u64(b);
-  }
-  void deserialize(StateReader& r) {
-    count_ = r.u64();
-    sum_ = r.u64();
-    min_ = r.u64();
-    max_ = r.u64();
-    for (std::uint64_t& b : buckets_) b = r.u64();
+  void io(StateIo& ar) {
+    ar.u64(count_);
+    ar.u64(sum_);
+    ar.u64(min_);
+    ar.u64(max_);
+    for (std::uint64_t& b : buckets_) ar.u64(b);
   }
 
  private:
@@ -176,35 +169,30 @@ class StatSet {
     return out;
   }
 
-  void serialize(StateWriter& w) const {
-    w.u64(index_.size());
-    for (const auto& [name, id] : index_) {
-      w.str(name);
-      w.u64(values_[id]);
+  /// Checkpoint hook. Reading must not invalidate handles: components
+  /// cache counter() references and handle() ids, so existing counters are
+  /// zeroed in place and snapshot values assigned by name via counter()
+  /// (creating any the snapshot has that we don't yet). Names come from
+  /// the maps when writing and from the snapshot when reading.
+  void io(StateIo& ar) {
+    if (ar.reading()) {
+      for (auto& v : values_) v = 0;
+      hists_.clear();
     }
-    w.u64(hists_.size());
-    for (const auto& [name, hist] : hists_) {
-      w.str(name);
-      hist.serialize(w);
+    // A counter is at least a name length and a value.
+    auto c = index_.begin();
+    for (std::size_t i = 0, n = ar.count(index_.size(), 16); i < n; ++i) {
+      std::string name = ar.reading() ? std::string() : (c++)->first;
+      ar.str(name);
+      ar.u64(counter(name));
     }
-  }
-
-  /// Restore counter values WITHOUT invalidating handles: components cache
-  /// counter() references and handle() ids, so existing entries must stay
-  /// in place. Existing counters are zeroed, then snapshot values assigned
-  /// via counter() (creating any the snapshot has that we don't yet).
-  void deserialize(StateReader& r) {
-    for (auto& v : values_) v = 0;
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::string name = r.str();
-      counter(name) = r.u64();
-    }
-    hists_.clear();
-    const std::uint64_t nh = r.u64();
-    for (std::uint64_t i = 0; i < nh; ++i) {
-      const std::string name = r.str();
-      histogram(name).deserialize(r);
+    // A histogram is at least a name length and its 4 + kBuckets words.
+    auto h = hists_.begin();
+    for (std::size_t i = 0, n = ar.count(hists_.size(), 8 * (5 + Histogram::kBuckets));
+         i < n; ++i) {
+      std::string name = ar.reading() ? std::string() : (h++)->first;
+      ar.str(name);
+      histogram(name).io(ar);
     }
   }
 

@@ -4,6 +4,7 @@
 // do not match this machine or this program.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "harness/experiment.h"
@@ -142,6 +143,45 @@ TEST(Checkpoint, SnapshotBytesAreDeterministic) {
   EXPECT_EQ(a.checkpoint(wa.program, 0), a.checkpoint(wa.program, 0));
 }
 
+/// Where a snapshot of a default-config (cacheless) System of `sram_bytes`
+/// bytes keeps its memory channel queue: after the MEMS tag, the SRAM
+/// section (tag, size, contents, an empty latent-flip registry) and the
+/// two cache-presence flags. The queue is a u64 count, then 23-byte
+/// entries: id, addr, size, is_write, wdata, requester, tile.
+std::size_t channelQueueAt(const std::vector<std::uint8_t>& snap,
+                           std::size_t sram_bytes) {
+  const char tag[] = "MEMS";
+  const auto mems = std::search(snap.begin(), snap.end(), tag, tag + 4);
+  return static_cast<std::size_t>(mems - snap.begin()) + 4 + 4 + 8 +
+         sram_bytes + 8 + 2;
+}
+constexpr std::size_t kQueuedTileByte = 8 + 22;  ///< count, then offset 22
+
+/// Checkpoints at the first cycle from `from` on whose snapshot has a
+/// non-empty channel queue.
+class CheckpointWithQueuedAccess : public RunObserver {
+ public:
+  CheckpointWithQueuedAccess(std::span<const isa::Program> programs,
+                             std::size_t sram_bytes, Cycle from)
+      : programs_(programs), sram_bytes_(sram_bytes), from_(from) {}
+
+  void onCycle(System& sys, Cycle now) override {
+    if (now < from_ || !snapshot.empty()) return;
+    std::vector<std::uint8_t> snap = sys.checkpoint(programs_, now + 1);
+    std::uint64_t queued = 0;
+    std::memcpy(&queued, snap.data() + channelQueueAt(snap, sram_bytes_),
+                sizeof queued);
+    if (queued != 0) snapshot = std::move(snap);
+  }
+
+  std::vector<std::uint8_t> snapshot;
+
+ private:
+  std::span<const isa::Program> programs_;
+  std::size_t sram_bytes_;
+  Cycle from_;
+};
+
 TEST(Checkpoint, RestoreRejectsMismatchesAndCorruption) {
   const SystemConfig cfg = defaultConfig();
   System sys(cfg);
@@ -189,6 +229,78 @@ TEST(Checkpoint, RestoreRejectsMismatchesAndCorruption) {
     bad[0] ^= 0x5A;
     expectCheckpointError(target, bad, w.program);
   }
+  {  // A queued access from a tile this machine does not have, mid-run in
+     // a 64x64 vector-gather SpMV: restore would index its per-port
+     // tables with it.
+    sim::Rng rng(0xC4F1);
+    const CsrMatrix m = workload::randomCsr(rng, 64, 64, 0.7);
+    const DenseVector v = workload::randomDenseVector(rng, 64);
+    System source(cfg);
+    const Prepared p = prepare(source, {Kernel::kSpmvVectorHht}, {&m, &v});
+    CheckpointWithQueuedAccess observer(p.programs(), cfg.memory.sram_bytes,
+                                        100);
+    source.run(p.programs(), p.y, p.y_len, 500'000'000, nullptr, &observer);
+    ASSERT_FALSE(observer.snapshot.empty()) << "the channel queue never filled";
+    std::vector<std::uint8_t> bad = observer.snapshot;
+    bad[channelQueueAt(bad, cfg.memory.sram_bytes) + kQueuedTileByte] = 0x7F;
+    System target(cfg);
+    expectCheckpointError(target, bad, p.program);
+    System good(cfg);  // and the unmodified snapshot restores
+    good.restore(observer.snapshot, p.program);
+  }
+}
+
+// Hostile input: single-byte mutations anywhere past the SRAM contents of
+// a mid-run snapshot (latent-flip registry, queues, responses, arbiter,
+// chunk queue, fault injectors, HHT pipelines, cores, stats) must either
+// restore or throw SimError(Checkpoint), never crash, hang or allocate
+// without bound. Restore only: resumed runs are not fuzzed here.
+TEST(Checkpoint, SeededByteMutationsRestoreOrThrowCheckpointErrors) {
+  SystemConfig cfg = defaultConfig();
+  cfg.memory.sram_bytes = 64 << 10;
+  cfg.faults.enabled = true;  // timing-only faults: injector sections
+  cfg.faults.seed = 0xC4F2;
+  cfg.faults.drop_rate = 5e-3;
+  cfg.faults.delay_rate = 2e-2;
+  const RunSpec spec{.kernel = Kernel::kSpmvVectorHht,
+                     .tiles = 2,
+                     .distribution = Distribution::kChunkQueue,
+                     .chunk_rows = 4};
+  const SystemConfig machine = configFor(cfg, spec);
+  sim::Rng rng(0xC4F3);
+  const CsrMatrix m = workload::randomCsr(rng, 48, 48, 0.6);
+  const DenseVector v = workload::randomDenseVector(rng, 48);
+  System source(machine);
+  const Prepared p = prepare(source, spec, {&m, &v});
+  CheckpointWithQueuedAccess observer(p.programs(), cfg.memory.sram_bytes,
+                                      150);
+  source.run(p.programs(), p.y, p.y_len, 500'000'000, nullptr, &observer);
+  const std::vector<std::uint8_t>& snap = observer.snapshot;
+  ASSERT_FALSE(snap.empty()) << "the channel queue never filled";
+
+  // The SRAM contents end where the latent-flip registry's count begins.
+  const std::size_t first = channelQueueAt(snap, cfg.memory.sram_bytes) - 10;
+  ASSERT_LT(first, snap.size());
+  std::uint32_t restored = 0;
+  for (int i = 0; i < 256; ++i) {
+    std::vector<std::uint8_t> bad = snap;
+    const std::size_t at = first + rng.nextBelow(snap.size() - first);
+    bad[at] ^= static_cast<std::uint8_t>(1 + rng.nextBelow(255));
+    System target(machine);
+    try {
+      target.restore(bad, p.programs());
+      ++restored;
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::Checkpoint)
+          << "byte " << at << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "byte " << at << ": " << e.what();
+    }
+  }
+  // Most single-byte flips land in data (SRAM-free counters, payloads),
+  // some in structure; both outcomes must occur.
+  EXPECT_GT(restored, 0u);
+  EXPECT_LT(restored, 256u);
 }
 
 // Forward compatibility: a snapshot written by a NEWER simulator build must

@@ -152,12 +152,12 @@ TEST(ChunkQueue, SerializeRoundTripsAndRejectsTileMismatch) {
   dev.beginCycle(0);
   ASSERT_TRUE(dev.mmioRead(0, 4, mem::Requester::Cpu).ready);
 
-  sim::StateWriter w;
-  dev.serialize(w);
+  sim::StateIo w;
+  dev.io(w);
 
   ChunkQueueDevice restored(2);
-  sim::StateReader r(w.data());
-  restored.deserialize(r);
+  sim::StateIo r(w.data());
+  restored.io(r);
   EXPECT_EQ(restored.pendingRows(), dev.pendingRows());
   ASSERT_EQ(restored.claimLog().size(), 1u);
   EXPECT_EQ(restored.claimLog()[0].row_begin, 0u);
@@ -169,16 +169,39 @@ TEST(ChunkQueue, SerializeRoundTripsAndRejectsTileMismatch) {
   EXPECT_EQ(next.data, (4u << 12) | 4u);
 
   ChunkQueueDevice wrong(3);
-  sim::StateReader r2(w.data());
+  sim::StateIo r2(w.data());
   try {
-    wrong.deserialize(r2);
-    ADD_FAILURE() << "deserialize accepted a tile-count mismatch";
+    wrong.io(r2);
+    ADD_FAILURE() << "restore accepted a tile-count mismatch";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::Checkpoint);
   }
 }
 
 // --- end-to-end kernels ---
+
+// A claim-log count no snapshot could hold is rejected before anything is
+// allocated for it.
+TEST(ChunkQueue, RestoreRejectsAnImpossibleClaimLogCount) {
+  ChunkQueueDevice dev(2);  // empty deques: tag, tiles, two counts, log
+  sim::StateIo w;
+  dev.io(w);
+  std::vector<std::uint8_t> bytes = w.data();
+  std::uint64_t log_count = 1;
+  std::memcpy(&log_count, bytes.data() + 24, sizeof log_count);
+  ASSERT_EQ(log_count, 0u);
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  std::memcpy(bytes.data() + 24, &huge, sizeof huge);
+
+  ChunkQueueDevice restored(2);
+  sim::StateIo r(bytes);
+  try {
+    restored.io(r);
+    ADD_FAILURE() << "restore accepted a 2^62-entry claim log";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Checkpoint) << e.what();
+  }
+}
 
 TEST(ChunkQueue, SpmvBitIdenticalToSingleTileOnSkewedMatrix) {
   const sparse::CsrMatrix m = skewedMatrix(0xD1CE);

@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <fstream>
 #include <ios>
+#include <iterator>
 #include <string>
 #include <tuple>
 
 #include "harness/experiment.h"
+#include "serve/server.h"
+#include "sim/checksum.h"
 #include "sparse/bitvector.h"
 #include "sparse/hier_bitmap.h"
+#include "verify/fuzz.h"
+#include "verify/replay.h"
 #include "workload/synthetic.h"
 
 namespace hht::harness {
@@ -107,11 +113,7 @@ TEST(Determinism, KernelDrivers) {
 class Fnv {
  public:
   void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h_ ^= p[i];
-      h_ *= 0x100000001B3ull;
-    }
+    h_ = sim::fnv1a({static_cast<const std::uint8_t*>(data), size}, h_);
   }
   void u64(std::uint64_t v) { bytes(&v, sizeof v); }
   void str(const std::string& s) {
@@ -121,7 +123,7 @@ class Fnv {
   std::uint64_t value() const { return h_; }
 
  private:
-  std::uint64_t h_ = 0xCBF29CE484222325ull;
+  std::uint64_t h_ = sim::kFnvOffsetBasis;
 };
 
 std::uint64_t digest(const RunResult& r) {
@@ -244,6 +246,163 @@ TEST(Determinism, PinnedRunDigests) {
     queue.kernel = Kernel::kSpmvScalarHht;
     expectDigest("4-tile-workers2", run(threaded, queue, big_ops),
                  0x4085a07b54034b1e);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned snapshot digests: the FNV-1a hash of the bytes of a mid-run
+// System::checkpoint() for each machine shape above (the programmable HHT
+// refuses checkpoints), of a mid-campaign serve::Server::checkpoint() and of
+// a saved HHTR replay bundle. The constants pin the snapshot v8, SRVS v1 and
+// HHTR v2 layouts byte for byte: a serializer change that moves, adds or
+// drops a single byte fails here.
+// ---------------------------------------------------------------------------
+
+std::uint64_t digest(const std::vector<std::uint8_t>& bytes) {
+  return sim::fnv1a(bytes);
+}
+
+/// Checkpoints the running System once, at cycle `at` of the primary run
+/// (or of the degraded fallback run, when `degraded`).
+class SnapshotAt : public RunObserver {
+ public:
+  SnapshotAt(std::span<const isa::Program> programs, Cycle at,
+             bool degraded = false)
+      : programs_(programs), at_(at), degraded_(degraded) {}
+
+  void onCycle(System& sys, Cycle now) override {
+    if (now == at_ && sys.degradedActive() == degraded_ && bytes.empty()) {
+      bytes = sys.checkpoint(programs_, now + 1);
+    }
+  }
+
+  std::vector<std::uint8_t> bytes;
+
+ private:
+  std::span<const isa::Program> programs_;
+  Cycle at_;
+  bool degraded_;
+};
+
+/// Run `spec` on a fresh System and return the digest of its snapshot at
+/// cycle `at` (of the fallback run, when `degraded`).
+std::uint64_t snapshotDigest(const SystemConfig& cfg, const RunSpec& spec,
+                             const Operands& ops, Cycle at,
+                             bool degraded = false) {
+  System sys(configFor(cfg, spec));
+  const Prepared p = prepare(sys, spec, ops);
+  const isa::Program* fallback = p.fallback ? &*p.fallback : nullptr;
+  SnapshotAt observer(degraded ? std::span(fallback, 1) : p.programs(), at,
+                      degraded);
+  const RunResult r = sys.run(p.programs(), p.y, p.y_len, 500'000'000,
+                              fallback, &observer);
+  EXPECT_EQ(r.degraded, degraded);
+  EXPECT_FALSE(observer.bytes.empty()) << "the run ended before cycle " << at;
+  return digest(observer.bytes);
+}
+
+void expectSnapshotDigest(const char* label, std::uint64_t got,
+                          std::uint64_t want) {
+  EXPECT_EQ(got, want) << label << ": snapshot digest 0x" << std::hex << got;
+}
+
+TEST(Determinism, PinnedSnapshotDigests) {
+  const SystemConfig cfg = defaultConfig();
+  const auto [m, v, sv] = operands(0xD16E'01);
+  const sparse::HierBitmapMatrix hm =
+      sparse::HierBitmapMatrix::fromDense(m.toDense());
+  const sparse::BitVectorMatrix bm =
+      sparse::BitVectorMatrix::fromDense(m.toDense());
+  const Operands ops{.m = &m, .v = &v, .sv = &sv, .hier = &hm, .flat = &bm};
+  sim::Rng rng(0xD16E'02);
+  const CsrMatrix big = workload::randomCsr(rng, 96, 96, 0.7);
+  const DenseVector big_v = workload::randomDenseVector(rng, 96);
+  const Operands big_ops{&big, &big_v};
+  RunSpec queue{.kernel = Kernel::kSpmvVectorHht,
+                .tiles = 4,
+                .distribution = Distribution::kChunkQueue,
+                .chunk_rows = 8};
+  RunSpec shards16 = queue;
+  shards16.tiles = 16;
+  shards16.distribution = Distribution::kNnzBalanced;
+
+  // The five ASIC engines on the paper's one-tile machine.
+  expectSnapshotDigest(
+      "gather", snapshotDigest(cfg, {Kernel::kSpmvVectorHht}, ops, 150), 0x4ef5ff4be0816890);
+  expectSnapshotDigest(
+      "merge-v1", snapshotDigest(cfg, {Kernel::kSpmspvHhtV1}, ops, 150), 0xe074119d22ce3f4e);
+  expectSnapshotDigest(
+      "stream-v2", snapshotDigest(cfg, {Kernel::kSpmspvHhtV2}, ops, 150), 0x77f6df6dbe204b4e);
+  expectSnapshotDigest(
+      "hier", snapshotDigest(cfg, {Kernel::kHierBitmapHht}, ops, 150), 0xd16324268a3048db);
+  expectSnapshotDigest(
+      "flat", snapshotDigest(cfg, {Kernel::kFlatBitmapHht}, ops, 150), 0x5f42deeca7fcd21c);
+  {  // 100 cycles into the scalar fallback of a run whose every FIFO pop
+     // is corrupted.
+    SystemConfig faulty = cfg;
+    faulty.faults.enabled = true;
+    faulty.faults.seed = 0xD16E'03;
+    faulty.faults.fifo_corrupt_rate = 1.0;
+    expectSnapshotDigest(
+        "degraded",
+        snapshotDigest(faulty,
+                       {.kernel = Kernel::kSpmvScalarHht, .fallback = true},
+                       ops, 100, /*degraded=*/true),
+        0xa45e51524a3a9907);
+  }
+  expectSnapshotDigest(
+      "4-tile-queue-faults",
+      snapshotDigest(withBenignFaults(cfg), queue, big_ops, 300),
+      0xd490b475a52e77f4);
+  expectSnapshotDigest("16-tile-l1ch",
+                       snapshotDigest(l1chConfig(), shards16, big_ops, 300),
+                       0xad69d3d80cb81fb4);
+
+  {  // A serving campaign with FIFO faults, two batches in: queued,
+     // retried and completed requests and a non-empty health window.
+    serve::ServerConfig scfg;
+    scfg.system = cfg;
+    scfg.system.faults.enabled = true;
+    scfg.system.faults.seed = 0xD16E'04;
+    scfg.system.faults.fifo_corrupt_rate = 2e-2;
+    scfg.num_tiles = 2;
+    scfg.jobs = 1;
+    scfg.backoff_base = 64;
+    scfg.health.window = 4;
+    scfg.health.min_samples = 2;
+    scfg.health.probe_period = 2;
+    serve::StreamConfig sc;
+    sc.count = 12;
+    sc.size = 16;
+    sc.mean_gap = 1'000;
+    serve::Server server(scfg);
+    for (const serve::Request& r : serve::randomRequestStream(0xD16E'05, sc)) {
+      server.submit(r);
+    }
+    server.drain(2);
+    EXPECT_GT(server.stats().hht_faults, 0u);
+    expectSnapshotDigest("server", digest(server.checkpoint()),
+                         0x43bf26efc9d15997);
+  }
+  {  // A fuzz replay bundle, cycle-0 snapshot included.
+    sim::Rng case_rng(0xD16E'06);
+    verify::ReplayBundle bundle;
+    bundle.c = verify::randomCase(case_rng, verify::EngineKind::StreamV2);
+    bundle.seed = 0xD16E'07;
+    bundle.run_index = 3;
+    bundle.failing_element = 5;
+    bundle.failing_cycle = 1'234;
+    bundle.detail = "pinned bundle";
+    verify::CosimOptions capture;
+    capture.capture_snapshot = true;
+    bundle.cycle0_snapshot = verify::runCosim(bundle.c, capture).cycle0_snapshot;
+    ASSERT_FALSE(bundle.cycle0_snapshot.empty());
+    const std::string path = ::testing::TempDir() + "/hht_pinned.hhtr";
+    verify::saveBundle(path, bundle);
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    expectSnapshotDigest("bundle", digest(bytes), 0x388b690f92f14378);
   }
 }
 

@@ -285,15 +285,15 @@ TEST(Integrity, PoisonedAndTaggedSlotsSurviveSerialization) {
   s.bits = 0xDEAD0004;  // left in staging, unpublished
   pool.push(s);
 
-  sim::StateWriter w;
-  pool.serialize(w);
+  sim::StateIo w;
+  pool.io(w);
   const std::vector<std::uint8_t> bytes = w.data();
 
   core::BufferPool restored(cfg);
-  sim::StateReader r(bytes);
-  restored.deserialize(r);
-  sim::StateWriter w2;
-  restored.serialize(w2);
+  sim::StateIo r(bytes);
+  restored.io(r);
+  sim::StateIo w2;
+  restored.io(w2);
   EXPECT_EQ(bytes, w2.data());
 
   EXPECT_EQ(restored.beCrc(), pool.beCrc());

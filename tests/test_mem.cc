@@ -87,13 +87,14 @@ TEST(Sram, TwoLiveSystemsNeverAlias) {
 TEST(Sram, UntouchedSnapshotIsAllZeroAndRestoresBitIdentically) {
   const harness::SystemConfig cfg = harness::defaultConfig();
   harness::System fresh(cfg);
-  sim::StateWriter got;
-  fresh.memory().sram().serialize(got);
-  sim::StateWriter want;
+  sim::StateIo got;
+  fresh.memory().sram().io(got);
+  sim::StateIo want;
   want.tag("SRAM");
-  const std::vector<std::uint8_t> zeros(cfg.memory.sram_bytes, 0);
-  want.bytes(zeros.data(), zeros.size());
-  want.u64(0);  // no latent flips
+  std::vector<std::uint8_t> zeros(cfg.memory.sram_bytes, 0);
+  want.bytes(zeros);
+  std::uint64_t latent_flips = 0;
+  want.u64(latent_flips);
   EXPECT_EQ(got.data(), want.data());
 
   const isa::Program idle("idle", {});

@@ -49,10 +49,10 @@ MemorySystemConfig hierConfig(std::uint32_t tiles) {
   return cfg;
 }
 
-std::vector<std::uint8_t> snapshotOf(const MemorySystem& mem) {
-  sim::StateWriter w;
-  mem.serialize(w);
-  return w.data();
+std::vector<std::uint8_t> snapshotOf(MemorySystem& mem) {
+  sim::StateIo w;
+  mem.io(w);
+  return w.release();
 }
 
 /// A submitted read and the requester port that polls for it.
@@ -423,8 +423,8 @@ TEST(MemTopology, HierarchicalSnapshotRoundTripsMidBurst) {
   const std::vector<std::uint8_t> snap = snapshotOf(a);
   MemorySystem b(cfg);
   {
-    sim::StateReader r(snap);
-    b.deserialize(r);
+    sim::StateIo r(snap);
+    b.io(r);
   }
   EXPECT_EQ(snap, snapshotOf(b)) << "restore is not serialize-stable";
 

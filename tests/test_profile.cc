@@ -226,11 +226,11 @@ TEST(Profile, HistogramBucketsAndSerialization) {
   EXPECT_EQ(h.count(), 5u);
   EXPECT_EQ(h.sum(), 1012u);
 
-  sim::StateWriter w;
-  h.serialize(w);
-  sim::StateReader r(w.data());
+  sim::StateIo w;
+  h.io(w);
+  sim::StateIo r(w.data());
   sim::Histogram back;
-  back.deserialize(r);
+  back.io(r);
   EXPECT_EQ(back.count(), h.count());
   EXPECT_EQ(back.sum(), h.sum());
   EXPECT_EQ(back.min(), h.min());
@@ -240,11 +240,11 @@ TEST(Profile, HistogramBucketsAndSerialization) {
   sim::StatSet set;
   set.counter("x") = 42;
   set.histogram("spans").add(9);
-  sim::StateWriter sw;
-  set.serialize(sw);
-  sim::StateReader sr(sw.data());
+  sim::StateIo sw;
+  set.io(sw);
+  sim::StateIo sr(sw.data());
   sim::StatSet set2;
-  set2.deserialize(sr);
+  set2.io(sr);
   EXPECT_EQ(set2.value("x"), 42u);
   const sim::Histogram* hist = set2.findHistogram("spans");
   ASSERT_NE(hist, nullptr);

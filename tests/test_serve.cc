@@ -85,12 +85,12 @@ TEST(TileHealth, SerializeRoundTripsAndRejectsShapeSkew) {
   a.record(0, true);
   a.record(2, false);
   a.tickBatch();
-  sim::StateWriter w;
-  a.serialize(w);
+  sim::StateIo w;
+  a.io(w);
 
   TileHealth b(3, healthConfig());
-  sim::StateReader r(w.data());
-  b.deserialize(r);
+  sim::StateIo r(w.data());
+  b.io(r);
   for (std::uint32_t t = 0; t < 3; ++t) {
     EXPECT_EQ(a.quarantined(t), b.quarantined(t)) << "tile " << t;
     EXPECT_EQ(a.windowSamples(t), b.windowSamples(t)) << "tile " << t;
@@ -99,8 +99,8 @@ TEST(TileHealth, SerializeRoundTripsAndRejectsShapeSkew) {
   EXPECT_EQ(a.quarantineEvents(), b.quarantineEvents());
 
   TileHealth wrong(2, healthConfig());
-  sim::StateReader r2(w.data());
-  EXPECT_THROW(wrong.deserialize(r2), SimError);
+  sim::StateIo r2(w.data());
+  EXPECT_THROW(wrong.io(r2), SimError);
 }
 
 // ---------------------------------------------------------------------------
