@@ -31,9 +31,10 @@
 //                        prove bit-identical completion
 //   --checkpoint-every=K periodic checkpoint cadence in batches (default 4)
 //   --require-quarantine campaign point for the health policy: fail unless
-//                        the run actually quarantined a tile AND dispatched
-//                        at least one canary probe (use with a high
-//                        --fault-rate; gated in bench/serving_baseline.json)
+//                        the run quarantined a tile, dispatched a canary
+//                        probe AND reinstated a tile, the full quarantine
+//                        -> probe -> reinstate cycle (use with a high
+//                        --fault-rate)
 //   --out=FILE           JSON report path (default BENCH_serving.json), so
 //                        CI can keep multiple campaign points side by side
 #include <chrono>
@@ -212,11 +213,11 @@ int main(int argc, char** argv) {
     ok = false;
   }
   if (so.require_quarantine &&
-      (s.quarantine_events == 0 || s.probes == 0)) {
+      (s.quarantine_events == 0 || s.probes == 0 || s.reinstate_events == 0)) {
     std::cerr << "QUARANTINE GATE: campaign point was meant to exercise the "
                  "health policy but saw " << s.quarantine_events
-              << " quarantine events and " << s.probes
-              << " probes (raise --fault-rate?)\n";
+              << " quarantine events, " << s.probes << " probes and "
+              << s.reinstate_events << " reinstates (raise --fault-rate?)\n";
     ok = false;
   }
 

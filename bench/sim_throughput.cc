@@ -6,12 +6,13 @@
 // Both passes must produce bit-identical simulation results (final cycles,
 // wait counters, every stat, the output vector); the binary exits non-zero
 // on any mismatch, so the throughput numbers can never come from a
-// simulator that cheated. By default both modes run and two gates hold:
-// event >= naive on aggregate Mcycles/s (chain_ok), and event >= 10x naive
-// on the deep-stall HHT item (deep_hht_ok), whose stalls sit in a live
-// engine and the CPU's refused FIFO reads (--mode=X restricts to one pass
-// for profiling; --repeat=N takes the minimum wall time of N samples per
-// pass).
+// simulator that cheated. By default both modes run and three gates hold:
+// event >= naive on aggregate Mcycles/s (chain_ok), event >= kSpeedupFloor
+// x naive on aggregate Mcycles/s (in_binary_speedup), and event >= 10x
+// naive on the deep-stall HHT item (deep_hht_ok), whose stalls sit in a
+// live engine and the CPU's refused FIFO reads (--mode=X restricts to one
+// pass for profiling; --repeat=N takes the minimum wall time of N samples
+// per pass).
 //
 // The workload set spans three host-cost regimes, so the aggregate rewards
 // a loop that is fast where skipping is impossible AND where it is easy:
@@ -25,9 +26,10 @@
 //
 // Output: a human table (or --csv) plus BENCH_sim_throughput.json in the
 // current directory, including a per-matrix wall-time breakdown for every
-// mode. CI gates on `in_binary_speedup` (event vs naive in the same
-// binary — machine-independent enough to compare across runners) against
-// bench/sim_throughput_baseline.json.
+// mode. `in_binary_speedup` compares event with naive in the same binary,
+// which is machine-independent enough to gate across runners;
+// bench/sim_throughput_baseline.json records the measurement behind
+// kSpeedupFloor.
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -263,6 +265,9 @@ int main(int argc, char** argv) {
     benchutil::printTable(opt, regimes);
   }
 
+  // Aggregate gate: the 7.0x baseline less its 20% allowed regression
+  // (bench/sim_throughput_baseline.json records the measured value).
+  constexpr double kSpeedupFloor = 7.0 * (1.0 - 0.2);
   // Per-item gate: the event loop must sleep through the deep-stall HHT
   // run's memory waits (live engine, refused FIFO reads), not tick them.
   constexpr double kDeepHhtFloor = 10.0;
@@ -346,6 +351,14 @@ int main(int argc, char** argv) {
   if (opt.mode == benchutil::RunMode::kAll && !chain_ok) {
     std::cerr << "sim_throughput: the event mode must be >= 1.0x the naive "
                  "mode on aggregate Mcycles/s\n";
+    return 1;
+  }
+  if (opt.mode == benchutil::RunMode::kAll &&
+      in_binary_speedup < kSpeedupFloor) {
+    std::cerr << "sim_throughput: the event mode must be >= "
+              << harness::fmt(kSpeedupFloor)
+              << "x the naive mode on aggregate Mcycles/s, got "
+              << harness::fmt(in_binary_speedup, 3) << "x\n";
     return 1;
   }
   if (!deep_hht_ok) {

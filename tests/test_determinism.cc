@@ -161,8 +161,8 @@ SystemConfig withBenignFaults(SystemConfig cfg) {
   return cfg;
 }
 
-/// fig_scaleout's "l1ch" topology: per-tile L1s, four interleaved
-/// channels and the HHT stride prefetcher.
+/// The "l1ch" topology of `paper --only=scaleout`: per-tile L1s, four
+/// interleaved channels and the HHT stride prefetcher.
 SystemConfig l1chConfig() {
   SystemConfig cfg = defaultConfig();
   cfg.memory.policy = mem::ArbiterPolicy::RoundRobin;

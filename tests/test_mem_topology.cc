@@ -33,8 +33,8 @@ MemorySystemConfig baseConfig() {
   return cfg;
 }
 
-/// The Occamy-style hierarchy fig_scaleout ablates: per-tile L1 over 4
-/// interleaved channels.
+/// The Occamy-style hierarchy `paper --only=scaleout` ablates: per-tile L1
+/// over 4 interleaved channels.
 MemorySystemConfig hierConfig(std::uint32_t tiles) {
   MemorySystemConfig cfg = baseConfig();
   cfg.num_tiles = tiles;
